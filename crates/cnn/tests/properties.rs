@@ -105,7 +105,7 @@ proptest! {
 
     #[test]
     fn quantizer_error_bounded_and_idempotent(
-        bits in 2u8..16,
+        bits in 1u8..16,
         range in 0.5f32..10.0,
         value in -12.0f32..12.0,
     ) {

@@ -34,9 +34,9 @@
 //!   ([`health_snr_penalty_db`]) discounts the nominal converter ENOB to
 //!   an effective datapath bit width, and a trained proxy net measured at
 //!   that width ([`pcnna_cnn::train::quantized_top1`]) prices the top-1
-//!   accuracy the instance would actually serve. Quotes are memoized per
-//!   (network fingerprint, effective bits), so the hot path is a lock and
-//!   a map probe.
+//!   accuracy the instance would actually serve. The ladder behind it is
+//!   measured once per process and does not depend on the network, so
+//!   pricing accuracy is two array reads.
 //!
 //! The legacy [`quote`]/[`quote_degraded`] split remains as thin
 //! `#[deprecated]` shims over [`service_quote`]; both are pinned
@@ -47,13 +47,11 @@ use crate::execution::ExecutionModel;
 use crate::power::{PowerAssumptions, PowerModel};
 use crate::Result;
 use pcnna_cnn::geometry::ConvGeometry;
+use pcnna_cnn::train::quantized_top1;
 use pcnna_electronics::time::SimTime;
 use pcnna_photonics::degradation::{DegradationLimits, HealthState};
 use pcnna_photonics::noise::health_snr_penalty_db;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, OnceLock};
 
 /// The quoted inference quality of one network on one instance's health:
 /// how many effective bits the analog datapath still resolves, and the
@@ -185,42 +183,9 @@ pub struct DegradedQuote {
     pub laser_compensation_j_per_frame: f64,
 }
 
-/// Process-wide (network fingerprint, effective bits) → top-1 memo. The
-/// proxy measurement behind it is a pure function of its inputs, so the
-/// cache is bit-identical regardless of how many threads race to fill it:
-/// every writer computes the same value.
-fn memoized_top1(fingerprint: u64, bits: u8) -> f64 {
-    static CACHE: OnceLock<Mutex<HashMap<(u64, u8), f64>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(&top1) = cache
-        .lock()
-        .expect("accuracy memo lock")
-        .get(&(fingerprint, bits))
-    {
-        return top1;
-    }
-    // Measure outside the lock: the first call trains the proxy ladder.
-    let top1 = pcnna_cnn::train::quantized_top1(bits);
-    cache
-        .lock()
-        .expect("accuracy memo lock")
-        .insert((fingerprint, bits), top1);
-    top1
-}
-
-/// A process-local fingerprint of a layer stack (names + geometry), the
-/// memo key for accuracy quotes — the analogue of the fleet's first-seen
-/// quote dedupe.
-fn network_fingerprint(layers: &[(&str, ConvGeometry)]) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    for (name, g) in layers {
-        name.hash(&mut hasher);
-        format!("{g:?}").hash(&mut hasher);
-    }
-    hasher.finish()
-}
-
-/// Prices the accuracy axis for `layers` on `config` under `health`.
+/// Prices the accuracy axis on `config` under `health`. The proxy ladder
+/// is one trained net, not a model of each network, so the quote is the
+/// same for every layer stack.
 ///
 /// The chain is SNR → effective bits → measured top-1:
 ///
@@ -240,11 +205,7 @@ fn network_fingerprint(layers: &[(&str, ConvGeometry)]) -> u64 {
 /// the pristine quote at [`HealthState::nominal`].
 ///
 /// [`AdcModel::effective_bits`]: pcnna_electronics::adc::AdcModel::effective_bits
-fn accuracy_quote(
-    config: &PcnnaConfig,
-    layers: &[(&str, ConvGeometry)],
-    health: &HealthState,
-) -> AccuracyQuote {
+fn accuracy_quote(config: &PcnnaConfig, health: &HealthState) -> AccuracyQuote {
     let nominal_bits = config.adc.effective_bits();
     let nominal_snr_db = 6.02 * f64::from(nominal_bits) + 1.76;
     let penalty_db = health_snr_penalty_db(health);
@@ -253,12 +214,11 @@ fn accuracy_quote(
     let enob = f64::from(nominal_bits) + penalty_db / 6.02 + range_bits;
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let effective_bits = enob.floor().clamp(1.0, f64::from(nominal_bits)) as u8;
-    let fingerprint = network_fingerprint(layers);
     AccuracyQuote {
         snr_db,
         effective_bits,
-        top1_accuracy: memoized_top1(fingerprint, effective_bits),
-        pristine_accuracy: memoized_top1(fingerprint, nominal_bits),
+        top1_accuracy: quantized_top1(effective_bits),
+        pristine_accuracy: quantized_top1(nominal_bits),
     }
 }
 
@@ -307,7 +267,7 @@ fn raw_quote(
         per_frame,
         weight_load_energy_j,
         per_frame_energy_j,
-        accuracy: accuracy_quote(config, layers, &HealthState::nominal()),
+        accuracy: accuracy_quote(config, &HealthState::nominal()),
     })
 }
 
@@ -388,7 +348,7 @@ pub fn service_quote(request: &QuoteRequest) -> Result<Option<DegradedQuote>> {
         q.per_frame_energy_j += laser_compensation_j_per_frame;
     }
 
-    q.accuracy = accuracy_quote(request.config, request.layers, &request.health);
+    q.accuracy = accuracy_quote(request.config, &request.health);
 
     Ok(Some(DegradedQuote {
         quote: q,
@@ -797,8 +757,10 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_memo_is_bit_identical_across_threads() {
-        let layers = zoo::alexnet_conv_layers();
+    fn accuracy_quote_is_bit_identical_across_threads() {
+        // A barrier starts all nine callers together, so unless another
+        // test got there first they also race to train the process-wide
+        // proxy ladder.
         let healths = [
             HealthState::nominal(),
             HealthState {
@@ -810,29 +772,27 @@ mod tests {
                 ..HealthState::nominal()
             },
         ];
-        let run = move || {
+        let start = std::sync::Barrier::new(9);
+        let run = || {
+            start.wait();
             let cfg = PcnnaConfig::default();
             healths
                 .iter()
-                .map(|h| accuracy_quote(&cfg, &zoo::alexnet_conv_layers(), h))
+                .map(|h| accuracy_quote(&cfg, h))
                 .collect::<Vec<_>>()
         };
-        let baseline = {
-            let cfg = PcnnaConfig::default();
-            healths
-                .iter()
-                .map(|h| accuracy_quote(&cfg, &layers, h))
-                .collect::<Vec<_>>()
-        };
-        let handles: Vec<_> = (0..8).map(|_| std::thread::spawn(run)).collect();
-        for handle in handles {
-            let got = handle.join().expect("worker thread");
-            for (a, b) in got.iter().zip(&baseline) {
-                assert_eq!(a.snr_db.to_bits(), b.snr_db.to_bits());
-                assert_eq!(a.effective_bits, b.effective_bits);
-                assert_eq!(a.top1_accuracy.to_bits(), b.top1_accuracy.to_bits());
-                assert_eq!(a.pristine_accuracy.to_bits(), b.pristine_accuracy.to_bits());
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8).map(|_| scope.spawn(run)).collect();
+            let baseline = run();
+            for worker in workers {
+                let got = worker.join().expect("worker thread");
+                for (a, b) in got.iter().zip(&baseline) {
+                    assert_eq!(a.snr_db.to_bits(), b.snr_db.to_bits());
+                    assert_eq!(a.effective_bits, b.effective_bits);
+                    assert_eq!(a.top1_accuracy.to_bits(), b.top1_accuracy.to_bits());
+                    assert_eq!(a.pristine_accuracy.to_bits(), b.pristine_accuracy.to_bits());
+                }
             }
-        }
+        });
     }
 }

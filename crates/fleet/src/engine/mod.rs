@@ -16,7 +16,8 @@
 //!   epoch token, and pop order *exactly* equal to the heaps' — so the
 //!   swap changes no simulation result.
 //! * [`shard`] — the scale-out layer: a deterministic [`ShardPlan`]
-//!   partitions classes and instances into up to 32 independent cells,
+//!   partitions classes and instances into up to
+//!   [`ShardPlan::MAX_CELLS`] (1024) independent cells,
 //!   one arrival generator replays the exact whole-fleet stream and
 //!   routes each request to the cell owning its class, and worker
 //!   threads advance cells in conservative time windows over bounded

@@ -37,10 +37,6 @@
 //!   accuracy the instance would actually serve. The ladder behind it is
 //!   measured once per process and does not depend on the network, so
 //!   pricing accuracy is two array reads.
-//!
-//! The legacy [`quote`]/[`quote_degraded`] split remains as thin
-//! `#[deprecated]` shims over [`service_quote`]; both are pinned
-//! bit-identical to the unified path.
 
 use crate::config::PcnnaConfig;
 use crate::execution::ExecutionModel;
@@ -295,10 +291,9 @@ fn raw_quote(
 ///   converter channel, returns `Ok(None)` (infeasible), which a fleet
 ///   treats as "this instance cannot serve until repaired".
 ///
-/// With a nominal health snapshot the result is bit-identical to the
-/// legacy [`quote`] (and the degraded path to [`quote_degraded`]) — the
-/// pinned contract that keeps the fleet oracle and control-policy
-/// regression artifacts byte-stable.
+/// With a nominal health snapshot every degradation term vanishes and
+/// the result is the plain affine quote — the contract that keeps the
+/// fleet oracle and control-policy regression artifacts byte-stable.
 ///
 /// # Errors
 ///
@@ -356,51 +351,6 @@ pub fn service_quote(request: &QuoteRequest) -> Result<Option<DegradedQuote>> {
         effective_adcs,
         laser_compensation_j_per_frame,
     }))
-}
-
-/// Computes the [`ServiceQuote`] for `layers` on nominal hardware.
-///
-/// # Errors
-///
-/// Propagates configuration and per-layer resource failures.
-#[deprecated(
-    note = "use service_quote(&QuoteRequest::new(config, assumptions, layers)) — the unified entry point"
-)]
-pub fn quote(
-    config: &PcnnaConfig,
-    assumptions: &PowerAssumptions,
-    layers: &[(&str, ConvGeometry)],
-) -> Result<ServiceQuote> {
-    config.validate()?;
-    Ok(
-        service_quote(&QuoteRequest::new(config, assumptions, layers))?
-            .expect("nominal hardware on a valid config is always serviceable")
-            .quote,
-    )
-}
-
-/// Re-derives the [`ServiceQuote`] for `layers` on `config` under a
-/// degraded [`HealthState`].
-///
-/// # Errors
-///
-/// Propagates configuration and per-layer resource failures from the
-/// core models (same failure surface as [`service_quote`]).
-#[deprecated(
-    note = "use service_quote(&QuoteRequest::new(..).with_health(..).with_limits(..)) — the unified entry point"
-)]
-pub fn quote_degraded(
-    config: &PcnnaConfig,
-    assumptions: &PowerAssumptions,
-    layers: &[(&str, ConvGeometry)],
-    health: &HealthState,
-    limits: &DegradationLimits,
-) -> Result<Option<DegradedQuote>> {
-    service_quote(
-        &QuoteRequest::new(config, assumptions, layers)
-            .with_health(*health)
-            .with_limits(*limits),
-    )
 }
 
 #[cfg(test)]
@@ -475,50 +425,6 @@ mod tests {
         .quote;
         assert_eq!(with.per_frame_energy_j, without.per_frame_energy_j);
         assert_eq!(with.weight_load_energy_j, without.weight_load_energy_j);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_are_bit_identical_to_the_unified_path() {
-        // The pinned API-redesign contract: the legacy entry points and
-        // the unified QuoteRequest path produce byte-identical quotes, so
-        // the fleet oracle and Hold-policy regression artifacts cannot
-        // move.
-        let cfg = PcnnaConfig::default();
-        let layers = zoo::alexnet_conv_layers();
-        let assumptions = PowerAssumptions::default();
-        let unified = service_quote(&QuoteRequest::new(&cfg, &assumptions, &layers))
-            .unwrap()
-            .unwrap();
-        let legacy_plain = quote(&cfg, &assumptions, &layers).unwrap();
-        assert_eq!(unified.quote, legacy_plain);
-
-        for health in [
-            HealthState::nominal(),
-            HealthState {
-                ambient_delta_k: 0.15,
-                laser_power_factor: 0.8,
-                dead_input_channels: 2,
-                dead_output_channels: 1,
-            },
-            HealthState {
-                ambient_delta_k: 9.0, // unserviceable
-                ..HealthState::nominal()
-            },
-        ] {
-            let legacy = quote_degraded(
-                &cfg,
-                &assumptions,
-                &layers,
-                &health,
-                &DegradationLimits::default(),
-            )
-            .unwrap();
-            let via_request =
-                service_quote(&QuoteRequest::new(&cfg, &assumptions, &layers).with_health(health))
-                    .unwrap();
-            assert_eq!(legacy, via_request);
-        }
     }
 
     #[test]

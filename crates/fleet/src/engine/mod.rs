@@ -52,7 +52,7 @@ pub(crate) mod merge;
 pub mod shard;
 pub mod wheel;
 
-pub use shard::{PlanShape, ShardPlan};
+pub use shard::ShardPlan;
 pub use wheel::{EventTime, TimingWheel};
 
 use crate::faults::FaultTimeline;
@@ -256,24 +256,15 @@ impl FleetScenario {
     ///
     /// Returns scenario-validation or core quoting failures.
     pub fn simulate(&self) -> Result<FleetReport> {
-        self.simulate_seeded(self.seed)
-    }
-
-    /// [`simulate`](Self::simulate) with the scenario's seed overridden —
-    /// seed replication runs many seeds of one scenario, and this entry
-    /// point spares it a deep clone of the classes and instances per
-    /// replica.
-    ///
-    /// # Errors
-    ///
-    /// As [`simulate`](Self::simulate).
-    pub fn simulate_seeded(&self, seed: u64) -> Result<FleetReport> {
         self.validate()?;
         let quotes = self.quote_table()?;
         let spec = CellSpec::whole_fleet(self);
         let cell = CellEngine::new(self, &quotes, &spec);
         let class_to_cell = vec![0usize; self.classes.len()];
-        let outcomes = shard::run_serial(self, seed, vec![cell], &class_to_cell);
+        let (outcomes, _): (Vec<_>, Vec<_>) =
+            shard::run_serial(self, self.seed, vec![cell], &class_to_cell)
+                .into_iter()
+                .unzip();
         Ok(merge::assemble(self, &outcomes))
     }
 }

@@ -96,91 +96,28 @@ impl CellSpec {
     }
 }
 
-/// Execution shape of a hierarchical (two-level) shard plan.
-///
-/// The **partition** into leaf cells is always the same pure function
-/// of the scenario; the shape only decides how contiguous runs of
-/// leaves are grouped into the scheduling units workers execute — a
-/// plan tree whose root fans out to groups and whose groups fan out to
-/// today's cells. Grouping is therefore *pure scheduling*: every shape
-/// yields the bit-identical [`FleetReport`]
-/// (leaf outcomes always merge in leaf-index order), it only moves
-/// wall-clock between workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanShape {
-    /// Leaf cells per scheduling group (must be ≥ 1). `1` is the flat
-    /// plan: every leaf is its own group — exactly the pre-hierarchy
-    /// engine.
-    pub group_width: usize,
-}
-
-impl PlanShape {
-    /// The flat (single-level) shape: one leaf per group.
-    pub const FLAT: PlanShape = PlanShape { group_width: 1 };
-}
-
-impl Default for PlanShape {
-    fn default() -> Self {
-        PlanShape::FLAT
-    }
-}
-
 /// The deterministic partition of a scenario into shard cells (module
 /// docs describe the scheme and the determinism contract).
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     pub(crate) cells: Vec<CellSpec>,
     pub(crate) class_to_cell: Vec<usize>,
-    /// Scheduling groups: each entry is a contiguous range of leaf-cell
-    /// indices executed as one unit. Flat plans have one leaf per
-    /// group.
-    pub(crate) groups: Vec<Range<usize>>,
 }
 
 impl ShardPlan {
-    /// Upper bound on the number of leaf cells a plan creates. The
+    /// Upper bound on the number of cells a plan creates. The
     /// actual count is `min(classes, instances, MAX_CELLS)` — a cell
     /// must own at least one class and one instance to be a simulation
-    /// at all. (The flat engine capped this at 32; grouping lets the
-    /// leaf count scale while workers schedule whole groups.)
+    /// at all. The count is blind to the worker count: workers are
+    /// dealt cells round-robin, however many there are.
     pub const MAX_CELLS: usize = 1024;
 
-    /// Builds the flat plan for `scenario`, using `quotes` (when
-    /// available) to size instance slices by service demand rather than
-    /// raw request share. Pure function of the scenario — deliberately
+    /// Builds the plan for `scenario`, using `quotes` (when available)
+    /// to size instance slices by service demand rather than raw
+    /// request share. Pure function of the scenario — deliberately
     /// blind to shard and thread counts.
     #[must_use]
     pub fn new(scenario: &FleetScenario, quotes: Option<&QuoteTable>) -> ShardPlan {
-        ShardPlan::try_new(scenario, quotes, PlanShape::FLAT)
-            .expect("the flat shape is always valid")
-    }
-
-    /// Builds a hierarchical plan with the given [`PlanShape`],
-    /// validating the shape first (the error names the offending
-    /// parameter). The leaf partition is identical for every shape;
-    /// only the grouping differs.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::InvalidPlanShape`](crate::FleetError::InvalidPlanShape) when `group_width` is zero.
-    pub fn try_new(
-        scenario: &FleetScenario,
-        quotes: Option<&QuoteTable>,
-        shape: PlanShape,
-    ) -> crate::Result<ShardPlan> {
-        if shape.group_width == 0 {
-            return Err(crate::FleetError::InvalidPlanShape {
-                parameter: "group_width",
-                reason: "must be at least 1 (a scheduling group cannot be empty)".to_string(),
-            });
-        }
-        let mut plan = ShardPlan::flat_partition(scenario, quotes);
-        plan.groups = group_leaves(plan.cells.len(), shape.group_width);
-        Ok(plan)
-    }
-
-    /// The leaf partition (always flat-grouped; `try_new` regroups).
-    fn flat_partition(scenario: &FleetScenario, quotes: Option<&QuoteTable>) -> ShardPlan {
         let n_c = scenario.classes.len();
         let n_i = scenario.instances.len();
         if n_c == 0 || n_i == 0 {
@@ -189,7 +126,6 @@ impl ShardPlan {
             return ShardPlan {
                 cells: vec![CellSpec::whole_fleet(scenario)],
                 class_to_cell: vec![0; n_c],
-                groups: group_leaves(1, 1),
             };
         }
         let l = n_c.min(n_i).min(Self::MAX_CELLS);
@@ -268,28 +204,15 @@ impl ShardPlan {
             })
             .collect();
         ShardPlan {
-            groups: group_leaves(l, 1),
             cells,
             class_to_cell,
         }
     }
 
-    /// Number of leaf cells in the plan.
+    /// Number of cells in the plan.
     #[must_use]
     pub fn n_cells(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Number of scheduling groups (= cells for a flat plan).
-    #[must_use]
-    pub fn n_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The contiguous leaf-cell range of scheduling group `group`.
-    #[must_use]
-    pub fn group_cells(&self, group: usize) -> Range<usize> {
-        self.groups[group].clone()
     }
 
     /// Global class indices owned by `cell`.
@@ -309,14 +232,6 @@ impl ShardPlan {
     pub fn cell_of_class(&self, class: usize) -> usize {
         self.class_to_cell[class]
     }
-}
-
-/// Chunks `n_leaves` leaf cells into contiguous groups of `width`
-/// (the last group takes the remainder).
-fn group_leaves(n_leaves: usize, width: usize) -> Vec<Range<usize>> {
-    (0..n_leaves.div_ceil(width))
-        .map(|g| g * width..((g + 1) * width).min(n_leaves))
-        .collect()
 }
 
 /// Largest-remainder apportionment of `total` items over `shares`
@@ -474,47 +389,7 @@ impl FleetScenario {
     ///
     /// Returns scenario-validation or core quoting failures.
     pub fn simulate_sharded(&self, shards: usize, threads: usize) -> Result<FleetReport> {
-        self.simulate_sharded_seeded(self.seed, shards, threads)
-    }
-
-    /// [`simulate_sharded`](Self::simulate_sharded) with an explicit
-    /// hierarchical [`PlanShape`]: leaves are grouped into scheduling
-    /// units of `shape.group_width` cells and workers execute whole
-    /// groups. The report is bit-identical to the flat shape (and to
-    /// the `shards = 1` oracle) — the shape moves wall-clock, never
-    /// results.
-    ///
-    /// # Errors
-    ///
-    /// As [`simulate_sharded`](Self::simulate_sharded), plus
-    /// [`crate::FleetError::InvalidPlanShape`] for a zero
-    /// `group_width`.
-    pub fn simulate_sharded_shaped(
-        &self,
-        shards: usize,
-        threads: usize,
-        shape: PlanShape,
-    ) -> Result<FleetReport> {
-        let pairs = self.sharded_outcomes(self.seed, shards, threads, shape, |_| NullSink)?;
-        let outcomes: Vec<CellOutcome> = pairs.into_iter().map(|(o, _)| o).collect();
-        Ok(merge::assemble(self, &outcomes))
-    }
-
-    /// [`simulate_sharded`](Self::simulate_sharded) with the seed
-    /// overridden — the entry point seed replication uses, sparing a
-    /// scenario deep-copy per replica.
-    ///
-    /// # Errors
-    ///
-    /// As [`simulate_sharded`](Self::simulate_sharded).
-    pub fn simulate_sharded_seeded(
-        &self,
-        seed: u64,
-        shards: usize,
-        threads: usize,
-    ) -> Result<FleetReport> {
-        let pairs = self.sharded_outcomes(seed, shards, threads, PlanShape::FLAT, |_| NullSink)?;
-        let outcomes: Vec<CellOutcome> = pairs.into_iter().map(|(o, _)| o).collect();
+        let (outcomes, _) = self.sharded_outcomes(self.seed, shards, threads, |_| NullSink)?;
         Ok(merge::assemble(self, &outcomes))
     }
 
@@ -540,10 +415,9 @@ impl FleetScenario {
         cfg: &TraceConfig,
     ) -> Result<(FleetReport, FleetTrace)> {
         let n_classes = self.classes.len();
-        let pairs = self.sharded_outcomes(self.seed, shards, threads, PlanShape::FLAT, |cell| {
+        let (outcomes, sinks) = self.sharded_outcomes(self.seed, shards, threads, |cell| {
             TracingSink::new(cell, n_classes, cfg)
         })?;
-        let (outcomes, sinks): (Vec<CellOutcome>, Vec<TracingSink>) = pairs.into_iter().unzip();
         let report = merge::assemble(self, &outcomes);
         let mut trace = FleetTrace::from_sinks(sinks);
         // assemble() folds one ledger per cell and one slot per class
@@ -551,42 +425,35 @@ impl FleetScenario {
         Ok((report, trace))
     }
 
-    /// The shared sharded driver: builds the plan's cells (each with
-    /// the sink `make_sink(cell_index)` returns), runs them serially or
-    /// windowed across workers, and returns `(outcome, sink)` pairs in
-    /// cell-index order.
-    fn sharded_outcomes<S: TraceSink + Send>(
+    /// The one sharded driver: builds the plan's cells (each with the
+    /// sink `make_sink(cell_index)` returns), runs them serially or
+    /// windowed across workers, and returns the outcomes and the sinks,
+    /// each in cell-index order. `seed` overrides the scenario's own, so seed
+    /// replication needs no scenario copy per replica.
+    pub(crate) fn sharded_outcomes<S: TraceSink + Send>(
         &self,
         seed: u64,
         shards: usize,
         threads: usize,
-        shape: PlanShape,
         mut make_sink: impl FnMut(usize) -> S,
-    ) -> Result<Vec<(CellOutcome, S)>> {
+    ) -> Result<(Vec<CellOutcome>, Vec<S>)> {
         self.validate()?;
         let quotes = self.quote_table()?;
-        let plan = ShardPlan::try_new(self, Some(&quotes), shape)?;
+        let plan = ShardPlan::new(self, Some(&quotes));
         let cells: Vec<CellEngine<'_, S>> = plan
             .cells
             .iter()
             .enumerate()
             .map(|(i, spec)| CellEngine::with_sink(self, &quotes, spec, make_sink(i)))
             .collect();
-        let workers = shards.max(1).min(threads.max(1)).min(plan.n_groups());
-        Ok(if workers <= 1 {
-            run_serial_sinks(self, seed, cells, &plan.class_to_cell)
+        let workers = shards.max(1).min(threads.max(1)).min(plan.n_cells());
+        let pairs = if workers <= 1 {
+            run_serial(self, seed, cells, &plan.class_to_cell)
         } else {
             let window_s = window_len(self, &quotes);
-            run_windowed(
-                self,
-                seed,
-                cells,
-                &plan.class_to_cell,
-                &plan.groups,
-                workers,
-                window_s,
-            )
-        })
+            run_windowed(self, seed, cells, &plan.class_to_cell, workers, window_s)
+        };
+        Ok(pairs.into_iter().unzip())
     }
 }
 
@@ -613,24 +480,12 @@ fn window_len(scenario: &FleetScenario, quotes: &QuoteTable) -> f64 {
     }
 }
 
-/// Everything on the calling thread: stream arrivals straight into the
-/// owning cells (no buffering at all), then drain each cell in order.
-/// This is the `shards = 1` oracle path — and also what `simulate()`
-/// runs with a single whole-fleet cell.
+/// Everything on the calling thread: arrivals stream into the owning
+/// cells (chunk-buffered per cell when there are several), then each
+/// cell drains in order; returns `(outcome, sink)` pairs in cell-index
+/// order. This is the `shards = 1` oracle path — and also what
+/// `simulate()` runs with a single whole-fleet cell.
 pub(crate) fn run_serial<S: TraceSink>(
-    scenario: &FleetScenario,
-    seed: u64,
-    cells: Vec<CellEngine<'_, S>>,
-    class_to_cell: &[usize],
-) -> Vec<CellOutcome> {
-    run_serial_sinks(scenario, seed, cells, class_to_cell)
-        .into_iter()
-        .map(|(outcome, _)| outcome)
-        .collect()
-}
-
-/// [`run_serial`] keeping each cell's sink paired with its outcome.
-fn run_serial_sinks<S: TraceSink>(
     scenario: &FleetScenario,
     seed: u64,
     mut cells: Vec<CellEngine<'_, S>>,
@@ -681,36 +536,26 @@ fn run_serial_sinks<S: TraceSink>(
 /// The parallel path: the calling thread streams arrivals (the
 /// [`ArrivalGen`] iterator — nothing is ever materialized per run) and
 /// ships per-cell batches to `workers` threads over bounded channels.
-/// Scheduling **groups** of leaf cells are dealt round-robin to
-/// workers — the hierarchical plan's execution level — and a cell's
-/// buffer is flushed mid-window whenever it fills a chunk, so driver
+/// Cells are dealt round-robin to workers (cell `c` runs on worker
+/// `c % workers`), and a cell's buffer is flushed mid-window whenever it fills a chunk, so driver
 /// memory is bounded by chunks and channel depth, not by the horizon's
 /// request count. Each worker advances its cells through its batches in
 /// arrival order and drains them when the stream closes. Outcomes are
-/// re-ordered by leaf index before merging, so the report is
+/// re-ordered by cell index before merging, so the report is
 /// independent of scheduling.
 fn run_windowed<'a, S: TraceSink + Send>(
     scenario: &'a FleetScenario,
     seed: u64,
     cells: Vec<CellEngine<'a, S>>,
     class_to_cell: &[usize],
-    groups: &[Range<usize>],
     workers: usize,
     window_s: f64,
 ) -> Vec<(CellOutcome, S)> {
     let n_cells = cells.len();
-    // Deal whole groups to workers; a worker owns every leaf of its
-    // groups.
-    let mut cell_worker = vec![0usize; n_cells];
-    for (g, leaves) in groups.iter().enumerate() {
-        for c in leaves.clone() {
-            cell_worker[c] = g % workers;
-        }
-    }
     let mut worker_cells: Vec<Vec<(usize, CellEngine<'a, S>)>> =
         (0..workers).map(|_| Vec::new()).collect();
     for (i, cell) in cells.into_iter().enumerate() {
-        worker_cells[cell_worker[i]].push((i, cell));
+        worker_cells[i % workers].push((i, cell));
     }
 
     let mut outcomes: Vec<Option<(CellOutcome, S)>> = (0..n_cells).map(|_| None).collect();
@@ -755,15 +600,15 @@ fn run_windowed<'a, S: TraceSink + Send>(
                     // preserved — batches travel the cell's one channel
                     // in generation order.
                     let reqs = std::mem::replace(buf, Vec::with_capacity(ARRIVAL_CHUNK));
-                    senders[cell_worker[cell]]
+                    senders[cell % workers]
                         .send(vec![(cell, reqs)])
                         .expect("worker outlives the generator");
                 }
             }
             for (w, tx) in senders.iter().enumerate() {
                 let mut batch: WindowBatch = Vec::new();
-                for i in 0..n_cells {
-                    if cell_worker[i] == w && !bufs[i].is_empty() {
+                for i in (w..n_cells).step_by(workers) {
+                    if !bufs[i].is_empty() {
                         let hint = bufs[i].len().min(ARRIVAL_CHUNK);
                         batch.push((i, std::mem::replace(&mut bufs[i], Vec::with_capacity(hint))));
                     }
@@ -794,7 +639,6 @@ fn run_windowed<'a, S: TraceSink + Send>(
 mod tests {
     use super::*;
     use crate::workload::{ArrivalProcess, NetworkClass};
-    use crate::FleetError;
     use pcnna_core::PcnnaConfig;
 
     fn scenario(n_classes: usize, n_instances: usize) -> FleetScenario {
@@ -812,36 +656,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_group_width_is_rejected_and_names_the_parameter() {
-        let s = scenario(4, 8);
-        let err = ShardPlan::try_new(&s, None, PlanShape { group_width: 0 })
-            .expect_err("a zero-width group cannot schedule anything");
-        match err {
-            FleetError::InvalidPlanShape { parameter, .. } => {
-                assert_eq!(parameter, "group_width");
-            }
-            other => panic!("wrong error variant: {other}"),
-        }
-        // and the message points at the knob by name
-        let s2 = scenario(4, 8);
-        let msg = ShardPlan::try_new(&s2, None, PlanShape { group_width: 0 })
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("group_width"), "{msg}");
-    }
-
-    #[test]
     fn degenerate_single_cell_plan() {
-        // One class ⇒ one cell owning the whole fleet, one group.
+        // One class ⇒ one cell owning the whole fleet.
         let s = scenario(1, 8);
         let plan = ShardPlan::new(&s, None);
         assert_eq!(plan.cells.len(), 1);
-        assert_eq!(plan.n_groups(), 1);
         assert_eq!(plan.cells[0].instances, 0..8);
         assert_eq!(plan.cells[0].queue_capacity, s.queue_capacity);
-        // any group width still yields the one group
-        let wide = ShardPlan::try_new(&s, None, PlanShape { group_width: 64 }).unwrap();
-        assert_eq!(wide.n_groups(), 1);
     }
 
     #[test]
@@ -881,24 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn grouping_tiles_leaves_contiguously() {
-        let s = scenario(16, 64);
-        for width in [1usize, 2, 4, 5, 8, 16, 100] {
-            let plan = ShardPlan::try_new(&s, None, PlanShape { group_width: width }).unwrap();
-            let n_leaves = plan.cells.len();
-            assert_eq!(plan.n_groups(), n_leaves.div_ceil(width));
-            let mut next = 0;
-            for g in 0..plan.n_groups() {
-                let leaves = plan.group_cells(g);
-                assert_eq!(leaves.start, next);
-                assert!(leaves.len() <= width);
-                next = leaves.end;
-            }
-            assert_eq!(next, n_leaves);
-        }
-    }
-
-    #[test]
     fn streaming_iterator_matches_windowed_stepping() {
         // The streaming contract: driving ArrivalGen through
         // `next_before` window edges (what the sharded driver does)
@@ -932,19 +735,16 @@ mod tests {
     }
 
     #[test]
-    fn every_plan_shape_reproduces_the_flat_report() {
-        // Grouping is pure scheduling: the report is bit-identical for
-        // every shape at every worker count.
+    fn uneven_round_robin_dealing_reproduces_the_serial_report() {
+        // Eight cells over worker counts that do not divide them: every
+        // dealing of `cell % workers` must merge to the shards = 1 report.
         let s = scenario(8, 24);
+        assert_eq!(s.shard_plan().n_cells(), 8);
         let oracle = s.simulate_sharded(1, 1).unwrap();
         assert!(oracle.completed > 0);
-        for width in [1usize, 2, 4, 8] {
-            for threads in [1usize, 4] {
-                let r = s
-                    .simulate_sharded_shaped(8, threads, PlanShape { group_width: width })
-                    .unwrap();
-                assert_eq!(oracle, r, "width {width} threads {threads}");
-            }
+        for (shards, threads) in [(3, 3), (5, 8), (7, 7)] {
+            let r = s.simulate_sharded(shards, threads).unwrap();
+            assert_eq!(oracle, r, "shards {shards} threads {threads}");
         }
     }
 }

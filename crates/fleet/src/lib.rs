@@ -100,7 +100,7 @@ pub mod telemetry;
 pub mod workload;
 
 pub use control::{ControlConfig, ControlledReport, PowerMetrics};
-pub use engine::{FleetScenario, PlanShape, ShardPlan};
+pub use engine::{FleetScenario, ShardPlan};
 pub use faults::{chaos_timeline, ChaosConfig, ChaosKind, FaultAction, FaultEvent, FaultTimeline};
 pub use fuzz::{CampaignConfig, CampaignSummary, Oracle, Violation};
 pub use metrics::{FleetReport, LatencySummary, ResilienceStats};
@@ -118,15 +118,6 @@ pub enum FleetError {
         /// Description of the violated constraint.
         reason: String,
     },
-    /// A hierarchical shard-plan shape parameter is invalid. Carries
-    /// the offending parameter's name so callers can point at the exact
-    /// knob.
-    InvalidPlanShape {
-        /// Name of the offending [`engine::PlanShape`] parameter.
-        parameter: &'static str,
-        /// Description of the violated constraint.
-        reason: String,
-    },
     /// An error bubbled up from the accelerator core while quoting a
     /// (network, config) pair.
     Core(pcnna_core::CoreError),
@@ -138,9 +129,6 @@ impl core::fmt::Display for FleetError {
             FleetError::InvalidScenario { reason } => {
                 write!(f, "invalid fleet scenario: {reason}")
             }
-            FleetError::InvalidPlanShape { parameter, reason } => {
-                write!(f, "invalid shard-plan shape: `{parameter}` {reason}")
-            }
             FleetError::Core(e) => write!(f, "core error while quoting: {e}"),
         }
     }
@@ -150,7 +138,7 @@ impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FleetError::Core(e) => Some(e),
-            FleetError::InvalidScenario { .. } | FleetError::InvalidPlanShape { .. } => None,
+            FleetError::InvalidScenario { .. } => None,
         }
     }
 }
@@ -174,7 +162,7 @@ pub mod prelude {
         power_metrics, uncontrolled_power_metrics, ControlConfig, ControlledReport, PowerMetrics,
         WindowTrace,
     };
-    pub use crate::engine::{FleetScenario, PlanShape, ShardPlan};
+    pub use crate::engine::{FleetScenario, ShardPlan};
     pub use crate::faults::{
         chaos_timeline, ChaosConfig, ChaosKind, FaultAction, FaultEvent, FaultTimeline,
     };

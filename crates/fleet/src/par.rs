@@ -6,8 +6,9 @@
 //! replication on top of it. Swapping rayon in later is a local change
 //! (`par_map` ≈ `into_par_iter().map().collect()`).
 
-use crate::engine::FleetScenario;
+use crate::engine::{merge, FleetScenario};
 use crate::metrics::FleetReport;
+use crate::telemetry::NullSink;
 use crate::Result;
 
 /// Ordered parallel map: applies `f` to every item on a pool of
@@ -93,7 +94,7 @@ where
 /// Runs `scenario` once per seed, in parallel, returning the reports in
 /// seed order — rebuilt on the shard infrastructure: each replica runs
 /// the **sharded engine** sequentially
-/// ([`FleetScenario::simulate_sharded_seeded`] at one shard worker), so
+/// ([`FleetScenario::simulate_sharded`] at one shard worker), so
 /// the replica semantics are exactly the sharded semantics at any shard
 /// count (the `shards = 1` oracle), chaos fault timelines included, and
 /// the worker pool spends its parallelism across replicas — the right
@@ -111,7 +112,8 @@ pub fn simulate_replicated(scenario: &FleetScenario, seeds: &[u64]) -> Result<Ve
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let runs: Vec<Result<FleetReport>> = par_map_slice(seeds, threads, |seed| {
-        scenario.simulate_sharded_seeded(seed, 1, 1)
+        let (outcomes, _) = scenario.sharded_outcomes(seed, 1, 1, |_| NullSink)?;
+        Ok(merge::assemble(scenario, &outcomes))
     });
     runs.into_iter().collect()
 }

@@ -325,8 +325,9 @@ proptest! {
         // be a pure function of the seed list regardless of how many
         // worker threads the map runs on.
         let seeds: Vec<u64> = (0..6).map(|k| s.seed ^ (k * 7919)).collect();
-        let serial = par::par_map_slice(&seeds, 1, |seed| s.simulate_seeded(seed).unwrap());
-        let wide = par::par_map_slice(&seeds, 8, |seed| s.simulate_seeded(seed).unwrap());
+        let run = |seed| FleetScenario { seed, ..s.clone() }.simulate().unwrap();
+        let serial = par::par_map_slice(&seeds, 1, run);
+        let wide = par::par_map_slice(&seeds, 8, run);
         for (a, b) in serial.iter().zip(&wide) {
             prop_assert_eq!(a, b, "thread count changed a replica's metrics");
         }
@@ -419,7 +420,7 @@ proptest! {
             };
             let oracle = scenario.simulate_sharded(1, 1).unwrap();
             prop_assert!(oracle.completed > 0, "{kind:?}");
-            for (shards, threads) in [(2, 1), (2, 8), (4, 2), (8, 8)] {
+            for (shards, threads) in [(2, 1), (2, 8), (3, 3), (4, 2), (8, 8)] {
                 let r = scenario.simulate_sharded(shards, threads).unwrap();
                 prop_assert_eq!(
                     &oracle, &r,
@@ -433,38 +434,6 @@ proptest! {
                 oracle.completed + oracle.resilience.unserved,
                 "{kind:?}"
             );
-        }
-    }
-
-    #[test]
-    fn hierarchical_plan_shapes_are_bit_identical_across_threads(
-        seed in 0u64..1_000,
-    ) {
-        // The hierarchical extension of the determinism contract: the
-        // partition into leaf cells never depends on the plan shape, so
-        // grouping leaves into wider scheduling units — flat (1 leaf
-        // per group), 2-wide, 4-wide — must reproduce the shards = 1
-        // oracle bit for bit at every thread count, chaos included.
-        let base = chaos_base(seed);
-        let cfg = ChaosConfig { seed, ..ChaosConfig::default() };
-        for kind in ChaosKind::ALL {
-            let scenario = FleetScenario {
-                faults: chaos_timeline(kind, &base.instances, base.horizon_s, &cfg),
-                ..base.clone()
-            };
-            let oracle = scenario.simulate_sharded(1, 1).unwrap();
-            prop_assert!(oracle.completed > 0, "{kind:?}");
-            for group_width in [1usize, 2, 4] {
-                let shape = PlanShape { group_width };
-                for threads in [1usize, 8] {
-                    let r = scenario.simulate_sharded_shaped(8, threads, shape).unwrap();
-                    prop_assert_eq!(
-                        &oracle, &r,
-                        "{:?} diverged at group_width={} threads={}",
-                        kind, group_width, threads
-                    );
-                }
-            }
         }
     }
 
@@ -491,7 +460,9 @@ proptest! {
         prop_assert_eq!(&a, &b, "replication must reproduce");
         // and each replica equals its direct sharded run
         for (report, &s) in a.iter().zip(&seeds) {
-            let direct = scenario.simulate_sharded_seeded(s, 1, 1).unwrap();
+            let direct = FleetScenario { seed: s, ..scenario.clone() }
+                .simulate_sharded(1, 1)
+                .unwrap();
             prop_assert_eq!(report, &direct);
         }
     }

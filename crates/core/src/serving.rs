@@ -227,11 +227,15 @@ fn accuracy_quote(config: &PcnnaConfig, health: &HealthState) -> AccuracyQuote {
 /// underlying model gains terms later). Energy combines the per-layer
 /// [`PowerModel`] ledgers with the weight-DAC energy of the reprogramming
 /// phase.
+///
+/// Also returns the lasers' share of the per-frame energy,
+/// `Σ lasers_w × exec_seconds`, read off the same ledger, so laser
+/// compensation needs no second power pass.
 fn raw_quote(
     config: &PcnnaConfig,
     assumptions: &PowerAssumptions,
     layers: &[(&str, ConvGeometry)],
-) -> Result<ServiceQuote> {
+) -> Result<(ServiceQuote, f64)> {
     let exec = ExecutionModel::new(*config)?;
     let b1 = exec.run_batched(layers, 1)?;
     let b2 = exec.run_batched(layers, 2)?;
@@ -247,24 +251,25 @@ fn raw_quote(
         include_weight_load: false,
         ..*config
     };
-    let power = PowerModel::new(energy_config, *assumptions)?;
-    let per_frame_energy_j: f64 = power
-        .network_power(layers)?
+    let ledger = PowerModel::new(energy_config, *assumptions)?.network_power(layers)?;
+    let per_frame_energy_j: f64 = ledger.iter().map(|lp| lp.energy.total_j()).sum();
+    let laser_j_per_frame: f64 = ledger
         .iter()
-        .map(|lp| lp.energy.total_j())
+        .map(|lp| lp.photonic.lasers_w * lp.exec_seconds)
         .sum();
     // The reprogramming phase keeps the weight DAC(s) streaming set points
     // for the whole weight_load window.
     let weight_load_energy_j =
         config.input_dac.power_w * config.n_weight_dacs as f64 * weight_load.as_secs_f64();
 
-    Ok(ServiceQuote {
+    let quote = ServiceQuote {
         weight_load,
         per_frame,
         weight_load_energy_j,
         per_frame_energy_j,
         accuracy: accuracy_quote(config, &HealthState::nominal()),
-    })
+    };
+    Ok((quote, laser_j_per_frame))
 }
 
 /// The unified quote entry point: prices `request.layers` on
@@ -318,7 +323,7 @@ pub fn service_quote(request: &QuoteRequest) -> Result<Option<DegradedQuote>> {
         .config
         .with_input_dacs(effective_input_dacs)
         .with_adcs(effective_adcs);
-    let mut q = raw_quote(&degraded, request.assumptions, request.layers)?;
+    let (mut q, laser_j_per_frame) = raw_quote(&degraded, request.assumptions, request.layers)?;
 
     // Laser compensation: holding the emitted power at nominal on a
     // diode whose wall-plug efficiency has slid to `factor` multiplies
@@ -326,18 +331,6 @@ pub fn service_quote(request: &QuoteRequest) -> Result<Option<DegradedQuote>> {
     // the per-frame energy scales — converters and DRAM don't care.
     let mut laser_compensation_j_per_frame = 0.0;
     if request.health.laser_power_factor < 1.0 {
-        let power = PowerModel::new(
-            PcnnaConfig {
-                include_weight_load: false,
-                ..degraded
-            },
-            *request.assumptions,
-        )?;
-        let laser_j_per_frame: f64 = power
-            .network_power(request.layers)?
-            .iter()
-            .map(|lp| lp.photonic.lasers_w * lp.exec_seconds)
-            .sum();
         laser_compensation_j_per_frame =
             laser_j_per_frame * (1.0 / request.health.laser_power_factor - 1.0);
         q.per_frame_energy_j += laser_compensation_j_per_frame;
@@ -518,6 +511,65 @@ mod tests {
         // compensation holds the power but not the converter utilization:
         // the accuracy axis still pays
         assert!(aged.quote.accuracy.effective_bits < healthy.accuracy.effective_bits);
+    }
+
+    /// The two-pass laser compensation `service_quote` used to run: a
+    /// second power model over the degraded, weight-load-free config.
+    fn two_pass_laser_compensation_j(
+        config: &PcnnaConfig,
+        layers: &[(&str, ConvGeometry)],
+        factor: f64,
+    ) -> f64 {
+        let power = PowerModel::new(
+            PcnnaConfig {
+                include_weight_load: false,
+                ..*config
+            },
+            PowerAssumptions::default(),
+        )
+        .unwrap();
+        let laser_j_per_frame: f64 = power
+            .network_power(layers)
+            .unwrap()
+            .iter()
+            .map(|lp| lp.photonic.lasers_w * lp.exec_seconds)
+            .sum();
+        laser_j_per_frame * (1.0 / factor - 1.0)
+    }
+
+    #[test]
+    fn laser_compensation_reuses_the_first_power_pass_bit_identically() {
+        let cfg = PcnnaConfig::default();
+        let assumptions = PowerAssumptions::default();
+        let lenet = zoo::lenet5();
+        let lenet_layers: Vec<(&str, ConvGeometry)> = lenet
+            .conv_layers()
+            .map(|c| (c.name.as_str(), c.geometry))
+            .collect();
+        for layers in [lenet_layers, zoo::alexnet_conv_layers()] {
+            let healthy = nominal(&layers);
+            for factor in [0.9, 0.7, 0.5] {
+                let aged = service_quote(
+                    &QuoteRequest::new(&cfg, &assumptions, &layers).with_health(HealthState {
+                        laser_power_factor: factor,
+                        ..HealthState::nominal()
+                    }),
+                )
+                .unwrap()
+                .unwrap();
+                let compensation = two_pass_laser_compensation_j(&cfg, &layers, factor);
+                assert_eq!(
+                    aged.laser_compensation_j_per_frame.to_bits(),
+                    compensation.to_bits(),
+                    "factor {factor}"
+                );
+                assert_eq!(
+                    aged.quote.per_frame_energy_j.to_bits(),
+                    (healthy.per_frame_energy_j + compensation).to_bits(),
+                    "factor {factor}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -28,9 +28,11 @@
 //! the swap changes no simulation result.
 //!
 //! Everything else the pre-shard engine guaranteed still holds per
-//! cell: memoized `Copy` quotes, zero steady-state allocation (slab
-//! arena of warm batch buffers, log-binned latency histograms), greedy
-//! completion-earliest placement, and the full degradation/failover
+//! cell: memoized `Copy` quotes (interned per `(config, health)`, so a
+//! fault requote derives only states the cell has not met), zero
+//! steady-state allocation (slab arena of warm batch buffers,
+//! log-binned latency histograms), greedy completion-earliest
+//! placement, and the full degradation/failover
 //! protocol (degrade ⇒ requote, fail ⇒ abort + front-of-queue failover
 //! + refund, recalibrate ⇒ drain/offline/re-lock).
 
@@ -44,6 +46,7 @@ use crate::telemetry::{HealthMix, NullSink, ProfileOp, TraceEventKind, TraceSink
 use crate::workload::Request;
 use pcnna_core::serving::{service_quote, QuoteRequest, ServiceQuote};
 use pcnna_photonics::degradation::HealthState;
+use std::collections::HashMap;
 
 /// One in-flight batch slot: the (cell-local) class served, a reusable
 /// request buffer whose capacity survives release/acquire cycles, and
@@ -189,6 +192,17 @@ struct QuoteF {
 }
 
 impl QuoteF {
+    /// The placeholder for a pair the core models could not quote. It
+    /// is never read: such a pair is marked non-serviceable, and every
+    /// reader checks serviceability first.
+    const UNQUOTED: QuoteF = QuoteF {
+        weight_load_s: f64::NAN,
+        per_frame_s: f64::NAN,
+        weight_load_j: f64::NAN,
+        per_frame_j: f64::NAN,
+        top1: f64::NAN,
+    };
+
     fn from_quote(q: ServiceQuote) -> Self {
         QuoteF {
             weight_load_s: q.weight_load.as_secs_f64(),
@@ -198,6 +212,37 @@ impl QuoteF {
             top1: q.accuracy.top1_accuracy,
         }
     }
+}
+
+/// The intern key of a quote row: the instance's config (as its
+/// construction-time row) and the bit patterns of its health. Every
+/// other input of `service_quote` is fixed for the scenario, so equal
+/// keys price bit-identical quotes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct RowKey {
+    config: u32,
+    ambient_delta_k: u64,
+    laser_power_factor: u64,
+    dead_input_channels: usize,
+    dead_output_channels: usize,
+}
+
+impl RowKey {
+    fn new(config: u32, health: &HealthState) -> Self {
+        RowKey {
+            config,
+            ambient_delta_k: health.ambient_delta_k.to_bits(),
+            laser_power_factor: health.laser_power_factor.to_bits(),
+            dead_input_channels: health.dead_input_channels,
+            dead_output_channels: health.dead_output_channels,
+        }
+    }
+}
+
+/// Whether a priced pair may be served: always without accuracy
+/// routing; under it, only at or above the class's accuracy floor.
+fn serviceable(q: &QuoteF, accuracy_routing: bool, min_accuracy: f64) -> bool {
+    !accuracy_routing || q.top1 >= min_accuracy
 }
 
 /// Everything one cell accumulated, in the exact shape
@@ -277,19 +322,28 @@ pub(crate) struct CellEngine<'a, S: TraceSink = NullSink> {
     // struct-of-structs padding, and the saturated case touches
     // `n/64` words instead of `n` records.
     //
-    /// Deduplicated quote rows, row-major `row × local classes`. Rows
-    /// `0..n_shared_rows` are shared between instances (one per distinct
-    /// config); a requote gives the instance a private row past that
-    /// bound (copy-on-write), so a homogeneous fleet stores one row
-    /// however many instances it has.
+    /// The interned quote table, row-major `row × local classes`: one
+    /// immutable row per distinct `(config, health)` key the cell has
+    /// met, appended in first-seen order and never rewritten. The
+    /// first rows, one per distinct config, are the `(config,
+    /// nominal)` entries built at construction, so a homogeneous fleet
+    /// stores one row however many instances it has, and a heat wave
+    /// adds one row per distinct drift step, not one per fault event.
     quote_rows: Vec<QuoteF>,
     /// Serviceability per (row, local class), parallel to `quote_rows`.
     serviceable_rows: Vec<bool>,
-    /// Each instance's quote-row index.
+    /// Each instance's row in the interned table — the quotes of its
+    /// current `(config, health)`. Instances in the same state share
+    /// one row.
     quote_row: Vec<u32>,
-    /// Rows below this index are shared; at or past it, private to the
-    /// one instance whose `quote_row` points there.
-    n_shared_rows: u32,
+    /// The intern index: row of each key in the table.
+    row_of_key: HashMap<RowKey, u32>,
+    /// The config half of each row's key (its `(config, nominal)` row).
+    row_config: Vec<u32>,
+    /// Instances whose `quote_row` points at each row.
+    row_users: Vec<u32>,
+    /// Rows with at least one user.
+    rows_in_use: usize,
     queues: ClassQueues,
     /// Handle of the in-flight batch, or [`NO_BATCH`].
     busy: Vec<u32>,
@@ -314,11 +368,15 @@ pub(crate) struct CellEngine<'a, S: TraceSink = NullSink> {
     /// dispatch fast path can answer "first/deepest loaded match" in
     /// O(words) instead of walking every eligible instance.
     class_bits: Vec<u64>,
-    /// Whether every instance still shares one quote row (identical
-    /// configs, no requotes yet). While true, dispatch uses the O(words)
-    /// bitset fast paths; the first requote (health divergence) clears
-    /// it and the scans fall back to the general per-instance walk.
+    /// Whether every instance shares one quote row (`rows_in_use <=
+    /// 1`). While true, dispatch uses the O(words) bitset fast paths;
+    /// a requote that splits an instance from its siblings clears it
+    /// and the scans fall back to the general per-instance walk, and
+    /// the requote that brings the last one back sets it again.
     homogeneous: bool,
+    /// `row × n_classes` of the shared row while `homogeneous` — where
+    /// the uniform fast paths read their quotes.
+    uniform_base: usize,
     /// Completion events, epoch-cancellable.
     completions: TimingWheel,
     /// Recalibration-restore events, epoch-cancellable.
@@ -389,22 +447,28 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
         // Copy only the distinct quote rows this cell's instances use
         // (restricted to the cell's classes), and point every instance
         // at its shared row — the struct-of-arrays mirror of the
-        // deduplicated [`QuoteTable`].
+        // deduplicated [`QuoteTable`], and the `(config, nominal)`
+        // entries of the intern table.
         let mut table_to_cell_row: Vec<u32> = vec![u32::MAX; quotes.n_rows()];
         let mut quote_rows: Vec<QuoteF> = Vec::new();
         let mut quote_row: Vec<u32> = Vec::with_capacity(n_instances);
+        let mut row_users: Vec<u32> = Vec::new();
+        let mut row_of_key = HashMap::new();
+        let mut row_config: Vec<u32> = Vec::new();
         for i in spec.instances.clone() {
             let tr = quotes.row_index(i);
             if table_to_cell_row[tr] == u32::MAX {
-                table_to_cell_row[tr] =
-                    u32::try_from(quote_rows.len() / n_classes.max(1)).expect("row count fits u32");
+                let r = u32::try_from(row_users.len()).expect("row count fits u32");
+                table_to_cell_row[tr] = r;
+                row_of_key.insert(RowKey::new(r, &HealthState::nominal()), r);
+                row_users.push(0);
+                row_config.push(r);
                 let row = quotes.row(tr);
                 quote_rows.extend(spec.classes.iter().map(|&c| QuoteF::from_quote(row[c])));
             }
+            row_users[table_to_cell_row[tr] as usize] += 1;
             quote_row.push(table_to_cell_row[tr]);
         }
-        let n_shared_rows =
-            u32::try_from(quote_rows.len() / n_classes.max(1)).expect("row count fits u32");
         let min_accuracy: Vec<f64> = spec
             .classes
             .iter()
@@ -414,15 +478,17 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
         // below its class floor is never served (an infeasible floor
         // leaves those requests unserved — refusing, not serving
         // garbage). Without routing every pair starts serviceable.
-        let serviceable_rows: Vec<bool> = if scenario.accuracy_routing {
-            quote_rows
-                .iter()
-                .enumerate()
-                .map(|(idx, q)| q.top1 >= min_accuracy[idx % n_classes.max(1)])
-                .collect()
-        } else {
-            vec![true; quote_rows.len()]
-        };
+        let serviceable_rows: Vec<bool> = quote_rows
+            .iter()
+            .enumerate()
+            .map(|(idx, q)| {
+                serviceable(
+                    q,
+                    scenario.accuracy_routing,
+                    min_accuracy[idx % n_classes.max(1)],
+                )
+            })
+            .collect();
         let words = n_instances.div_ceil(64);
         let mut eligible_bits = vec![u64::MAX; words];
         if let Some(last) = eligible_bits.last_mut() {
@@ -450,7 +516,12 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
             quote_rows,
             serviceable_rows,
             quote_row,
-            n_shared_rows,
+            row_of_key,
+            row_config,
+            rows_in_use: row_users.len(),
+            homogeneous: row_users.len() <= 1,
+            uniform_base: 0,
+            row_users,
             queues: ClassQueues::new(n_classes),
             busy: vec![NO_BATCH; n_instances],
             inflight: InflightArena::default(),
@@ -459,7 +530,6 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
             eligible_bits,
             eligible_count: n_instances,
             class_bits: vec![0; n_classes * words],
-            homogeneous: n_shared_rows <= 1,
             completions: TimingWheel::new(),
             control: TimingWheel::new(),
             batch_buf: Vec::new(),
@@ -1154,53 +1224,75 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
             .push(at, instance as u32, self.control_epoch[instance]);
     }
 
-    /// Re-derives `instance`'s quotes (for this cell's classes) from its
-    /// current health. States the core models cannot quote (unserviceable
-    /// drift/laser, no live channels, or a downstream model failure) mark
-    /// the (instance, class) pair non-serviceable instead of aborting the
-    /// simulation; under accuracy routing, a quote below the class's
-    /// accuracy floor does the same — the pair is refused, not served
-    /// below spec.
+    /// Points `instance` at the quote row of its current `(config,
+    /// health)`. The row is looked up in the intern table; only a key
+    /// the cell has never met is derived — one `service_quote` per
+    /// class, appended as a new immutable row. States the core models
+    /// cannot quote (unserviceable drift/laser, no live channels, or a
+    /// downstream model failure) mark the (row, class) pair
+    /// non-serviceable instead of aborting the simulation; under
+    /// accuracy routing, a quote below the class's accuracy floor does
+    /// the same — the pair is refused, not served below spec.
+    ///
+    /// Moving the instance updates the rows' user counts, so the cell
+    /// is `homogeneous` again as soon as every instance shares one row.
     fn requote(&mut self, instance: usize) {
         self.res.requotes += 1;
         if self.n_classes == 0 {
             return;
         }
-        // Any requote can split this instance's quotes from its
-        // siblings': the uniform-cost assumption behind the bitset
-        // dispatch fast path no longer holds.
-        self.homogeneous = false;
-        // Copy-on-write: shared rows are deduplicated across instances
-        // with identical configs, so the first requote of an instance
-        // still pointing at a shared row moves it to a private row
-        // before overwriting. Later requotes reuse the private row.
-        if self.quote_row[instance] < self.n_shared_rows {
-            let new_row = (self.quote_rows.len() / self.n_classes) as u32;
-            let base = self.quote_row[instance] as usize * self.n_classes;
-            for c in 0..self.n_classes {
-                self.quote_rows.push(self.quote_rows[base + c]);
-                self.serviceable_rows.push(self.serviceable_rows[base + c]);
+        let old = self.quote_row[instance];
+        let config = self.row_config[old as usize];
+        let key = RowKey::new(config, &self.health[instance]);
+        let row = match self.row_of_key.get(&key) {
+            Some(&row) => row,
+            None => {
+                let row = u32::try_from(self.row_users.len()).expect("row count fits u32");
+                self.derive_row(instance);
+                self.row_users.push(0);
+                self.row_config.push(config);
+                self.row_of_key.insert(key, row);
+                row
             }
-            self.quote_row[instance] = new_row;
+        };
+        self.quote_row[instance] = row;
+        if old != row {
+            self.row_users[old as usize] -= 1;
+            if self.row_users[old as usize] == 0 {
+                self.rows_in_use -= 1;
+            }
+            self.row_users[row as usize] += 1;
+            if self.row_users[row as usize] == 1 {
+                self.rows_in_use += 1;
+            }
         }
-        let config = &self.scenario.instances[self.instance_start + instance];
-        let row = self.quote_row[instance] as usize * self.n_classes;
+        self.homogeneous = self.rows_in_use <= 1;
+        if self.homogeneous {
+            // the one row in use is the one `instance` now points at
+            self.uniform_base = row as usize * self.n_classes;
+        }
+    }
+
+    /// Appends the quote row of `instance`'s current health: one
+    /// `service_quote` per class of this cell.
+    fn derive_row(&mut self, instance: usize) {
+        let scenario = self.scenario;
+        let config = &scenario.instances[self.instance_start + instance];
         for (c, &global) in self.classes.iter().enumerate() {
-            let class = &self.scenario.classes[global];
-            let idx = row + c;
-            let layers = class.layer_refs();
-            let request = QuoteRequest::new(config, &self.scenario.assumptions, &layers)
+            let layers = scenario.classes[global].layer_refs();
+            let request = QuoteRequest::new(config, &scenario.assumptions, &layers)
                 .with_health(self.health[instance])
-                .with_limits(self.scenario.limits);
-            match service_quote(&request) {
+                .with_limits(scenario.limits);
+            let (q, ok) = match service_quote(&request) {
                 Ok(Some(dq)) => {
                     let q = QuoteF::from_quote(dq.quote);
-                    self.serviceable_rows[idx] =
-                        !self.scenario.accuracy_routing || q.top1 >= self.min_accuracy[c];
-                    self.quote_rows[idx] = q;
+                    let ok = serviceable(&q, scenario.accuracy_routing, self.min_accuracy[c]);
+                    (q, ok)
                 }
-                Ok(None) | Err(_) => self.serviceable_rows[idx] = false,
-            }
+                Ok(None) | Err(_) => (QuoteF::UNQUOTED, false),
+            };
+            self.quote_rows.push(q);
+            self.serviceable_rows.push(ok);
         }
     }
 
@@ -1291,17 +1383,19 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
         best
     }
 
-    /// [`Self::fastest_for`] when every instance shares one quote row:
-    /// a batch's service time then takes at most two values — with or
-    /// without the weight reload. The first minimum is the first
-    /// eligible instance already holding `class`'s weights, or (when
-    /// none does, the reload is free, or residency is off) the first
-    /// eligible instance overall. O(words), no per-instance arithmetic.
+    /// [`Self::fastest_for`] when every instance shares one quote row
+    /// (at `uniform_base`): a batch's service time then takes at most
+    /// two values — with or without the weight reload. The first
+    /// minimum is the first eligible instance already holding `class`'s
+    /// weights, or (when none does, the reload is free, or residency is
+    /// off) the first eligible instance overall. O(words), no
+    /// per-instance arithmetic.
     fn fastest_for_uniform(&self, class: usize) -> Option<usize> {
-        if self.eligible_count == 0 || !self.serviceable_rows[class] {
+        let idx = self.uniform_base + class;
+        if self.eligible_count == 0 || !self.serviceable_rows[idx] {
             return None;
         }
-        if self.scenario.resident_weights && self.quote_rows[class].weight_load_s > 0.0 {
+        if self.scenario.resident_weights && self.quote_rows[idx].weight_load_s > 0.0 {
             let words = self.eligible_bits.len();
             let run = &self.class_bits[class * words..(class + 1) * words];
             for (w, &word) in run.iter().enumerate() {
@@ -1420,7 +1514,8 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
     }
 
     /// [`Self::deepest_loaded_match_scan`] for the homogeneous cell:
-    /// serviceability is per class (one shared row), so the deepest
+    /// serviceability is per class (one shared row, at
+    /// `uniform_base`), so the deepest
     /// matchable depth comes from an O(classes × words) emptiness test
     /// on the per-class bitsets, and the winner — the **highest**-index
     /// eligible instance holding a deepest class, matching the general
@@ -1428,11 +1523,12 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
     /// union. No per-instance walk.
     fn deepest_loaded_match(&self) -> Option<(usize, usize)> {
         let words = self.eligible_bits.len();
+        let base = self.uniform_base;
         let mut best_depth = 0usize;
         for c in 0..self.n_classes {
             let depth = self.queues.class_len(c);
             if depth > best_depth
-                && self.serviceable_rows[c]
+                && self.serviceable_rows[base + c]
                 && self.class_bits[c * words..(c + 1) * words]
                     .iter()
                     .any(|&w| w != 0)
@@ -1446,7 +1542,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
         for w in (0..words).rev() {
             let mut union = 0u64;
             for c in 0..self.n_classes {
-                if self.serviceable_rows[c] && self.queues.class_len(c) == best_depth {
+                if self.serviceable_rows[base + c] && self.queues.class_len(c) == best_depth {
                     union |= self.class_bits[c * words + w];
                 }
             }
@@ -1520,5 +1616,247 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
             self.completions
                 .push(at, instance as u32, self.epoch[instance]);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::{chaos_timeline, ChaosConfig, ChaosKind, FaultTimeline};
+    use crate::workload::NetworkClass;
+    use pcnna_core::config::PcnnaConfig;
+    use pcnna_photonics::degradation::DegradationLimits;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Checks the intern table against the quote models: every
+    /// instance's row equals a fresh `service_quote` of its current
+    /// health for every class (all `QuoteF` fields, bit for bit, and
+    /// serviceability), and the user counts and `homogeneous` agree
+    /// with the rows the instances actually point at.
+    fn assert_rows_are_fresh(cell: &CellEngine<'_>) {
+        let s = cell.scenario;
+        for i in 0..cell.n_instances() {
+            let config = &s.instances[cell.instance_start + i];
+            let row = cell.quote_row[i] as usize * cell.n_classes;
+            for (c, &global) in cell.classes.iter().enumerate() {
+                let layers = s.classes[global].layer_refs();
+                let request = QuoteRequest::new(config, &s.assumptions, &layers)
+                    .with_health(cell.health[i])
+                    .with_limits(s.limits);
+                let (got, ok) = (cell.quote_rows[row + c], cell.serviceable_rows[row + c]);
+                match service_quote(&request) {
+                    Ok(Some(dq)) => {
+                        let want = QuoteF::from_quote(dq.quote);
+                        let bits = |q: QuoteF| {
+                            [
+                                q.weight_load_s,
+                                q.per_frame_s,
+                                q.weight_load_j,
+                                q.per_frame_j,
+                                q.top1,
+                            ]
+                            .map(f64::to_bits)
+                        };
+                        assert_eq!(bits(got), bits(want), "instance {i} class {c}");
+                        let floor = s.classes[global].min_accuracy;
+                        assert_eq!(ok, serviceable(&want, s.accuracy_routing, floor));
+                    }
+                    Ok(None) | Err(_) => assert!(!ok, "instance {i} class {c} is unquotable"),
+                }
+            }
+        }
+        let mut users = vec![0u32; cell.row_users.len()];
+        for &r in &cell.quote_row {
+            users[r as usize] += 1;
+        }
+        assert_eq!(users, cell.row_users);
+        let in_use = users.iter().filter(|&&u| u > 0).count();
+        assert_eq!(cell.rows_in_use, in_use);
+        assert_eq!(cell.homogeneous, in_use <= 1);
+        if cell.homogeneous {
+            assert_eq!(
+                cell.uniform_base,
+                cell.quote_row[0] as usize * cell.n_classes
+            );
+        }
+    }
+
+    fn scenario(instances: Vec<PcnnaConfig>, faults: FaultTimeline) -> FleetScenario {
+        FleetScenario {
+            classes: vec![
+                NetworkClass::lenet5(0.010, 2.0),
+                NetworkClass::alexnet(0.050, 1.0),
+            ],
+            instances,
+            faults,
+            ..FleetScenario::default()
+        }
+    }
+
+    fn request(id: u64, class: usize, at_s: f64) -> Request {
+        Request {
+            id,
+            class,
+            arrival_s: at_s,
+            deadline_s: at_s + 0.05,
+        }
+    }
+
+    #[test]
+    fn interned_rows_match_fresh_quotes_under_random_health() {
+        let fast = PcnnaConfig::default().with_input_dacs(40);
+        let instances: Vec<PcnnaConfig> = (0..6)
+            .map(|i| {
+                if i % 3 == 2 {
+                    fast
+                } else {
+                    PcnnaConfig::default()
+                }
+            })
+            .collect();
+        let base = scenario(instances, FaultTimeline::new());
+        // a floor exactly at LeNet's nominal quote: any lost bit of
+        // resolution drops it below under accuracy routing
+        let nominal_top1 = base.quote_table().unwrap().get(0, 0).accuracy.top1_accuracy;
+        let limit = base.limits.max_ambient_excursion_k;
+        let drifts = [0.0, 0.5 * limit, -0.9 * limit, 1.5 * limit, -2.0 * limit];
+        let lasers = [1.0, 0.9, 0.7, 0.5, 0.3];
+        for accuracy_routing in [false, true] {
+            let mut s = base.clone();
+            s.accuracy_routing = accuracy_routing;
+            s.classes[0].min_accuracy = nominal_top1;
+            let quotes = s.quote_table().unwrap();
+            let spec = CellSpec::whole_fleet(&s);
+            let mut cell = CellEngine::new(&s, &quotes, &spec);
+            assert_rows_are_fresh(&cell);
+            let mut rng = StdRng::seed_from_u64(0x1D7E_2A11 ^ u64::from(accuracy_routing));
+            for _ in 0..80 {
+                let i = rng.gen_range(0..cell.n_instances());
+                let mut h = cell.health[i];
+                match rng.gen_range(0..4u32) {
+                    0 => h.ambient_delta_k = drifts[rng.gen_range(0..drifts.len())],
+                    1 => h.laser_power_factor = lasers[rng.gen_range(0..lasers.len())],
+                    2 => {
+                        let dacs = s.instances[i].n_input_dacs;
+                        h.dead_input_channels = [0, 1, 3, dacs][rng.gen_range(0..4usize)];
+                        h.dead_output_channels = rng.gen_range(0..2usize);
+                    }
+                    _ => h = h.recalibrated(),
+                }
+                cell.health[i] = h;
+                cell.requote(i);
+                assert_rows_are_fresh(&cell);
+            }
+            assert!(
+                cell.row_users.len() < 80,
+                "repeated states must hit the intern table"
+            );
+        }
+    }
+
+    #[test]
+    fn heat_wave_interns_a_bounded_row_set_per_config() {
+        let fast = PcnnaConfig::default().with_input_dacs(40);
+        let instances: Vec<PcnnaConfig> = (0..256)
+            .map(|i| {
+                if i % 2 == 0 {
+                    PcnnaConfig::default()
+                } else {
+                    fast
+                }
+            })
+            .collect();
+        let horizon_s = 0.05;
+        let faults = chaos_timeline(
+            ChaosKind::HeatWave,
+            &instances,
+            horizon_s,
+            &ChaosConfig::default(),
+        );
+        let s = FleetScenario {
+            horizon_s,
+            ..scenario(instances, faults)
+        };
+        let quotes = s.quote_table().unwrap();
+        let spec = CellSpec::whole_fleet(&s);
+        let mut cell = CellEngine::new(&s, &quotes, &spec);
+        cell.advance_through(f64::INFINITY);
+        assert_rows_are_fresh(&cell);
+        assert!(
+            cell.res.requotes >= 256 * 12,
+            "every instance walks the wave"
+        );
+        for config in 0..2u32 {
+            let rows = cell
+                .row_of_key
+                .keys()
+                .filter(|k| k.config == config)
+                .count();
+            assert!(rows <= 10, "config {config} interned {rows} rows");
+        }
+    }
+
+    #[test]
+    fn rolling_recalibration_rehomogenizes_the_cell() {
+        let n = 8;
+        let instances = vec![PcnnaConfig::default(); n];
+        let horizon_s = 0.05;
+        let rolling = chaos_timeline(
+            ChaosKind::RollingRecalibration,
+            &instances,
+            horizon_s,
+            &ChaosConfig::default(),
+        );
+        let last_recal_s = rolling.events().last().unwrap().at_s;
+        // every ring bank drifts past its budget at once: the whole cell
+        // shares one unserviceable row until the rolling re-lock heals
+        // it, one instance at a time
+        let drift = 1.5 * DegradationLimits::default().max_ambient_excursion_k;
+        let mut events = rolling.events().to_vec();
+        events.extend((0..n).map(|i| FaultEvent {
+            at_s: 0.0,
+            instance: i,
+            action: FaultAction::Degrade(HealthState {
+                ambient_delta_k: drift,
+                ..HealthState::nominal()
+            }),
+        }));
+        let s = FleetScenario {
+            horizon_s,
+            policy: Policy::NetworkAffinity,
+            ..scenario(instances, FaultTimeline::from_events(events))
+        };
+        let quotes = s.quote_table().unwrap();
+        let spec = CellSpec::whole_fleet(&s);
+        let mut cell = CellEngine::new(&s, &quotes, &spec);
+        assert!(cell.homogeneous);
+        cell.advance_through(0.0);
+        assert!(cell.homogeneous, "one shared drift row");
+        assert_eq!(cell.uniform_base, cell.n_classes);
+        assert_rows_are_fresh(&cell);
+        // the uniform fast paths must read the drift row, which serves
+        // nothing: these wait for the first re-lock
+        for id in 0..8 {
+            cell.admit(request(id, (id % 2) as usize, 0.0));
+        }
+        assert_eq!(cell.queue_len(), 8);
+        cell.advance_through(last_recal_s);
+        assert!(!cell.homogeneous, "the last instance still drifts");
+        assert_rows_are_fresh(&cell);
+        cell.advance_through(horizon_s);
+        assert!(
+            cell.homogeneous,
+            "every instance is back on the nominal row"
+        );
+        assert_eq!(cell.uniform_base, 0);
+        assert_rows_are_fresh(&cell);
+        // the re-homogenized cell dispatches through the bitset fast
+        // paths, which debug builds check against the general scans
+        for id in 8..72 {
+            cell.admit(request(id, (id % 2) as usize, horizon_s));
+        }
+        let (outcome, _) = cell.finish_with_sink();
+        assert_eq!(outcome.completed, 72);
     }
 }

@@ -214,7 +214,9 @@ impl FleetScenario {
     ///
     /// # Errors
     ///
-    /// Propagates config/resource failures from the core models.
+    /// Propagates config/resource failures from the core models, and
+    /// returns [`FleetError::UnquotableConfig`] naming the config and
+    /// class when nominal hardware has no quote.
     pub fn quote_table(&self) -> Result<QuoteTable> {
         let mut rows: Vec<Vec<ServiceQuote>> = Vec::new();
         let mut row_of: Vec<u32> = Vec::with_capacity(self.instances.len());
@@ -227,14 +229,14 @@ impl FleetScenario {
             } else {
                 config.validate()?;
                 let mut row = Vec::with_capacity(self.classes.len());
-                for class in &self.classes {
+                for (c, class) in self.classes.iter().enumerate() {
                     let layers = class.layer_refs();
                     let request = QuoteRequest::new(config, &self.assumptions, &layers);
-                    row.push(
-                        service_quote(&request)?
-                            .expect("nominal hardware on a valid config is always serviceable")
-                            .quote,
-                    );
+                    let quote = service_quote(&request)?.ok_or(FleetError::UnquotableConfig {
+                        config: i,
+                        class: c,
+                    })?;
+                    row.push(quote.quote);
                 }
                 row_of.push(distinct.len() as u32);
                 distinct.push(i);
@@ -564,6 +566,18 @@ mod tests {
         let r = small_scenario().simulate().unwrap();
         assert_eq!(r.resilience, ResilienceStats::default());
         assert_eq!(r.resilience.availability, 1.0);
+    }
+
+    #[test]
+    fn unquotable_config_error_names_the_config_and_class() {
+        let e = FleetError::UnquotableConfig {
+            config: 3,
+            class: 1,
+        };
+        assert_eq!(
+            e.to_string(),
+            "instance config 3 has no nominal quote for class 1"
+        );
     }
 
     #[test]

@@ -121,6 +121,15 @@ pub enum FleetError {
     /// An error bubbled up from the accelerator core while quoting a
     /// (network, config) pair.
     Core(pcnna_core::CoreError),
+    /// The core models found no quote for a class on an instance config
+    /// even at nominal health, so the fleet could never serve it.
+    UnquotableConfig {
+        /// Index of the instance whose config failed, in
+        /// `FleetScenario::instances`.
+        config: usize,
+        /// Index of the class it cannot serve, in `FleetScenario::classes`.
+        class: usize,
+    },
 }
 
 impl core::fmt::Display for FleetError {
@@ -130,6 +139,10 @@ impl core::fmt::Display for FleetError {
                 write!(f, "invalid fleet scenario: {reason}")
             }
             FleetError::Core(e) => write!(f, "core error while quoting: {e}"),
+            FleetError::UnquotableConfig { config, class } => write!(
+                f,
+                "instance config {config} has no nominal quote for class {class}"
+            ),
         }
     }
 }
@@ -138,7 +151,7 @@ impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FleetError::Core(e) => Some(e),
-            FleetError::InvalidScenario { .. } => None,
+            FleetError::InvalidScenario { .. } | FleetError::UnquotableConfig { .. } => None,
         }
     }
 }

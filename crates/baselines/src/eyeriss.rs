@@ -18,10 +18,9 @@
 use crate::model::AcceleratorModel;
 use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_electronics::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Eyeriss-like accelerator parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Eyeriss {
     /// PE array rows (kernel-row dimension).
     pub pe_rows: usize,

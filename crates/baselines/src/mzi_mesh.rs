@@ -12,10 +12,9 @@
 use crate::model::AcceleratorModel;
 use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_electronics::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// An MZI-mesh accelerator of fixed port count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MziMesh {
     /// Mesh port count `N` (Shen et al. demonstrated 4; proposals reach 64+).
     pub ports: usize,

@@ -7,10 +7,9 @@
 use crate::model::AcceleratorModel;
 use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_electronics::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Peak-compute + bandwidth roofline engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Engine label.
     pub label: &'static str,

@@ -10,10 +10,9 @@
 use crate::model::AcceleratorModel;
 use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_electronics::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// YodaNN-like accelerator parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YodaNn {
     /// Core clock, Hz.
     pub clock_hz: f64,

@@ -6,6 +6,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use pcnna_core::PcnnaConfig;
 use pcnna_fleet::prelude::*;
+use pcnna_fleet::scenario::json;
 
 fn scenario(rate_rps: f64, horizon_s: f64, policy: Policy) -> FleetScenario {
     FleetScenario {
@@ -99,12 +100,17 @@ fn write_record() {
     } else {
         0.0
     };
-    let json = format!(
-        "{{\"bench\":\"fleet\",\"scenario_rate_rps\":50000,\"horizon_s\":1.0,\
-         \"policy\":\"NetworkAffinity\",\"completed\":{},\"elapsed_s\":{elapsed:.4},\
-         \"sim_requests_per_s\":{sim_rps:.0},\"slo_attainment\":{:.6}}}\n",
-        r.completed, r.slo_attainment
-    );
+    let record = json::obj([
+        ("bench", json::str("fleet")),
+        ("scenario_rate_rps", json::int(50_000)),
+        ("horizon_s", json::num(1.0)),
+        ("policy", json::str("NetworkAffinity")),
+        ("completed", json::int(r.completed)),
+        ("elapsed_s", json::num(elapsed)),
+        ("sim_requests_per_s", json::num(sim_rps)),
+        ("slo_attainment", json::num(r.slo_attainment)),
+    ]);
+    let json = record.render() + "\n";
     // cargo runs benches with CWD = the package dir; pin the record to
     // the workspace root where the other BENCH_*.json records live
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");

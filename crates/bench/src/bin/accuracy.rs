@@ -13,12 +13,13 @@
 //! (shards, threads) ∈ {1, 4} × {1, 8} plus a re-run, and writes the
 //! wall-clock-free `BENCH_accuracy.json` artifact.
 
-use pcnna_bench::report::{assert_books, json_f, write_artifact};
+use pcnna_bench::report::{assert_books, write_artifact};
 use pcnna_cnn::workload::Workload;
 use pcnna_cnn::zoo;
 use pcnna_core::config::PcnnaConfig;
 use pcnna_core::functional::{FunctionalOptions, PhotonicConvExecutor};
 use pcnna_fleet::prelude::*;
+use pcnna_fleet::scenario::json::{self, Json};
 
 /// The serving mix of the joint-QoS bench: a strict class whose 0.85
 /// top-1 floor sits just below the pristine proxy accuracy (0.89), and
@@ -86,21 +87,22 @@ fn run_identical(scenario: &FleetScenario, label: &str) -> FleetReport {
     oracle
 }
 
-fn qos_record(kind: ChaosKind, routing: bool, report: &FleetReport) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"accuracy_routing\":{},\"offered\":{},\"completed\":{},\
-         \"below_accuracy\":{},\"accuracy_attainment\":{},\"slo_attainment\":{},\
-         \"unserved\":{},\"availability\":{},\"deterministic\":true}}",
-        kind.name(),
-        routing,
-        report.offered,
-        report.completed,
-        report.resilience.below_accuracy,
-        json_f(report.accuracy_attainment),
-        json_f(report.slo_attainment),
-        report.resilience.unserved,
-        json_f(report.resilience.availability),
-    )
+fn qos_record(kind: ChaosKind, routing: bool, report: &FleetReport) -> Json {
+    json::obj([
+        ("name", json::str(kind.name())),
+        ("accuracy_routing", Json::Bool(routing)),
+        ("offered", json::int(report.offered)),
+        ("completed", json::int(report.completed)),
+        (
+            "below_accuracy",
+            json::int(report.resilience.below_accuracy),
+        ),
+        ("accuracy_attainment", json::num(report.accuracy_attainment)),
+        ("slo_attainment", json::num(report.slo_attainment)),
+        ("unserved", json::int(report.resilience.unserved)),
+        ("availability", json::num(report.resilience.availability)),
+        ("deterministic", Json::Bool(true)),
+    ])
 }
 
 fn run_serving(seed: u64) {
@@ -149,12 +151,13 @@ fn run_serving(seed: u64) {
             below[1]
         );
     }
-    let json = format!(
-        "{{\"bench\":\"accuracy\",\"mode\":\"serving\",\"seed\":{seed},\
-         \"scenarios\":[{}]}}\n",
-        records.join(",")
-    );
-    write_artifact("BENCH_accuracy.json", &json);
+    let record = json::obj([
+        ("bench", json::str("accuracy")),
+        ("mode", json::str("serving")),
+        ("seed", json::int(seed)),
+        ("scenarios", Json::Arr(records)),
+    ]);
+    write_artifact("BENCH_accuracy.json", &(record.render() + "\n"));
     println!("all legs bit-identical across (shards, threads) in {{1,4}}x{{1,8}} and re-runs");
 }
 

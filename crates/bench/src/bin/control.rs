@@ -18,9 +18,10 @@
 //! driver runs the whole-fleet single cell — see the `control` module
 //! docs for the consistency model).
 
-use pcnna_bench::report::{assert_books, chaos_config, json_f, serving_classes, write_artifact};
+use pcnna_bench::report::{assert_books, chaos_config, serving_classes, write_artifact};
 use pcnna_core::PcnnaConfig;
 use pcnna_fleet::prelude::*;
+use pcnna_fleet::scenario::json::{self, Json};
 use std::time::Instant;
 
 struct Args {
@@ -121,28 +122,24 @@ struct Row {
 }
 
 impl Row {
-    fn json(&self) -> String {
-        format!(
-            "{{\"arrival\":\"{}\",\"policy\":\"{}\",\"offered\":{},\"completed\":{},\
-             \"shed\":{},\"throttled\":{},\"unserved\":{},\"scale_ups\":{},\
-             \"scale_downs\":{},\"slo_attainment\":{},\"p99_ms\":{},\"goodput\":{},\
-             \"mean_active\":{},\"mean_power_w\":{},\"slo_per_watt\":{}}}",
-            self.arrival,
-            self.policy,
-            self.offered,
-            self.completed,
-            self.shed,
-            self.throttled,
-            self.unserved,
-            self.scale_ups,
-            self.scale_downs,
-            json_f(self.slo_attainment),
-            json_f(self.p99_ms),
-            json_f(self.power.goodput),
-            json_f(self.mean_active),
-            json_f(self.power.mean_power_w),
-            json_f(self.power.slo_per_watt),
-        )
+    fn json(&self) -> Json {
+        json::obj([
+            ("arrival", json::str(self.arrival)),
+            ("policy", json::str(&self.policy)),
+            ("offered", json::int(self.offered)),
+            ("completed", json::int(self.completed)),
+            ("shed", json::int(self.shed)),
+            ("throttled", json::int(self.throttled)),
+            ("unserved", json::int(self.unserved)),
+            ("scale_ups", json::int(self.scale_ups)),
+            ("scale_downs", json::int(self.scale_downs)),
+            ("slo_attainment", json::num(self.slo_attainment)),
+            ("p99_ms", json::num(self.p99_ms)),
+            ("goodput", json::num(self.power.goodput)),
+            ("mean_active", json::num(self.mean_active)),
+            ("mean_power_w", json::num(self.power.mean_power_w)),
+            ("slo_per_watt", json::num(self.power.slo_per_watt)),
+        ])
     }
 }
 
@@ -254,27 +251,24 @@ fn measure(args: &Args) -> (String, Vec<Row>) {
         ));
     }
 
-    let row_json: Vec<String> = rows.iter().map(Row::json).collect();
-    let chaos_json: Vec<String> = chaos_rows
+    let chaos_json = chaos_rows
         .iter()
-        .map(|(name, row)| format!("{{\"scenario\":\"{}\",\"row\":{}}}", name, row.json()))
-        .collect();
-    let json = format!(
-        "{{\"bench\":\"control\",\"mode\":\"{}\",\"seed\":{},\"fleet\":{},\
-         \"peak_rps\":{},\"horizon_s\":{},\"window_ms\":{},\"boot_ms\":{},\
-         \"idle_power_w\":{},\"oracle\":\"hold-equals-simulate\",\
-         \"rows\":[{}],\"chaos\":[{}]}}\n",
-        if args.smoke { "smoke" } else { "full" },
-        args.seed,
-        base.instances.len(),
-        json_f(base.arrival.peak_rate_rps()),
-        json_f(base.horizon_s),
-        json_f(1e3 * cfg.window_s),
-        json_f(1e3 * cfg.boot_s),
-        json_f(cfg.idle_power_w),
-        row_json.join(","),
-        chaos_json.join(","),
-    );
+        .map(|(name, row)| json::obj([("scenario", json::str(*name)), ("row", row.json())]));
+    let record = json::obj([
+        ("bench", json::str("control")),
+        ("mode", json::str(if args.smoke { "smoke" } else { "full" })),
+        ("seed", json::int(args.seed)),
+        ("fleet", json::uint(base.instances.len())),
+        ("peak_rps", json::num(base.arrival.peak_rate_rps())),
+        ("horizon_s", json::num(base.horizon_s)),
+        ("window_ms", json::num(1e3 * cfg.window_s)),
+        ("boot_ms", json::num(1e3 * cfg.boot_s)),
+        ("idle_power_w", json::num(cfg.idle_power_w)),
+        ("oracle", json::str("hold-equals-simulate")),
+        ("rows", Json::Arr(rows.iter().map(Row::json).collect())),
+        ("chaos", Json::Arr(chaos_json.collect())),
+    ]);
+    let json = record.render() + "\n";
     rows.extend(chaos_rows.into_iter().map(|(_, r)| r));
     (json, rows)
 }

@@ -7,8 +7,10 @@
 //! Emits `BENCH_dse.json` (throughput + frontier counters) so the perf
 //! trajectory of the explorer itself is tracked across commits.
 
+use pcnna_bench::report::write_artifact;
 use pcnna_dse::prelude::*;
 use pcnna_fleet::prelude::*;
+use pcnna_fleet::scenario::json::{self, Json};
 use std::time::Instant;
 
 fn print_frontier(frontier: &ParetoFrontier, limit: usize) {
@@ -95,14 +97,13 @@ fn main() {
         total_stats.evaluated += out.stats.evaluated;
         total_stats.valid += out.stats.valid;
         total_stats.invalid += out.stats.invalid;
-        network_lines.push(format!(
-            "{{\"name\":\"{}\",\"evaluated\":{},\"valid\":{},\"frontier\":{},\"elapsed_s\":{:.3}}}",
-            evaluator.workload(),
-            out.stats.evaluated,
-            out.stats.valid,
-            out.frontier.len(),
-            dt
-        ));
+        network_lines.push(json::obj([
+            ("name", json::str(evaluator.workload())),
+            ("evaluated", json::int(out.stats.evaluated)),
+            ("valid", json::int(out.stats.valid)),
+            ("frontier", json::uint(out.frontier.len())),
+            ("elapsed_s", json::num(dt)),
+        ]));
         if evaluator.workload() == "alexnet" {
             alexnet_frontier = Some(out.frontier);
         }
@@ -194,28 +195,25 @@ fn main() {
     } else {
         0.0
     };
-    let json = format!(
-        "{{\"bench\":\"dse\",\"mode\":\"{}\",\"threads\":{},\"elapsed_s\":{:.3},\
-         \"configs_evaluated\":{},\"valid\":{},\"invalid\":{},\"evals_per_s\":{:.0},\
-         \"networks\":[{}],\"evolution_frontier\":{},\"deterministic\":{},\
-         \"codesign_fleets\":{},\"best_slo_per_watt\":{:.6}}}\n",
-        if smoke { "smoke" } else { "full" },
-        threads,
-        elapsed,
-        total_stats.evaluated,
-        total_stats.valid,
-        total_stats.invalid,
-        evals_per_s,
-        network_lines.join(","),
-        a.frontier.len(),
-        deterministic,
-        rows.len(),
-        rows.first().map_or(0.0, |r| r.slo_per_watt),
-    );
-    match std::fs::write("BENCH_dse.json", &json) {
-        Ok(()) => println!("wrote BENCH_dse.json"),
-        Err(e) => eprintln!("could not write BENCH_dse.json: {e}"),
-    }
+    let record = json::obj([
+        ("bench", json::str("dse")),
+        ("mode", json::str(if smoke { "smoke" } else { "full" })),
+        ("threads", json::uint(threads)),
+        ("elapsed_s", json::num(elapsed)),
+        ("configs_evaluated", json::int(total_stats.evaluated)),
+        ("valid", json::int(total_stats.valid)),
+        ("invalid", json::int(total_stats.invalid)),
+        ("evals_per_s", json::num(evals_per_s)),
+        ("networks", Json::Arr(network_lines)),
+        ("evolution_frontier", json::uint(a.frontier.len())),
+        ("deterministic", Json::Bool(deterministic)),
+        ("codesign_fleets", json::uint(rows.len())),
+        (
+            "best_slo_per_watt",
+            json::num(rows.first().map_or(0.0, |r| r.slo_per_watt)),
+        ),
+    ]);
+    write_artifact("BENCH_dse.json", &(record.render() + "\n"));
     println!(
         "total: {} configs evaluated ({} valid) in {:.2} s ({:.0} evals/s)",
         total_stats.evaluated, total_stats.valid, elapsed, evals_per_s

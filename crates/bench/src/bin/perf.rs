@@ -39,12 +39,14 @@
 //!   and its shards = 1 bit-identity verdict. Flags `--mega-shards N` /
 //!   `--mega-threads N` override the matrix leg CI fans out over.
 
+use pcnna_bench::report::write_artifact;
 use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_cnn::reference;
 use pcnna_cnn::workload::Workload;
 use pcnna_core::PcnnaConfig;
 use pcnna_dse::prelude::*;
 use pcnna_fleet::prelude::*;
+use pcnna_fleet::scenario::json::{self, Json};
 use std::time::Instant;
 
 /// Pre-PR hot-path numbers, measured with this same harness (quick mode,
@@ -443,62 +445,75 @@ fn main() {
     );
     println!("peak RSS: {:.1} MiB", rss as f64 / (1024.0 * 1024.0));
 
-    let json = format!(
-        "{{\"bench\":\"perf\",\"mode\":\"{}\",\
-         \"fleet_req_per_s\":{:.0},\"dse_evals_per_s\":{:.0},\
-         \"conv_gflop_s\":{:.3},\"peak_rss_bytes\":{},\
-         \"telemetry\":{{\"disabled_req_per_s\":{:.0},\"traced_req_per_s\":{:.0},\
-         \"overhead\":{:.3},\"events_recorded\":{}}},\
-         \"accuracy\":{{\"plain_req_per_s\":{:.0},\"accuracy_req_per_s\":{:.0},\
-         \"ratio\":{:.3}}},\
-         \"mega_fleet\":{{\"instances\":{},\"classes\":{},\"completed\":{},\
-         \"mono_req_per_s\":{:.0},\"sharded_req_per_s\":{:.0},\
-         \"shards\":{},\"threads\":{},\"speedup\":{:.2},\
-         \"bit_identical_s1\":{},\"ten_k_completed\":{},\"ten_k_wall_s\":{:.3},\
-         \"hundred_k_completed\":{},\"hundred_k_wall_s\":{:.3},\
-         \"hundred_k_bit_identical_s1\":{},\"hundred_k_peak_rss_bytes\":{}}},\
-         \"baseline\":{{\"fleet_req_per_s\":{:.0},\"dse_evals_per_s\":{:.0},\
-         \"conv_gflop_s\":{:.3},\"mega_sharded_req_per_s\":{:.0}}},\
-         \"speedup\":{{\"fleet\":{:.2},\"dse\":{:.2},\"conv\":{:.2}}}}}\n",
-        if quick { "quick" } else { "full" },
-        m.fleet_req_per_s,
-        m.dse_evals_per_s,
-        m.conv_gflop_s,
-        rss,
-        m.telemetry.disabled_req_per_s,
-        m.telemetry.traced_req_per_s,
-        m.telemetry.overhead,
-        m.telemetry.events_recorded,
-        m.accuracy.plain_req_per_s,
-        m.accuracy.accuracy_req_per_s,
-        m.accuracy.ratio,
-        mega.instances,
-        mega.classes,
-        mega.completed,
-        mega.mono_req_per_s,
-        mega.sharded_req_per_s,
-        mega.shards,
-        mega.threads,
-        mega.speedup,
-        mega.bit_identical_s1,
-        mega.ten_k_completed,
-        mega.ten_k_wall_s,
-        mega.hundred_k_completed,
-        mega.hundred_k_wall_s,
-        mega.hundred_k_bit_identical_s1,
-        mega.hundred_k_peak_rss_bytes,
-        BASELINE_FLEET_REQ_PER_S,
-        BASELINE_DSE_EVALS_PER_S,
-        BASELINE_CONV_GFLOP_S,
-        BASELINE_MEGA_SHARDED_REQ_PER_S,
-        m.fleet_req_per_s / BASELINE_FLEET_REQ_PER_S.max(1e-9),
-        m.dse_evals_per_s / BASELINE_DSE_EVALS_PER_S.max(1e-9),
-        m.conv_gflop_s / BASELINE_CONV_GFLOP_S.max(1e-9),
-    );
-    match std::fs::write("BENCH_perf.json", &json) {
-        Ok(()) => println!("wrote BENCH_perf.json"),
-        Err(e) => eprintln!("could not write BENCH_perf.json: {e}"),
-    }
+    let (t, acc) = (&m.telemetry, &m.accuracy);
+    let telemetry = json::obj([
+        ("disabled_req_per_s", json::num(t.disabled_req_per_s)),
+        ("traced_req_per_s", json::num(t.traced_req_per_s)),
+        ("overhead", json::num(t.overhead)),
+        ("events_recorded", json::int(t.events_recorded)),
+    ]);
+    let accuracy = json::obj([
+        ("plain_req_per_s", json::num(acc.plain_req_per_s)),
+        ("accuracy_req_per_s", json::num(acc.accuracy_req_per_s)),
+        ("ratio", json::num(acc.ratio)),
+    ]);
+    let mega_fleet = json::obj([
+        ("instances", json::uint(mega.instances)),
+        ("classes", json::uint(mega.classes)),
+        ("completed", json::int(mega.completed)),
+        ("mono_req_per_s", json::num(mega.mono_req_per_s)),
+        ("sharded_req_per_s", json::num(mega.sharded_req_per_s)),
+        ("shards", json::uint(mega.shards)),
+        ("threads", json::uint(mega.threads)),
+        ("speedup", json::num(mega.speedup)),
+        ("bit_identical_s1", Json::Bool(mega.bit_identical_s1)),
+        ("ten_k_completed", json::int(mega.ten_k_completed)),
+        ("ten_k_wall_s", json::num(mega.ten_k_wall_s)),
+        ("hundred_k_completed", json::int(mega.hundred_k_completed)),
+        ("hundred_k_wall_s", json::num(mega.hundred_k_wall_s)),
+        (
+            "hundred_k_bit_identical_s1",
+            Json::Bool(mega.hundred_k_bit_identical_s1),
+        ),
+        (
+            "hundred_k_peak_rss_bytes",
+            json::int(mega.hundred_k_peak_rss_bytes),
+        ),
+    ]);
+    let baseline = json::obj([
+        ("fleet_req_per_s", json::num(BASELINE_FLEET_REQ_PER_S)),
+        ("dse_evals_per_s", json::num(BASELINE_DSE_EVALS_PER_S)),
+        ("conv_gflop_s", json::num(BASELINE_CONV_GFLOP_S)),
+        (
+            "mega_sharded_req_per_s",
+            json::num(BASELINE_MEGA_SHARDED_REQ_PER_S),
+        ),
+    ]);
+    let speedup = |fresh: f64, base: f64| json::num(fresh / base.max(1e-9));
+    let record = json::obj([
+        ("bench", json::str("perf")),
+        ("mode", json::str(if quick { "quick" } else { "full" })),
+        ("fleet_req_per_s", json::num(m.fleet_req_per_s)),
+        ("dse_evals_per_s", json::num(m.dse_evals_per_s)),
+        ("conv_gflop_s", json::num(m.conv_gflop_s)),
+        ("peak_rss_bytes", json::int(rss)),
+        ("telemetry", telemetry),
+        ("accuracy", accuracy),
+        ("mega_fleet", mega_fleet),
+        ("baseline", baseline),
+        (
+            "speedup",
+            json::obj([
+                (
+                    "fleet",
+                    speedup(m.fleet_req_per_s, BASELINE_FLEET_REQ_PER_S),
+                ),
+                ("dse", speedup(m.dse_evals_per_s, BASELINE_DSE_EVALS_PER_S)),
+                ("conv", speedup(m.conv_gflop_s, BASELINE_CONV_GFLOP_S)),
+            ]),
+        ),
+    ]);
+    write_artifact("BENCH_perf.json", &(record.render() + "\n"));
 
     if check {
         let mut failed = false;

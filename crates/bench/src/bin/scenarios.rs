@@ -27,10 +27,11 @@
 //! generator's — the DSL-equivalence proof of ISSUE 8.
 
 use pcnna_bench::report::{
-    assert_books, chaos_config, json_f, matrix_spec, serving_classes, write_artifact,
+    assert_books, chaos_config, matrix_spec, serving_classes, write_artifact,
 };
 use pcnna_core::PcnnaConfig;
 use pcnna_fleet::prelude::*;
+use pcnna_fleet::scenario::json::{self, Json};
 use std::time::Instant;
 
 struct Args {
@@ -148,29 +149,43 @@ fn base_scenario(smoke: bool, seed: u64) -> FleetScenario {
 }
 
 /// One deterministic JSON record of a chaos run (no wall-clock fields).
-fn record_for(name: &str, report: &FleetReport, baseline: &FleetReport) -> String {
+fn record_for(name: &str, report: &FleetReport, baseline: &FleetReport) -> Json {
     let r = &report.resilience;
-    format!(
-        "{{\"name\":\"{}\",\"offered\":{},\"completed\":{},\"rejected\":{},\
-         \"slo_attainment\":{},\"baseline_slo\":{},\"p99_ms\":{},\
-         \"availability\":{},\"failed_over\":{},\"recalibrations\":{},\
-         \"hard_failures\":{},\"fault_events\":{},\"unserved\":{},\
-         \"energy_per_request_mj\":{},\"deterministic\":true}}",
-        name,
-        report.offered,
-        report.completed,
-        report.rejected,
-        json_f(report.slo_attainment),
-        json_f(baseline.slo_attainment),
-        json_f(1e3 * report.latency.p99_s),
-        json_f(r.availability),
-        r.failed_over,
-        r.recalibrations,
-        r.hard_failures,
-        r.fault_events,
-        r.unserved,
-        json_f(1e3 * report.energy_per_request_j),
-    )
+    json::obj([
+        ("name", json::str(name)),
+        ("offered", json::int(report.offered)),
+        ("completed", json::int(report.completed)),
+        ("rejected", json::int(report.rejected)),
+        ("slo_attainment", json::num(report.slo_attainment)),
+        ("baseline_slo", json::num(baseline.slo_attainment)),
+        ("p99_ms", json::num(1e3 * report.latency.p99_s)),
+        ("availability", json::num(r.availability)),
+        ("failed_over", json::int(r.failed_over)),
+        ("recalibrations", json::int(r.recalibrations)),
+        ("hard_failures", json::int(r.hard_failures)),
+        ("fault_events", json::int(r.fault_events)),
+        ("unserved", json::int(r.unserved)),
+        (
+            "energy_per_request_mj",
+            json::num(1e3 * report.energy_per_request_j),
+        ),
+        ("deterministic", Json::Bool(true)),
+    ])
+}
+
+/// The `BENCH_scenarios.json` payload: the run's shape, then its
+/// records.
+fn scenarios_payload(mode: &str, scenario: &FleetScenario, records: Vec<Json>) -> String {
+    let payload = json::obj([
+        ("bench", json::str("scenarios")),
+        ("mode", json::str(mode)),
+        ("seed", json::int(scenario.seed)),
+        ("instances", json::uint(scenario.instances.len())),
+        ("rate_rps", json::num(scenario.arrival.mean_rate_rps())),
+        ("horizon_s", json::num(scenario.horizon_s)),
+        ("scenarios", Json::Arr(records)),
+    ]);
+    payload.render() + "\n"
 }
 
 /// Simulates at the requested shard count and asserts the shards=1
@@ -276,16 +291,11 @@ fn run_file(path: &str, shards: usize) {
             controlled.report.resilience.shed,
         );
     }
-    let json = format!(
-        "{{\"bench\":\"scenarios\",\"mode\":\"file\",\"seed\":{},\"instances\":{},\
-         \"rate_rps\":{},\"horizon_s\":{},\"scenarios\":[{}]}}\n",
-        scenario.seed,
-        scenario.instances.len(),
-        json_f(scenario.arrival.mean_rate_rps()),
-        json_f(scenario.horizon_s),
-        record_for(&spec.name, &report, &baseline),
+    let record = record_for(&spec.name, &report, &baseline);
+    write_artifact(
+        "BENCH_scenarios.json",
+        &scenarios_payload("file", scenario, vec![record]),
     );
-    write_artifact("BENCH_scenarios.json", &json);
 }
 
 /// Runs a seeded generative fuzz campaign against the full oracle
@@ -329,34 +339,33 @@ fn run_fuzz(count: u64, seed: u64) {
         let violations = o
             .violations
             .iter()
-            .map(|v| format!("{{\"oracle\":\"{}\"}}", v.oracle))
-            .collect::<Vec<_>>()
-            .join(",");
-        records.push(format!(
-            "{{\"name\":\"{}\",\"fault_events\":{},\"offered\":{},\"completed\":{},\
-             \"shed\":{},\"unserved\":{},\"violations\":[{}]}}",
-            o.name, o.fault_events, o.offered, o.completed, o.shed, o.unserved, violations,
-        ));
+            .map(|v| json::obj([("oracle", json::str(&v.oracle))]));
+        records.push(json::obj([
+            ("name", json::str(&o.name)),
+            ("fault_events", json::uint(o.fault_events)),
+            ("offered", json::int(o.offered)),
+            ("completed", json::int(o.completed)),
+            ("shed", json::int(o.shed)),
+            ("unserved", json::int(o.unserved)),
+            ("violations", Json::Arr(violations.collect())),
+        ]));
     }
     let total_offered: u64 = summary.outcomes.iter().map(|o| o.offered).sum();
     let total_completed: u64 = summary.outcomes.iter().map(|o| o.completed).sum();
-    let json = format!(
-        "{{\"bench\":\"fuzz\",\"seed\":{},\"count\":{},\"oracles\":[{}],\
-         \"violations\":{},\"offered\":{},\"completed\":{},\"scenarios\":[{}]}}\n",
-        summary.seed,
-        summary.count,
-        summary
-            .oracles
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(","),
-        summary.violations(),
-        total_offered,
-        total_completed,
-        records.join(",")
-    );
-    write_artifact("BENCH_fuzz.json", &json);
+    let payload = json::obj([
+        ("bench", json::str("fuzz")),
+        ("seed", json::int(summary.seed)),
+        ("count", json::int(summary.count)),
+        (
+            "oracles",
+            Json::Arr(summary.oracles.iter().map(json::str).collect()),
+        ),
+        ("violations", json::uint(summary.violations())),
+        ("offered", json::int(total_offered)),
+        ("completed", json::int(total_completed)),
+        ("scenarios", Json::Arr(records)),
+    ]);
+    write_artifact("BENCH_fuzz.json", &(payload.render() + "\n"));
     println!(
         "{} scenario(s), {} request(s) offered, {} violation(s); campaign done in {:.2} s",
         summary.count,
@@ -547,8 +556,8 @@ fn main() {
             );
             let file_record = record_for(&spec.name, &file_report, &baseline);
             assert_eq!(
-                file_record,
-                record,
+                file_record.render(),
+                record.render(),
                 "{}: scenario-file record must byte-match the generator's",
                 kind.name()
             );
@@ -563,17 +572,11 @@ fn main() {
 
     // No wall-clock fields: the record must be byte-identical across
     // runs of the same invocation (CI's determinism check diffs it).
-    let json = format!(
-        "{{\"bench\":\"scenarios\",\"mode\":\"{}\",\"seed\":{},\"instances\":{},\
-         \"rate_rps\":{},\"horizon_s\":{},\"scenarios\":[{}]}}\n",
-        if args.smoke { "smoke" } else { "full" },
-        args.seed,
-        base.instances.len(),
-        json_f(base.arrival.mean_rate_rps()),
-        json_f(base.horizon_s),
-        records.join(",")
+    let mode = if args.smoke { "smoke" } else { "full" };
+    write_artifact(
+        "BENCH_scenarios.json",
+        &scenarios_payload(mode, &base, records),
     );
-    write_artifact("BENCH_scenarios.json", &json);
     println!(
         "all scenarios deterministic; matrix done in {:.2} s",
         t0.elapsed().as_secs_f64()

@@ -2,10 +2,12 @@
 //!
 //! The `scenarios`, `control`, and `trace` bins all emit deterministic
 //! JSON artifacts under the same contract — no wall-clock fields,
-//! fixed-precision floats, conservation asserted before anything is
-//! written. This module is the single home for that contract so the
-//! bins cannot drift apart: number formatting ([`json_f`]), the
-//! bookkeeping invariant ([`assert_books`]), the shared serving mix
+//! conservation asserted before anything is written. Every record is
+//! built as a [`Json`](pcnna_fleet::scenario::json::Json) value, so
+//! floats render shortest-roundtrip and escaping and `null` are decided
+//! in that one codec. This module is the single home for the rest of
+//! the contract so the bins cannot drift apart: the bookkeeping
+//! invariant ([`assert_books`]), the shared serving mix
 //! ([`serving_classes`], [`chaos_config`]), and artifact writing
 //! ([`write_artifact`]).
 
@@ -13,14 +15,6 @@ use pcnna_fleet::prelude::{
     ArrivalProcess, ChaosConfig, ChaosKind, ClassSpec, FaultSpec, FleetReport, InstanceSpec,
     NetworkClass, Policy, ScenarioSpec,
 };
-
-/// Formats a float for a deterministic JSON artifact: fixed six-digit
-/// precision keeps records compact, and `f64` formatting itself is
-/// deterministic, so the byte-identity contract holds either way.
-#[must_use]
-pub fn json_f(v: f64) -> String {
-    format!("{v:.6}")
-}
 
 /// Asserts the fleet ledger balances: every offered request was
 /// admitted or rejected, and every admitted request reached exactly
@@ -135,12 +129,6 @@ pub fn write_artifact(path: &str, payload: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_f_is_fixed_precision() {
-        assert_eq!(json_f(0.5), "0.500000");
-        assert_eq!(json_f(1.0 / 3.0), "0.333333");
-    }
 
     #[test]
     fn serving_classes_mix_is_stable() {

@@ -13,14 +13,13 @@
 //! derived quantity used by the mapper, scheduler and analytical models.
 
 use crate::{CnnError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Validated convolution-layer geometry (paper Table I).
 ///
 /// Input feature maps are square `n × n × nc` volumes; kernels are square
 /// `m × m × nc` volumes; `k` kernels slide with stride `s` over an input
 /// padded by `p` on each side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvGeometry {
     n: usize,
     m: usize,

@@ -7,10 +7,9 @@
 
 use crate::geometry::ConvGeometry;
 use crate::{CnnError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Pooling flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Max pooling.
     Max,
@@ -19,7 +18,7 @@ pub enum PoolKind {
 }
 
 /// Pooling layer over square windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolLayer {
     /// Pooling flavour.
     pub kind: PoolKind,
@@ -67,7 +66,7 @@ impl PoolLayer {
 }
 
 /// Convolution layer: geometry plus a human-readable name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConvLayer {
     /// Layer name, e.g. `"conv1"`.
     pub name: String,
@@ -87,7 +86,7 @@ impl ConvLayer {
 }
 
 /// One stage of a CNN.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Layer {
     /// 2-D convolution (the layer kind PCNNA accelerates).
@@ -120,7 +119,7 @@ pub enum Layer {
 }
 
 /// A feature-map shape flowing between layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureShape {
     /// A `(channels, side, side)` volume.
     Volume {

@@ -6,11 +6,10 @@ use crate::reference;
 use crate::tensor::Tensor;
 use crate::workload::Workload;
 use crate::{CnnError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A feed-forward CNN: an input shape plus an ordered list of layers whose
 /// shapes have been verified to chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     name: String,
     input: FeatureShape,

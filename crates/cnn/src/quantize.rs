@@ -8,14 +8,13 @@
 //! but default to the paper's converters).
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Symmetric linear quantizer over `[-range, +range]` with `bits` of
 /// resolution (one bit of which is the sign).
 ///
 /// A 1-bit quantizer is all sign bit: its only level is 0, so it maps every
 /// input to 0.0 and its worst in-range error is the whole `range`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
     bits: u8,
     range: f32,

@@ -10,10 +10,9 @@ use crate::geometry::ConvGeometry;
 use crate::layer::Layer;
 use crate::network::Network;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Operation/storage statistics for a single layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerStats {
     /// Layer name or kind tag.
     pub name: String,
@@ -40,7 +39,7 @@ pub fn conv_stats(name: &str, g: &ConvGeometry) -> LayerStats {
 }
 
 /// Whole-network statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkStats {
     /// Network name.
     pub network: String,

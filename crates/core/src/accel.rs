@@ -20,17 +20,16 @@ use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_cnn::network::Network;
 use pcnna_cnn::tensor::Tensor;
 use pcnna_electronics::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Whole-run analytical report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkReport {
     /// Per-layer timings, in order.
     pub layers: Vec<NetworkLayerRow>,
 }
 
 /// One row of a [`NetworkReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkLayerRow {
     /// Layer name.
     pub name: String,

@@ -20,10 +20,9 @@ use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_electronics::adc::AdcArray;
 use pcnna_electronics::dac::DacArray;
 use pcnna_electronics::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Per-layer timing breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerTiming {
     /// Layer name.
     pub name: String,

@@ -11,10 +11,9 @@ use pcnna_electronics::dac::DacModel;
 use pcnna_electronics::dram::DramModel;
 use pcnna_electronics::sram::SramModel;
 use pcnna_photonics::link::LinkConfig;
-use serde::{Deserialize, Serialize};
 
 /// How rings (and wavelengths) are allocated to a layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocationPolicy {
     /// No receptive-field filtering — paper eq. (4):
     /// `Nrings = Ninput · K · Nkernel`. Shown only as the paper's baseline;
@@ -43,7 +42,7 @@ impl AllocationPolicy {
 }
 
 /// The order kernel locations are visited in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScanOrder {
     /// Row-major raster, as the paper's Figure 3 depicts. At each row wrap
     /// the receptive field changes almost entirely.
@@ -55,7 +54,7 @@ pub enum ScanOrder {
 }
 
 /// Which electronic stages bound the full-system time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BottleneckModel {
     /// The paper's model: only the input-DAC constraint of eq. (8) limits
     /// the per-location rate ("the speed bottleneck of PCNNA is the DAC").
@@ -66,7 +65,7 @@ pub enum BottleneckModel {
 }
 
 /// Complete PCNNA hardware description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcnnaConfig {
     /// Fast (optical-core) clock — paper: 5 GHz.
     pub fast_clock: ClockDomain,

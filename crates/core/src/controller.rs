@@ -15,10 +15,9 @@ use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_electronics::time::SimTime;
 use pcnna_photonics::microring::RingParams;
 use pcnna_photonics::thermal::ThermalModel;
-use serde::{Deserialize, Serialize};
 
 /// Environment/requirement parameters of the control loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlRequirements {
     /// Ambient drift rate the package sees, kelvin/second (a chip without
     /// a TEC easily sees tens of mK/s during load transients).
@@ -41,7 +40,7 @@ impl Default for ControlRequirements {
 }
 
 /// The sized control loop for one layer mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlPlan {
     /// Temperature excursion that spends the weight-error budget, kelvin.
     pub tolerable_excursion_k: f64,

@@ -14,10 +14,9 @@ use crate::config::PcnnaConfig;
 use crate::Result;
 use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_electronics::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One layer's slice of a network execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionPhase {
     /// Layer name.
     pub name: String,
@@ -32,7 +31,7 @@ pub struct ExecutionPhase {
 }
 
 /// A whole-network execution estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkExecution {
     /// Per-layer phases, in execution order.
     pub phases: Vec<ExecutionPhase>,
@@ -121,7 +120,7 @@ impl ExecutionModel {
 
 /// A batched execution estimate: `batch` frames processed layer-by-layer so
 /// each layer's weights are programmed once per batch, not once per frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchedExecution {
     /// Frames in the batch.
     pub batch: u64,

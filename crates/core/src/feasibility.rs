@@ -25,10 +25,9 @@ use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_electronics::time::SimTime;
 use pcnna_photonics::constants::SPEED_OF_LIGHT;
 use pcnna_photonics::wavelength::{C_BAND_MAX_M, C_BAND_MIN_M};
-use serde::{Deserialize, Serialize};
 
 /// Spectral-budget parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectralBudget {
     /// WDM channel spacing, Hz.
     pub channel_spacing_hz: f64,
@@ -105,7 +104,7 @@ impl SpectralBudget {
 }
 
 /// Per-layer feasibility verdict.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerFeasibility {
     /// Layer name.
     pub name: String,
@@ -134,7 +133,7 @@ pub struct LayerFeasibility {
 /// The lean per-layer spectral verdict — just the fields search hot loops
 /// consume, `Copy`, no name interning, no allocation. See
 /// [`FeasibilityModel::layer_spectrum`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerSpectrum {
     /// Optical time corrected for spectral partitioning.
     pub corrected_optical_time: SimTime,

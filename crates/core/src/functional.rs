@@ -27,10 +27,9 @@ use pcnna_cnn::tensor::Tensor;
 use pcnna_photonics::link::BroadcastWeightLink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Options for a functional run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FunctionalOptions {
     /// Sample stochastic noise (RIN, shot, thermal) per MAC evaluation.
     pub noise: bool,
@@ -54,7 +53,7 @@ impl Default for FunctionalOptions {
 }
 
 /// Error metrics of a photonic feature map against the reference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyReport {
     /// Maximum absolute error.
     pub max_abs_error: f32,

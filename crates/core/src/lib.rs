@@ -38,7 +38,7 @@
 //!   batches without re-running the analytical model (reproduction
 //!   extension).
 //! * [`accel`] — the high-level [`accel::Pcnna`] API tying it all together.
-//! * [`report`] — human-readable and serializable reports.
+//! * [`report`] — human-readable text reports.
 //!
 //! # Quickstart
 //!

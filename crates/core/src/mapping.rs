@@ -9,10 +9,9 @@
 
 use crate::config::AllocationPolicy;
 use pcnna_cnn::geometry::ConvGeometry;
-use serde::{Deserialize, Serialize};
 
 /// Ring/wavelength requirements of one conv layer under one policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingAllocation {
     /// The policy that produced this allocation.
     pub policy: AllocationPolicy,
@@ -75,7 +74,7 @@ impl RingAllocation {
 }
 
 /// Microring area model: square rings on a square pitch (paper: 25 µm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Ring pitch (side of the square cell), metres.
     pub ring_pitch_m: f64,
@@ -99,7 +98,7 @@ impl AreaModel {
 }
 
 /// The per-layer rows of Figure 5: ring counts filtered vs. not-filtered.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Row {
     /// Layer name.
     pub layer: String,

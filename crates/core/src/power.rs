@@ -14,10 +14,9 @@ use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_electronics::energy::EnergyLedger;
 use pcnna_photonics::laser::LaserDiode;
 use pcnna_photonics::power::{mzm_driver_power_w, PhotonicPowerBudget};
-use serde::{Deserialize, Serialize};
 
 /// Static power assumptions beyond what the config carries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerAssumptions {
     /// Per-carrier laser model.
     pub laser: LaserDiode,
@@ -46,7 +45,7 @@ impl Default for PowerAssumptions {
 }
 
 /// Per-layer power/energy summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerPower {
     /// Layer name.
     pub name: String,

@@ -15,11 +15,10 @@
 
 use crate::config::ScanOrder;
 use pcnna_cnn::geometry::ConvGeometry;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// One kernel location: the output coordinate it produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Location {
     /// Output row.
     pub oy: usize,
@@ -28,7 +27,7 @@ pub struct Location {
 }
 
 /// Summary of a schedule's input-loading behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleStats {
     /// Number of locations visited (= `Nlocs`).
     pub locations: u64,

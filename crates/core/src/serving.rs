@@ -47,12 +47,11 @@ use pcnna_cnn::train::quantized_top1;
 use pcnna_electronics::time::SimTime;
 use pcnna_photonics::degradation::{DegradationLimits, HealthState};
 use pcnna_photonics::noise::health_snr_penalty_db;
-use serde::{Deserialize, Serialize};
 
 /// The quoted inference quality of one network on one instance's health:
 /// how many effective bits the analog datapath still resolves, and the
 /// measured top-1 accuracy at that resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyQuote {
     /// Quoted electrical SNR of the analog readout, dB (nominal converter
     /// SNR plus the health's penalty).
@@ -69,7 +68,7 @@ pub struct AccuracyQuote {
 
 /// The affine time/energy cost of serving one network on one config,
 /// plus the accuracy the analog datapath delivers while doing so.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceQuote {
     /// One-time cost per batch: reprogramming every layer's MRR bank
     /// through the weight DAC(s).
@@ -164,7 +163,7 @@ impl<'a> QuoteRequest<'a> {
 /// A quote re-derived for the requested hardware state, with the
 /// derivation's provenance alongside (what capacity survived and what the
 /// laser compensation costs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradedQuote {
     /// The re-derived affine cost model (already includes the laser
     /// compensation energy) and the accuracy quote for the requested

@@ -29,10 +29,9 @@ use pcnna_electronics::dram::DramTraffic;
 use pcnna_electronics::energy::EnergyLedger;
 use pcnna_electronics::sram::{CacheSim, CacheStats};
 use pcnna_electronics::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Busy time per pipeline stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageBusy {
     /// Front end: cache + DAC conversion (+ DRAM miss service).
     pub front_end: SimTime,
@@ -43,7 +42,7 @@ pub struct StageBusy {
 }
 
 /// Result of simulating one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Layer name.
     pub name: String,

@@ -15,10 +15,9 @@ use crate::config::PcnnaConfig;
 use crate::{CoreError, Result};
 use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_electronics::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Budgets a channel tile must satisfy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileConstraints {
     /// SRAM words available for one tile's receptive field.
     pub sram_words: u64,
@@ -46,7 +45,7 @@ impl TileConstraints {
 }
 
 /// A planned channel tiling for one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TilingPlan {
     /// The original layer.
     pub layer: String,

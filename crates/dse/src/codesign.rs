@@ -27,10 +27,9 @@ use crate::pareto::ParetoFrontier;
 use crate::{DseError, Result};
 use pcnna_fleet::prelude::*;
 use pcnna_fleet::workload::NetworkClass;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a co-design ranking.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodesignConfig {
     /// How many frontier designs (by ascending latency) to field.
     pub top_k: usize,
@@ -66,7 +65,7 @@ impl Default for CodesignConfig {
 }
 
 /// One ranked fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodesignRow {
     /// Human-readable fleet label (`uniform-xxxxxxxx` or `mixed`).
     pub label: String,

@@ -38,7 +38,6 @@ use pcnna_core::feasibility::FeasibilityModel;
 use pcnna_core::power::{PowerAssumptions, PowerModel};
 use pcnna_photonics::constants::SPEED_OF_LIGHT;
 use pcnna_photonics::link::BroadcastWeightLink;
-use serde::{Deserialize, Serialize};
 
 /// Power ratio of adjacent-channel crosstalk: the two nearest WDM
 /// neighbours leak through a ring's Lorentzian drop response evaluated one
@@ -54,7 +53,7 @@ pub fn crosstalk_ratio(q_factor: f64, spacing_hz: f64, center_m: f64) -> f64 {
 /// The evaluated objectives (plus diagnostics) of one candidate on one
 /// workload. `Copy` + `PartialEq` so cache hits can be checked for
 /// bit-identity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// The evaluated candidate's fingerprint (cache key).
     pub fingerprint: u64,

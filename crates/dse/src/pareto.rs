@@ -11,10 +11,9 @@
 
 use crate::objectives::DesignPoint;
 use crate::space::Candidate;
-use serde::{Deserialize, Serialize};
 
 /// A non-dominated design and its evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontierEntry {
     /// The design.
     pub candidate: Candidate,
@@ -23,7 +22,7 @@ pub struct FrontierEntry {
 }
 
 /// The set of mutually non-dominated designs seen so far.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParetoFrontier {
     entries: Vec<FrontierEntry>,
 }

@@ -18,11 +18,10 @@ use crate::{DseError, Result};
 use pcnna_fleet::par::par_map_slice;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Counters describing one search run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Fresh (non-memoized) evaluations performed.
     pub evaluated: u64,
@@ -136,7 +135,7 @@ pub fn grid_sweep(
 }
 
 /// Parameters of the seeded evolutionary search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvolutionConfig {
     /// Candidates proposed per generation.
     pub population: usize,

@@ -22,7 +22,6 @@ use pcnna_electronics::adc::AdcModel;
 use pcnna_electronics::clock::ClockDomain;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of knobs in a [`DesignSpace`].
 pub const N_KNOBS: usize = 7;
@@ -30,11 +29,11 @@ pub const N_KNOBS: usize = 7;
 /// One value index per knob, in [`DesignSpace`] field order:
 /// `[n_input_dacs, n_adcs, adc_bits, fast_clock_ghz, allocations,
 /// channel_spacing_ghz, ring_radius_um]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KnobChoice(pub [usize; N_KNOBS]);
 
 /// One complete accelerator design: hardware config + spectral budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
     /// The hardware configuration.
     pub config: PcnnaConfig,
@@ -298,7 +297,7 @@ fn eat_budget(h: &mut Fnv, b: &SpectralBudget) {
 
 /// Enumerable/sampleable value lists for every explored knob, plus the
 /// base design point the knobs are applied to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpace {
     /// Parallel input-DAC counts.
     pub n_input_dacs: Vec<usize>,

@@ -7,7 +7,6 @@
 
 use crate::time::SimTime;
 use crate::{ElectronicError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Nominal-minus-effective resolution of a multi-GSa/s converter, bits.
 /// Aperture jitter and comparator noise at full rate cost roughly two
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 pub const ENOB_LOSS_BITS: u8 = 2;
 
 /// One ADC: rate, effective resolution, power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdcModel {
     /// Conversion rate, samples/s.
     pub rate_sps: f64,
@@ -91,7 +90,7 @@ impl AdcModel {
 }
 
 /// A bank of identical ADCs digitizing a batch in parallel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdcArray {
     /// Per-ADC model.
     pub adc: AdcModel,

@@ -7,10 +7,9 @@
 //! empty on pop) which surface as pipeline bubbles.
 
 use crate::{ElectronicError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Occupancy statistics of a FIFO.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BufferStats {
     /// Successful pushes.
     pub pushes: u64,

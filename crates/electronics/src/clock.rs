@@ -7,14 +7,11 @@
 
 use crate::time::SimTime;
 use crate::{ElectronicError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A clock domain with a fixed frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockDomain {
-    // The name is a static label for reports; deserialized configs get an
-    // empty label (frequency is the semantically meaningful part).
-    #[serde(skip_deserializing, default)]
+    // A static label for reports; the frequency is the semantic part.
     name: &'static str,
     frequency_hz: f64,
 }

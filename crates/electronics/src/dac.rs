@@ -7,10 +7,9 @@
 
 use crate::time::SimTime;
 use crate::{ElectronicError, Result};
-use serde::{Deserialize, Serialize};
 
 /// One DAC: rate, resolution, area, power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DacModel {
     /// Conversion rate, samples/s.
     pub rate_sps: f64,
@@ -80,7 +79,7 @@ impl DacModel {
 /// The paper's input path has 10 of these; a batch of `n` values takes
 /// `ceil(n / n_dacs)` sequential conversions — exactly eq. (8)'s
 /// `nc·m·s / NDAC` when `n = nc·m·s`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DacArray {
     /// Per-DAC model.
     pub dac: DacModel,

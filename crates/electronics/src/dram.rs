@@ -8,10 +8,9 @@
 
 use crate::time::SimTime;
 use crate::{ElectronicError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Bandwidth/latency model of the off-chip memory channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramModel {
     /// Sustained bandwidth, bytes/s.
     pub bandwidth_bytes_per_s: f64,
@@ -75,7 +74,7 @@ impl DramModel {
 }
 
 /// Running totals of DRAM traffic, split by direction and purpose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DramTraffic {
     /// Input-feature-map bytes read.
     pub input_reads: u64,

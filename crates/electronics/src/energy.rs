@@ -5,10 +5,8 @@
 //! side (converters, SRAM, DRAM) next to the photonic budget so
 //! EXPERIMENTS.md can report energy per layer as a stretch result.
 
-use serde::{Deserialize, Serialize};
-
 /// Itemised electrical energy, joules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyLedger {
     /// Input + weight DAC conversion energy.
     pub dac_j: f64,

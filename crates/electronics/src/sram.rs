@@ -9,12 +9,11 @@
 
 use crate::time::SimTime;
 use crate::{ElectronicError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
 /// Timing/area/power model of the cache macro.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramModel {
     /// Capacity in bits.
     pub capacity_bits: u64,
@@ -86,7 +85,7 @@ impl SramModel {
 }
 
 /// Hit/miss statistics of a [`CacheSim`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Accesses that found their word resident.
     pub hits: u64,

@@ -5,14 +5,10 @@
 //! integer picosecond count ([`SimTime`]) to avoid floating-point drift in
 //! long simulations, with `f64` conversions at the reporting boundary.
 
-use serde::{Deserialize, Serialize};
-
 /// An instant (or duration) in simulated time, in integer picoseconds.
 ///
 /// `u64` picoseconds cover ~213 days of simulated time — ample for any layer.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -58,10 +58,9 @@ use crate::{FleetError, Result};
 use actuator::Actuator;
 use observer::Observer;
 use policy::{Admission, ControlPolicy, FleetView};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the closed control loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlConfig {
     /// Control window length, seconds: the loop observes and acts at
     /// every multiple of this.
@@ -135,7 +134,7 @@ impl ControlConfig {
 }
 
 /// Energy-aware serving quality of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerMetrics {
     /// Total powered instance-seconds (booting and failed-but-powered
     /// included; parked excluded).
@@ -195,7 +194,7 @@ pub fn uncontrolled_power_metrics(
 }
 
 /// One control window's footprint in the report trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowTrace {
     /// Window end, seconds.
     pub t_s: f64,
@@ -221,7 +220,7 @@ pub struct WindowTrace {
 
 /// The result of one closed-loop run: the ordinary [`FleetReport`]
 /// plus the control plane's own ledgers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlledReport {
     /// The merged fleet report (identical semantics to `simulate()`).
     pub report: FleetReport,

@@ -12,7 +12,6 @@ use crate::engine::core::CellEngine;
 use crate::engine::FleetScenario;
 use crate::metrics::LatencyHistogram;
 use crate::telemetry::TraceSink;
-use serde::{Deserialize, Serialize};
 
 /// Everything the control policy sees about one elapsed window.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// quantiles come from the histogram delta (≤1% relative error);
 /// instance counts are the state *at the window boundary*, after every
 /// event at or before it was processed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowObservation {
     /// Window ordinal, starting at 0.
     pub index: u64,

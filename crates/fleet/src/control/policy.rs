@@ -23,10 +23,9 @@
 //! the class that cannot.
 
 use super::observer::WindowObservation;
-use serde::{Deserialize, Serialize};
 
 /// Per-class admission stance for the next window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// Admit everything (the queue-capacity bound still applies).
     Open,
@@ -37,7 +36,7 @@ pub enum Admission {
 }
 
 /// One window's control decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlAction {
     /// Desired provisioned instances (active + booting). The actuator
     /// clamps this to `[min_active, fleet size]` and to `max_step`
@@ -85,7 +84,7 @@ impl ControlAction {
 
 /// Static facts about the fleet a policy plans against (derived once
 /// per run from the scenario, quotes, and control config).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetView {
     /// Fleet size (the scale-up ceiling).
     pub n_instances: usize,
@@ -165,7 +164,7 @@ fn overload_guard(
 /// everything, never shed. With `initial_active = fleet size` this
 /// reproduces [`simulate`](crate::engine::FleetScenario::simulate)
 /// bit for bit (the pass-through invariant the tests pin).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Hold;
 
 impl ControlPolicy for Hold {
@@ -189,7 +188,7 @@ impl ControlPolicy for Hold {
 /// windows. The dead band between the thresholds plus the cooldown is
 /// classic hysteresis: it keeps boot-cost-paying flapping out of the
 /// loop at the price of reacting a boot-time late on every ramp.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReactivePolicy {
     /// Load factor above which the fleet scales up (default 0.75).
     pub scale_up_load: f64,
@@ -278,7 +277,7 @@ impl ControlPolicy for ReactivePolicy {
 /// [`target_util`](Self::target_util) of estimated capacity, leaving
 /// headroom for forecast error; the queue backlog adds a drain term so
 /// a missed burst is worked off rather than carried forever.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictivePolicy {
     /// Level smoothing factor α (default 0.4).
     pub alpha: f64,

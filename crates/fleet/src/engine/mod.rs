@@ -64,13 +64,12 @@ use pcnna_core::config::PcnnaConfig;
 use pcnna_core::power::PowerAssumptions;
 use pcnna_core::serving::{service_quote, QuoteRequest, ServiceQuote};
 use pcnna_photonics::degradation::DegradationLimits;
-use serde::{Deserialize, Serialize};
 
 use self::core::CellEngine;
 use self::shard::CellSpec;
 
 /// A complete serving experiment description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetScenario {
     /// The served networks with SLOs and traffic weights.
     pub classes: Vec<NetworkClass>,
@@ -102,10 +101,8 @@ pub struct FleetScenario {
     /// RNG seed (arrivals + class sampling).
     pub seed: u64,
     /// Timed hardware fault schedule (empty = pristine hardware).
-    #[serde(default)]
     pub faults: FaultTimeline,
     /// Serviceability envelope used when requoting degraded instances.
-    #[serde(default)]
     pub limits: DegradationLimits,
     /// Accuracy-aware dispatch. When `true`, an instance whose quoted
     /// top-1 accuracy has drifted below a class's
@@ -117,7 +114,6 @@ pub struct FleetScenario {
     /// completions below the floor land in the served-below-accuracy
     /// ledger — but routing ignores it, which is the pre-accuracy
     /// behavior bit for bit.
-    #[serde(default)]
     pub accuracy_routing: bool,
 }
 

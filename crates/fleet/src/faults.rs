@@ -39,10 +39,9 @@ use pcnna_core::config::PcnnaConfig;
 use pcnna_photonics::degradation::{
     DegradationLimits, DegradationTimeline, FaultProfile, HealthState,
 };
-use serde::{Deserialize, Serialize};
 
 /// What happens to one instance at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// Apply a health snapshot and re-derive the instance's quotes.
     Degrade(HealthState),
@@ -59,7 +58,7 @@ pub enum FaultAction {
 }
 
 /// One timed fault aimed at one accelerator instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Simulation time of the event, seconds.
     pub at_s: f64,
@@ -114,7 +113,7 @@ impl FaultEvent {
 }
 
 /// A chronological fault schedule for a whole fleet.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultTimeline {
     events: Vec<FaultEvent>,
 }
@@ -231,7 +230,7 @@ impl FaultTimeline {
 }
 
 /// The named chaos scenarios of the standing CI matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChaosKind {
     /// A fleet-wide ambient excursion: staggered onsets push every
     /// instance past its drift budget, forcing a recalibration storm
@@ -293,7 +292,7 @@ impl ChaosKind {
 }
 
 /// Knobs shared by every chaos generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
     /// Serviceability envelope the generated stories are judged
     /// against (also what the engine uses to requote).

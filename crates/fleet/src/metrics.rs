@@ -9,8 +9,6 @@
 //! sort-based path for small samples and for certifying the histogram in
 //! tests.
 
-use serde::{Deserialize, Serialize};
-
 /// Sub-bucket resolution bits of [`LatencyHistogram`]: 2⁷ = 128 linear
 /// sub-buckets per octave, so a bin spans at most `1/128 ≈ 0.78%` of its
 /// value — the quantile error bound below.
@@ -37,7 +35,7 @@ const INDEX_BASE: u64 = ((1023 + MIN_EXP as i64) as u64) << SUB_BITS;
 /// The bin array is a fixed [`LatencyHistogram::BIN_COUNT`] slots
 /// (~40 KiB) regardless of how many samples are recorded — recording is
 /// O(1), allocation-free, and a 10×-longer run costs zero extra memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     bins: Vec<u64>,
     count: u64,
@@ -236,7 +234,7 @@ impl LatencyHistogram {
 }
 
 /// Order statistics of a latency sample, seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencySummary {
     /// Median.
     pub p50_s: f64,
@@ -301,7 +299,7 @@ impl LatencySummary {
 }
 
 /// Per-class slice of a fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassReport {
     /// Class name.
     pub name: String,
@@ -311,12 +309,10 @@ pub struct ClassReport {
     pub completed: u64,
     /// Requests of this class deliberately dropped from the queue by the
     /// control plane (load shedding) after admission.
-    #[serde(default)]
     pub shed: u64,
     /// Requests of this class admitted but never served and not shed —
     /// stranded at end of run (fault-caused or backlog). Per class,
     /// `admitted = completed + unserved + shed`.
-    #[serde(default)]
     pub unserved: u64,
     /// Fraction of completed requests that met their SLO deadline.
     pub slo_attainment: f64,
@@ -325,18 +321,15 @@ pub struct ClassReport {
     /// floor. Per class, `on_accuracy + below_accuracy = completed` —
     /// the accuracy ledger partitions completions exactly as the SLO
     /// ledger does.
-    #[serde(default)]
     pub on_accuracy: u64,
     /// Completions quoted **below** the class's accuracy floor — served
     /// anyway because accuracy routing was off (or no compliant
     /// instance existed when routing chose). Distinct from late: a
     /// request can be on time yet below accuracy, or both.
-    #[serde(default)]
     pub below_accuracy: u64,
     /// Fraction of completed requests served at or above the class's
     /// accuracy floor (`on_accuracy / completed`; 0 when none
     /// completed, the same convention as `slo_attainment`).
-    #[serde(default)]
     pub accuracy_attainment: f64,
     /// Latency order statistics.
     pub latency: LatencySummary,
@@ -344,13 +337,12 @@ pub struct ClassReport {
     /// histogram of a sharded run equals the bin-wise sum of its parts,
     /// so downstream consumers (the telemetry timeline, offline
     /// analysis) can re-window or re-quantile without re-running.
-    #[serde(default)]
     pub histogram: LatencyHistogram,
 }
 
 /// Resilience accounting for a run with a fault timeline. All-zero
 /// (with availability 1.0) for a pristine run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceStats {
     /// Fault-timeline events applied.
     pub fault_events: u64,
@@ -374,7 +366,6 @@ pub struct ResilienceStats {
     /// Admitted requests deliberately dropped from the queue by the
     /// control plane (load shedding). Distinct from `unserved`: shed
     /// requests were sacrificed by policy, not stranded by faults.
-    #[serde(default)]
     pub shed: u64,
     /// Admitted requests left unserved because no instance could take
     /// them before the run ended (every survivor drained; conservation:
@@ -383,7 +374,6 @@ pub struct ResilienceStats {
     /// Completions served below their class's accuracy floor (summed
     /// over classes; see [`ClassReport::below_accuracy`]). Zero under
     /// accuracy routing unless a floor was violated mid-flight.
-    #[serde(default)]
     pub below_accuracy: u64,
 }
 
@@ -430,7 +420,7 @@ impl ResilienceStats {
 }
 
 /// The result of one fleet simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Requests generated by the arrival process within the horizon.
     pub offered: u64,
@@ -468,7 +458,6 @@ pub struct FleetReport {
     /// completed, the `slo_attainment` convention). Whenever every
     /// floor is 0 this is 1.0 for any non-empty run — the pre-accuracy
     /// scenarios report full attainment.
-    #[serde(default)]
     pub accuracy_attainment: f64,
     /// Latency order statistics over all completed requests.
     pub latency: LatencySummary,
@@ -476,7 +465,6 @@ pub struct FleetReport {
     pub per_class: Vec<ClassReport>,
     /// Resilience accounting (all-zero, availability 1.0, when the
     /// scenario carried no fault timeline).
-    #[serde(default)]
     pub resilience: ResilienceStats,
 }
 

@@ -1,9 +1,11 @@
-//! Minimal deterministic JSON for scenario files.
+//! Minimal deterministic JSON: the workspace's one codec.
 //!
-//! The workspace's `serde` is an offline no-op facade (its derives
-//! expand to nothing), so the scenario format carries its own codec:
-//! a small value model, a strict parser, and a deterministic renderer.
-//! Two properties matter more than generality here:
+//! Scenario files parse and render through it, and so does every
+//! emitted record — telemetry traces and timelines, and the bench
+//! bins' `BENCH_*.json` artifacts — so float spelling, string escaping
+//! and `null` are decided here and nowhere else. It is a small value
+//! model, a strict parser, and a deterministic renderer. Two
+//! properties matter more than generality here:
 //!
 //! * **Losslessness.** Floats render via `f64`'s `Debug` formatting,
 //!   which is shortest-roundtrip (`render(x).parse::<f64>() == x`
@@ -221,9 +223,9 @@ impl Json {
 
 /// Shortest-roundtrip float rendering. `Debug` always emits a `.` or
 /// an exponent, so a rendered [`Json::Num`] never re-parses as
-/// [`Json::Int`]. Non-finite values have no JSON spelling; the specs
-/// this module serializes are validated finite first, so `null` is a
-/// defensive fallback, not a supported encoding.
+/// [`Json::Int`]. Non-finite values have no JSON spelling, so they
+/// render as `null`; callers that need to tell them apart validate
+/// finiteness first.
 fn render_f64(n: f64) -> String {
     if n.is_finite() {
         format!("{n:?}")
@@ -472,6 +474,12 @@ pub fn str(s: impl Into<String>) -> Json {
     Json::Str(s.into())
 }
 
+/// `Json::Obj`, from `(key, value)` pairs kept in the order given.
+#[must_use]
+pub fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,7 +541,7 @@ mod tests {
 
     #[test]
     fn object_order_is_preserved() {
-        let v = Json::Obj(vec![("z".to_owned(), int(1)), ("a".to_owned(), int(2))]);
+        let v = obj([("z", int(1)), ("a", int(2))]);
         assert_eq!(v.render(), r#"{"z":1,"a":2}"#);
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
     }

@@ -1,4 +1,4 @@
-//! Declarative scenario files: a serde-style JSON format for fleet
+//! Declarative scenario files: a strict JSON format for fleet
 //! experiments.
 //!
 //! A [`ScenarioSpec`] is the on-disk description of one serving
@@ -12,10 +12,8 @@
 //! (floats are shortest-roundtrip, integers exact — see
 //! [`json`]) and **deterministically** (same spec ⇒ same bytes).
 //!
-//! The workspace's vendored `serde` facade is inert (its derives
-//! expand to nothing), so this module carries its own codec in
-//! [`json`]; the `#[derive(Serialize, Deserialize)]` annotations on
-//! the engine types remain for real-serde compatibility.
+//! The codec lives in [`json`]; it is also the one every report,
+//! bench record and telemetry trace in the workspace renders through.
 //!
 //! Parsing is strict in the `try_from` style: unknown keys, missing
 //! required fields, non-finite or negative times, out-of-range
@@ -85,6 +83,7 @@ use crate::{FleetError, Result};
 use json::Json;
 use pcnna_core::config::PcnnaConfig;
 use pcnna_photonics::degradation::{DegradationLimits, HealthState};
+use std::collections::HashMap;
 
 /// One served class in a scenario file: a model-zoo network name plus
 /// its SLO and traffic weight.
@@ -422,6 +421,12 @@ pub struct CompiledScenario {
     pub control: Option<ControlSpec>,
 }
 
+/// The largest fleet a scenario file may describe, summed over its
+/// instance groups: above the 100k-instance perf leg, the largest
+/// fleet any in-repo caller builds, so [`ScenarioSpec::compile`] never
+/// expands a file into an unbounded allocation.
+pub const MAX_INSTANCES: usize = 1 << 20;
+
 fn invalid(reason: String) -> FleetError {
     FleetError::InvalidScenario { reason }
 }
@@ -504,10 +509,21 @@ impl ScenarioSpec {
         if self.instances.is_empty() {
             return Err(invalid("instance list must be non-empty".to_owned()));
         }
+        let mut fleet = 0usize;
         for (g, spec) in self.instances.iter().enumerate() {
             if spec.count == 0 {
                 return Err(invalid(format!("instance group {g} has count 0")));
             }
+            fleet = fleet
+                .checked_add(spec.count)
+                .filter(|&n| n <= MAX_INSTANCES)
+                .ok_or_else(|| {
+                    invalid(format!(
+                        "instance group {g} count {} takes the fleet past \
+                         {MAX_INSTANCES} instances",
+                        spec.count
+                    ))
+                })?;
             for (label, v) in [
                 ("input_dacs", spec.input_dacs),
                 ("adcs", spec.adcs),
@@ -553,24 +569,25 @@ impl ScenarioSpec {
                 self.limits
             )));
         }
-        let n_instances = self.n_instances();
         match &self.faults {
             FaultSpec::Events(events) => {
-                FaultTimeline::try_from_events(events.clone(), n_instances)
+                FaultTimeline::try_from_events(events.clone(), fleet)
                     .map_err(|e| invalid(format!("fault timeline: {e}")))?;
                 // The file's per-instance order is the replay order for
                 // same-instant events; require it monotone so what you
-                // read is what runs.
-                let mut last_at = vec![f64::NEG_INFINITY; n_instances];
+                // read is what runs. Keyed by instance, so the check
+                // is sized by the events, not the fleet.
+                let mut last_at: HashMap<usize, f64> = HashMap::new();
                 for (k, e) in events.iter().enumerate() {
-                    if e.at_s < last_at[e.instance] {
+                    let last = last_at.entry(e.instance).or_insert(e.at_s);
+                    if e.at_s < *last {
                         return Err(invalid(format!(
                             "fault event {k} at t={} precedes an earlier event for \
                              instance {} — per-instance event order must be monotone",
                             e.at_s, e.instance
                         )));
                     }
-                    last_at[e.instance] = e.at_s;
+                    *last = e.at_s;
                 }
             }
             FaultSpec::Chaos {
@@ -593,10 +610,14 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Total fleet size the instance groups expand to.
+    /// Total fleet size the instance groups expand to, saturating at
+    /// `usize::MAX` ([`validate`](Self::validate) rejects any total
+    /// above [`MAX_INSTANCES`]).
     #[must_use]
     pub fn n_instances(&self) -> usize {
-        self.instances.iter().map(|g| g.count).sum()
+        self.instances
+            .iter()
+            .fold(0, |n: usize, g| n.saturating_add(g.count))
     }
 
     /// Expands and validates the spec into runnable engine inputs.
@@ -669,55 +690,55 @@ impl ScenarioSpec {
     /// emits).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("name".into(), json::str(&self.name)),
-            ("seed".into(), json::int(self.seed)),
-            ("horizon_s".into(), json::num(self.horizon_s)),
-            ("arrival".into(), arrival_to_json(&self.arrival)),
-            ("policy".into(), json::str(policy_name(self.policy))),
+        let mut fields: Vec<(&str, Json)> = vec![
+            ("name", json::str(&self.name)),
+            ("seed", json::int(self.seed)),
+            ("horizon_s", json::num(self.horizon_s)),
+            ("arrival", arrival_to_json(&self.arrival)),
+            ("policy", json::str(policy_name(self.policy))),
             (
-                "classes".into(),
+                "classes",
                 Json::Arr(
                     self.classes
                         .iter()
                         .map(|c| {
-                            Json::Obj(vec![
-                                ("network".into(), json::str(&c.network)),
-                                ("slo_s".into(), json::num(c.slo_s)),
-                                ("weight".into(), json::num(c.weight)),
-                                ("min_accuracy".into(), json::num(c.min_accuracy)),
+                            json::obj([
+                                ("network", json::str(&c.network)),
+                                ("slo_s", json::num(c.slo_s)),
+                                ("weight", json::num(c.weight)),
+                                ("min_accuracy", json::num(c.min_accuracy)),
                             ])
                         })
                         .collect(),
                 ),
             ),
             (
-                "instances".into(),
+                "instances",
                 Json::Arr(self.instances.iter().map(instance_to_json).collect()),
             ),
-            ("max_batch".into(), json::int(self.max_batch)),
-            ("queue_capacity".into(), json::uint(self.queue_capacity)),
-            ("resident_weights".into(), Json::Bool(self.resident_weights)),
-            ("accuracy_routing".into(), Json::Bool(self.accuracy_routing)),
+            ("max_batch", json::int(self.max_batch)),
+            ("queue_capacity", json::uint(self.queue_capacity)),
+            ("resident_weights", Json::Bool(self.resident_weights)),
+            ("accuracy_routing", Json::Bool(self.accuracy_routing)),
             (
-                "limits".into(),
-                Json::Obj(vec![
+                "limits",
+                json::obj([
                     (
-                        "max_ambient_excursion_k".into(),
+                        "max_ambient_excursion_k",
                         json::num(self.limits.max_ambient_excursion_k),
                     ),
                     (
-                        "min_laser_power_factor".into(),
+                        "min_laser_power_factor",
                         json::num(self.limits.min_laser_power_factor),
                     ),
                 ]),
             ),
-            ("faults".into(), faults_to_json(&self.faults)),
+            ("faults", faults_to_json(&self.faults)),
         ];
         if let Some(control) = &self.control {
-            fields.push(("control".into(), control_to_json(control)));
+            fields.push(("control", control_to_json(control)));
         }
-        Json::Obj(fields)
+        json::obj(fields)
     }
 
     /// Renders the spec as pretty-printed JSON with a trailing
@@ -930,34 +951,33 @@ fn reject_unknown(value: &Json, known: &[&str], what: &str) -> Result<()> {
 
 fn arrival_to_json(arrival: &ArrivalProcess) -> Json {
     match *arrival {
-        ArrivalProcess::Poisson { rate_rps } => Json::Obj(vec![(
-            "poisson".into(),
-            Json::Obj(vec![("rate_rps".into(), json::num(rate_rps))]),
-        )]),
+        ArrivalProcess::Poisson { rate_rps } => {
+            json::obj([("poisson", json::obj([("rate_rps", json::num(rate_rps))]))])
+        }
         ArrivalProcess::Mmpp {
             low_rps,
             high_rps,
             dwell_low_s,
             dwell_high_s,
-        } => Json::Obj(vec![(
-            "mmpp".into(),
-            Json::Obj(vec![
-                ("low_rps".into(), json::num(low_rps)),
-                ("high_rps".into(), json::num(high_rps)),
-                ("dwell_low_s".into(), json::num(dwell_low_s)),
-                ("dwell_high_s".into(), json::num(dwell_high_s)),
+        } => json::obj([(
+            "mmpp",
+            json::obj([
+                ("low_rps", json::num(low_rps)),
+                ("high_rps", json::num(high_rps)),
+                ("dwell_low_s", json::num(dwell_low_s)),
+                ("dwell_high_s", json::num(dwell_high_s)),
             ]),
         )]),
         ArrivalProcess::Diurnal {
             base_rps,
             peak_rps,
             period_s,
-        } => Json::Obj(vec![(
-            "diurnal".into(),
-            Json::Obj(vec![
-                ("base_rps".into(), json::num(base_rps)),
-                ("peak_rps".into(), json::num(peak_rps)),
-                ("period_s".into(), json::num(period_s)),
+        } => json::obj([(
+            "diurnal",
+            json::obj([
+                ("base_rps", json::num(base_rps)),
+                ("peak_rps", json::num(peak_rps)),
+                ("period_s", json::num(period_s)),
             ]),
         )]),
     }
@@ -1022,23 +1042,23 @@ fn class_from_json(value: &Json) -> Result<ClassSpec> {
 }
 
 fn instance_to_json(spec: &InstanceSpec) -> Json {
-    let mut fields = vec![("count".into(), json::uint(spec.count))];
+    let mut fields = vec![("count", json::uint(spec.count))];
     if let Some(n) = spec.input_dacs {
-        fields.push(("input_dacs".into(), json::uint(n)));
+        fields.push(("input_dacs", json::uint(n)));
     }
     if let Some(n) = spec.adcs {
-        fields.push(("adcs".into(), json::uint(n)));
+        fields.push(("adcs", json::uint(n)));
     }
     if let Some(n) = spec.weight_dacs {
-        fields.push(("weight_dacs".into(), json::uint(n)));
+        fields.push(("weight_dacs", json::uint(n)));
     }
     if let Some(p) = spec.ring_pitch_m {
-        fields.push(("ring_pitch_m".into(), json::num(p)));
+        fields.push(("ring_pitch_m", json::num(p)));
     }
     if let Some(b) = spec.bytes_per_value {
-        fields.push(("bytes_per_value".into(), json::int(b)));
+        fields.push(("bytes_per_value", json::int(b)));
     }
-    Json::Obj(fields)
+    json::obj(fields)
 }
 
 fn instance_from_json(value: &Json) -> Result<InstanceSpec> {
@@ -1082,17 +1102,11 @@ fn limits_from_json(value: &Json) -> Result<DegradationLimits> {
 // ---- faults --------------------------------------------------------
 
 fn health_to_json(h: &HealthState) -> Json {
-    Json::Obj(vec![
-        ("ambient_delta_k".into(), json::num(h.ambient_delta_k)),
-        ("laser_power_factor".into(), json::num(h.laser_power_factor)),
-        (
-            "dead_input_channels".into(),
-            json::uint(h.dead_input_channels),
-        ),
-        (
-            "dead_output_channels".into(),
-            json::uint(h.dead_output_channels),
-        ),
+    json::obj([
+        ("ambient_delta_k", json::num(h.ambient_delta_k)),
+        ("laser_power_factor", json::num(h.laser_power_factor)),
+        ("dead_input_channels", json::uint(h.dead_input_channels)),
+        ("dead_output_channels", json::uint(h.dead_output_channels)),
     ])
 }
 
@@ -1122,10 +1136,10 @@ fn health_from_json(value: &Json) -> Result<HealthState> {
 fn action_to_json(action: &FaultAction) -> Json {
     match action {
         FaultAction::Fail => json::str("fail"),
-        FaultAction::Degrade(h) => Json::Obj(vec![("degrade".into(), health_to_json(h))]),
-        FaultAction::Recalibrate { duration_s } => Json::Obj(vec![(
-            "recalibrate".into(),
-            Json::Obj(vec![("duration_s".into(), json::num(*duration_s))]),
+        FaultAction::Degrade(h) => json::obj([("degrade", health_to_json(h))]),
+        FaultAction::Recalibrate { duration_s } => json::obj([(
+            "recalibrate",
+            json::obj([("duration_s", json::num(*duration_s))]),
         )]),
     }
 }
@@ -1157,16 +1171,16 @@ fn action_from_json(value: &Json) -> Result<FaultAction> {
 
 fn faults_to_json(faults: &FaultSpec) -> Json {
     match faults {
-        FaultSpec::Events(events) => Json::Obj(vec![(
-            "events".into(),
+        FaultSpec::Events(events) => json::obj([(
+            "events",
             Json::Arr(
                 events
                     .iter()
                     .map(|e| {
-                        Json::Obj(vec![
-                            ("at_s".into(), json::num(e.at_s)),
-                            ("instance".into(), json::uint(e.instance)),
-                            ("action".into(), action_to_json(&e.action)),
+                        json::obj([
+                            ("at_s", json::num(e.at_s)),
+                            ("instance", json::uint(e.instance)),
+                            ("action", action_to_json(&e.action)),
                         ])
                     })
                     .collect(),
@@ -1176,12 +1190,12 @@ fn faults_to_json(faults: &FaultSpec) -> Json {
             kind,
             recalibration_s,
             seed,
-        } => Json::Obj(vec![(
-            "chaos".into(),
-            Json::Obj(vec![
-                ("kind".into(), json::str(kind.name())),
-                ("recalibration_s".into(), json::num(*recalibration_s)),
-                ("seed".into(), json::int(*seed)),
+        } => json::obj([(
+            "chaos",
+            json::obj([
+                ("kind", json::str(kind.name())),
+                ("recalibration_s", json::num(*recalibration_s)),
+                ("seed", json::int(*seed)),
             ]),
         )]),
     }
@@ -1250,23 +1264,20 @@ fn faults_from_json(value: &Json) -> Result<FaultSpec> {
 
 fn control_to_json(control: &ControlSpec) -> Json {
     let policy = match control.policy {
-        PolicySpec::Hold => Json::Obj(vec![("kind".into(), json::str("hold"))]),
+        PolicySpec::Hold => json::obj([("kind", json::str("hold"))]),
         PolicySpec::Reactive {
             scale_up_load,
             scale_down_load,
             p99_guard_frac,
             accuracy_guard,
             cooldown_windows,
-        } => Json::Obj(vec![
-            ("kind".into(), json::str("reactive")),
-            ("scale_up_load".into(), json::num(scale_up_load)),
-            ("scale_down_load".into(), json::num(scale_down_load)),
-            ("p99_guard_frac".into(), json::num(p99_guard_frac)),
-            ("accuracy_guard".into(), json::num(accuracy_guard)),
-            (
-                "cooldown_windows".into(),
-                json::int(u64::from(cooldown_windows)),
-            ),
+        } => json::obj([
+            ("kind", json::str("reactive")),
+            ("scale_up_load", json::num(scale_up_load)),
+            ("scale_down_load", json::num(scale_down_load)),
+            ("p99_guard_frac", json::num(p99_guard_frac)),
+            ("accuracy_guard", json::num(accuracy_guard)),
+            ("cooldown_windows", json::int(u64::from(cooldown_windows))),
         ]),
         PolicySpec::Predictive {
             alpha,
@@ -1274,27 +1285,27 @@ fn control_to_json(control: &ControlSpec) -> Json {
             target_util,
             p99_guard_frac,
             accuracy_guard,
-        } => Json::Obj(vec![
-            ("kind".into(), json::str("predictive")),
-            ("alpha".into(), json::num(alpha)),
-            ("beta".into(), json::num(beta)),
-            ("target_util".into(), json::num(target_util)),
-            ("p99_guard_frac".into(), json::num(p99_guard_frac)),
-            ("accuracy_guard".into(), json::num(accuracy_guard)),
+        } => json::obj([
+            ("kind", json::str("predictive")),
+            ("alpha", json::num(alpha)),
+            ("beta", json::num(beta)),
+            ("target_util", json::num(target_util)),
+            ("p99_guard_frac", json::num(p99_guard_frac)),
+            ("accuracy_guard", json::num(accuracy_guard)),
         ]),
     };
     let cfg = &control.config;
-    Json::Obj(vec![
-        ("policy".into(), policy),
+    json::obj([
+        ("policy", policy),
         (
-            "config".into(),
-            Json::Obj(vec![
-                ("window_s".into(), json::num(cfg.window_s)),
-                ("boot_s".into(), json::num(cfg.boot_s)),
-                ("min_active".into(), json::uint(cfg.min_active)),
-                ("initial_active".into(), json::uint(cfg.initial_active)),
-                ("max_step".into(), json::uint(cfg.max_step)),
-                ("idle_power_w".into(), json::num(cfg.idle_power_w)),
+            "config",
+            json::obj([
+                ("window_s", json::num(cfg.window_s)),
+                ("boot_s", json::num(cfg.boot_s)),
+                ("min_active", json::uint(cfg.min_active)),
+                ("initial_active", json::uint(cfg.initial_active)),
+                ("max_step", json::uint(cfg.max_step)),
+                ("idle_power_w", json::num(cfg.idle_power_w)),
             ]),
         ),
     ])
@@ -1621,133 +1632,88 @@ mod tests {
             };
             assert!(spec.validate().is_err(), "{label} must be rejected");
         }
+        // fleet sizes a file can ask for: a total that overflows
+        // `usize`, and one far past MAX_INSTANCES next to a fault event
+        // (the per-instance order check is sized by the events)
+        let fail = Json::parse(r#"{"events":[{"at_s":0.01,"instance":0,"action":"fail"}]}"#);
+        for (label, groups) in [
+            (
+                "overflowing fleet",
+                r#"[{"count":9223372036854775808},{"count":9223372036854775808}]"#,
+            ),
+            ("oversized fleet", r#"[{"count":1000000000000000}]"#),
+        ] {
+            let Json::Obj(mut fields) = Json::parse(&good).unwrap() else {
+                unreachable!()
+            };
+            for (k, v) in &mut fields {
+                match k.as_str() {
+                    "instances" => *v = Json::parse(groups).unwrap(),
+                    "faults" => *v = fail.clone().unwrap(),
+                    _ => {}
+                }
+            }
+            let err = ScenarioSpec::parse(&Json::Obj(fields).render()).unwrap_err();
+            assert!(err.to_string().contains("count"), "{label}: {err}");
+        }
     }
 
     #[test]
     fn validation_rejects_degenerate_specs() {
         let ok = demo_spec();
         assert!(ok.validate().is_ok());
-        let cases: Vec<(&str, ScenarioSpec)> = vec![
-            (
-                "empty name",
-                ScenarioSpec {
-                    name: String::new(),
-                    ..ok.clone()
-                },
-            ),
-            (
-                "bad name",
-                ScenarioSpec {
-                    name: "no spaces".to_owned(),
-                    ..ok.clone()
-                },
-            ),
-            (
-                "empty classes",
-                ScenarioSpec {
-                    classes: vec![],
-                    ..ok.clone()
-                },
-            ),
-            (
-                "empty instances",
-                ScenarioSpec {
-                    instances: vec![],
-                    ..ok.clone()
-                },
-            ),
-            (
-                "zero count",
-                ScenarioSpec {
-                    instances: vec![InstanceSpec::defaults(0)],
-                    ..ok.clone()
-                },
-            ),
-            (
-                "zero batch",
-                ScenarioSpec {
-                    max_batch: 0,
-                    ..ok.clone()
-                },
-            ),
-            (
-                "zero queue",
-                ScenarioSpec {
-                    queue_capacity: 0,
-                    ..ok.clone()
-                },
-            ),
-            (
-                "inf horizon",
-                ScenarioSpec {
-                    horizon_s: f64::INFINITY,
-                    ..ok.clone()
-                },
-            ),
-            (
-                "nan horizon",
-                ScenarioSpec {
-                    horizon_s: f64::NAN,
-                    ..ok.clone()
-                },
-            ),
-            (
-                "bad slo",
-                ScenarioSpec {
-                    classes: vec![ClassSpec {
-                        network: "lenet5".to_owned(),
-                        slo_s: 0.0,
-                        weight: 1.0,
-                        min_accuracy: 0.0,
-                    }],
-                    ..ok.clone()
-                },
-            ),
-            (
-                "min_accuracy above 1",
-                ScenarioSpec {
-                    classes: vec![ClassSpec {
-                        network: "lenet5".to_owned(),
-                        slo_s: 0.001,
-                        weight: 1.0,
-                        min_accuracy: 1.5,
-                    }],
-                    ..ok.clone()
-                },
-            ),
-            (
-                "negative min_accuracy",
-                ScenarioSpec {
-                    classes: vec![ClassSpec {
-                        network: "lenet5".to_owned(),
-                        slo_s: 0.001,
-                        weight: 1.0,
-                        min_accuracy: -0.1,
-                    }],
-                    ..ok.clone()
-                },
-            ),
-            (
-                "bad chaos recal",
-                ScenarioSpec {
-                    faults: FaultSpec::Chaos {
-                        kind: ChaosKind::HeatWave,
-                        recalibration_s: 0.0,
-                        seed: 0,
-                    },
-                    ..ok.clone()
-                },
-            ),
-            (
-                "bad arrival",
-                ScenarioSpec {
-                    arrival: ArrivalProcess::Poisson { rate_rps: 0.0 },
-                    ..ok.clone()
-                },
-            ),
+        // (case, the field its reason must name, the edit that breaks it)
+        type Edit = fn(&mut ScenarioSpec);
+        let cases: [(&str, &str, Edit); 16] = [
+            ("empty name", "name", |s| s.name.clear()),
+            ("bad name", "name", |s| s.name = "no spaces".to_owned()),
+            ("empty classes", "class", |s| s.classes.clear()),
+            ("empty instances", "instance", |s| s.instances.clear()),
+            ("zero count", "count", |s| s.instances[0].count = 0),
+            ("zero batch", "max_batch", |s| s.max_batch = 0),
+            ("zero queue", "queue_capacity", |s| s.queue_capacity = 0),
+            ("inf horizon", "horizon_s", |s| s.horizon_s = f64::INFINITY),
+            ("nan horizon", "horizon_s", |s| s.horizon_s = f64::NAN),
+            ("bad slo", "slo_s", |s| s.classes[1].slo_s = 0.0),
+            ("min_accuracy above 1", "min_accuracy", |s| {
+                s.classes[1].min_accuracy = 1.5;
+            }),
+            ("negative min_accuracy", "min_accuracy", |s| {
+                s.classes[1].min_accuracy = -0.1;
+            }),
+            ("bad chaos recal", "recalibration_s", |s| {
+                if let FaultSpec::Chaos {
+                    recalibration_s, ..
+                } = &mut s.faults
+                {
+                    *recalibration_s = 0.0;
+                }
+            }),
+            ("bad arrival", "rate_rps", |s| {
+                s.arrival = ArrivalProcess::Poisson { rate_rps: 0.0 };
+            }),
+            ("fleet total overflows usize", "count", |s| {
+                s.instances = vec![InstanceSpec::defaults(usize::MAX / 2 + 1); 2];
+            }),
+            ("fleet total above MAX_INSTANCES", "count", |s| {
+                s.instances = vec![
+                    InstanceSpec::defaults(MAX_INSTANCES),
+                    InstanceSpec::defaults(1),
+                ];
+            }),
         ];
-        for (label, spec) in cases {
-            assert!(spec.validate().is_err(), "{label} must be rejected");
+        for (label, field, edit) in cases {
+            let mut spec = ok.clone();
+            edit(&mut spec);
+            match spec.validate() {
+                Err(FleetError::InvalidScenario { reason }) => {
+                    assert!(
+                        reason.contains(field),
+                        "{label}: {reason:?} must name {field}"
+                    );
+                }
+                other => panic!("{label} must be rejected, got {other:?}"),
+            }
         }
     }
 

@@ -15,11 +15,10 @@
 //! by the partition, not by who executes it.
 
 use crate::workload::Request;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Which class an idle instance serves next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Serve the class whose head request arrived first (global FIFO over
     /// heads; batching still amortizes within the chosen class).

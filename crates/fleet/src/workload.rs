@@ -12,10 +12,9 @@ use pcnna_cnn::network::Network;
 use pcnna_cnn::zoo;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A served network: its conv stack, SLO, and share of the traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkClass {
     /// Class name (used in per-class reporting).
     pub name: String,
@@ -35,7 +34,6 @@ pub struct NetworkClass {
     ///
     /// [`AccuracyQuote::top1_accuracy`]: pcnna_core::serving::AccuracyQuote
     /// [`FleetScenario::accuracy_routing`]: crate::engine::FleetScenario::accuracy_routing
-    #[serde(default)]
     pub min_accuracy: f64,
 }
 
@@ -108,7 +106,7 @@ impl NetworkClass {
 /// A weighted set of [`NetworkClass`]es. The weight total is computed
 /// once at construction ([`sample_class`](TrafficMix::sample_class) runs
 /// once per simulated request).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficMix {
     classes: Vec<NetworkClass>,
     total_weight: f64,
@@ -226,7 +224,7 @@ impl ClassSampler {
 }
 
 /// One inference request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Monotone sequence number.
     pub id: u64,
@@ -239,7 +237,7 @@ pub struct Request {
 }
 
 /// The request arrival process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Homogeneous Poisson arrivals.
     Poisson {

@@ -383,6 +383,62 @@ proptest! {
 
 /// The chaos-matrix scenario shape at CI smoke size, as a function of
 /// the seed.
+/// Parses every line of a trace's JSONL rendering (a [`FleetTrace`],
+/// then any window samples) and checks it reads back exactly: floats
+/// bit for bit, sentinel ids and a missing accuracy as `null`.
+fn assert_jsonl_reads_back(jsonl: &str, trace: &FleetTrace, windows: &[WindowSample]) {
+    use pcnna_fleet::scenario::json::Json;
+    use pcnna_fleet::telemetry::{NO_CLASS, NO_INSTANCE, NO_REQUEST};
+    let lines: Vec<Json> = jsonl
+        .lines()
+        .map(|l| Json::parse(l).expect("every JSONL line parses"))
+        .collect();
+    assert_eq!(lines.len(), 1 + trace.events.len() + windows.len());
+    assert_eq!(
+        lines[0].get("events_recorded").and_then(Json::as_u64),
+        Some(trace.profile.events_recorded)
+    );
+    let bits = |line: &Json, key: &str| line.get(key).and_then(Json::as_f64).map(f64::to_bits);
+    for (line, ev) in lines[1..].iter().zip(&trace.events) {
+        assert_eq!(bits(line, "t_s"), Some(ev.t_s.to_bits()), "{ev:?}");
+        for (key, v, sentinel) in [
+            ("id", ev.id, NO_REQUEST),
+            ("class", ev.class.into(), NO_CLASS.into()),
+            ("instance", ev.instance.into(), NO_INSTANCE.into()),
+        ] {
+            let got = line.get(key).expect("every event carries every id");
+            if v == sentinel {
+                assert_eq!(got, &Json::Null, "{key} of {ev:?}");
+            } else {
+                assert_eq!(got.as_u64(), Some(v), "{key} of {ev:?}");
+            }
+        }
+        if ev.accuracy < 0.0 {
+            assert_eq!(line.get("accuracy"), Some(&Json::Null), "{ev:?}");
+        } else {
+            assert_eq!(
+                bits(line, "accuracy"),
+                Some(ev.accuracy.to_bits()),
+                "{ev:?}"
+            );
+        }
+    }
+    for (line, w) in lines[1 + trace.events.len()..].iter().zip(windows) {
+        assert_eq!(
+            bits(line, "t_s"),
+            Some(w.t_s.to_bits()),
+            "window {}",
+            w.index
+        );
+        assert_eq!(
+            bits(line, "utilization"),
+            Some(w.utilization.to_bits()),
+            "window {}",
+            w.index
+        );
+    }
+}
+
 fn chaos_base(seed: u64) -> FleetScenario {
     FleetScenario {
         classes: vec![
@@ -641,6 +697,20 @@ proptest! {
             prop_assert!(
                 oracle_trace.profile.events_recorded > 0,
                 "{kind:?}: the sampler must catch something at stride 16"
+            );
+            assert_jsonl_reads_back(&oracle_jsonl, &oracle_trace, &[]);
+            let (_, telemetry) = scenario
+                .simulate_controlled_traced(
+                    &ControlConfig::default(),
+                    &mut ReactivePolicy::new(),
+                    &tcfg,
+                )
+                .unwrap();
+            prop_assert!(!telemetry.timeline.samples().is_empty());
+            assert_jsonl_reads_back(
+                &telemetry.render_jsonl(),
+                &telemetry.trace,
+                telemetry.timeline.samples(),
             );
             // tracing is observation only: the report is the untraced one
             let plain = scenario.simulate_sharded(1, 1).unwrap();

@@ -1,6 +1,6 @@
 //! Property-based contracts of the scenario DSL (ISSUE 8 satellite):
 //!
-//! * serde round-trip is lossless — spec → JSON text → spec is
+//! * the JSON codec round-trip is lossless — spec → JSON text → spec is
 //!   identity, and re-rendering reproduces the bytes;
 //! * a round-tripped scenario simulates **bit-identically** to the
 //!   original, across shard counts {1, 4};

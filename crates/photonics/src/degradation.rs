@@ -28,7 +28,6 @@ use crate::weight_bank::MrrWeightBank;
 use crate::{PhotonicError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// An instantaneous health snapshot of one PCNNA device.
 ///
@@ -36,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// thermal recalibration re-tunes every ring at the then-current
 /// ambient, so the drift that matters afterwards is the excursion since
 /// that lock, not since the factory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthState {
     /// Ambient temperature excursion since the last ring lock, kelvin.
     pub ambient_delta_k: f64,
@@ -125,7 +124,7 @@ impl HealthState {
 }
 
 /// The serviceability envelope a fleet holds its accelerators to.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationLimits {
     /// Largest ambient excursion (kelvin, since the last ring lock) the
     /// weight tolerance allows. Beyond it the programmed weights are
@@ -183,7 +182,7 @@ impl DegradationLimits {
 }
 
 /// A generator shape for one device's physical degradation story.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultProfile {
     /// An ambient excursion that ramps up, holds, and ramps back — a
     /// datacenter cooling event compressed to the simulated horizon.
@@ -228,7 +227,7 @@ pub enum FaultProfile {
 /// One device's health over time: a chronological list of piecewise-
 /// constant [`HealthState`] snapshots, deterministically generated from
 /// a seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradationTimeline {
     events: Vec<(f64, HealthState)>,
 }

@@ -7,12 +7,11 @@
 //! wall-plug consumption.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{PhotonicError, Result};
 
 /// A single-wavelength laser diode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaserDiode {
     /// Mean emitted optical power, watts.
     pub power_w: f64,
@@ -96,7 +95,7 @@ impl LaserDiode {
 }
 
 /// An array of identical laser diodes, one per WDM channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaserArray {
     diode: LaserDiode,
     count: usize,

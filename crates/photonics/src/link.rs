@@ -15,7 +15,6 @@
 //! to convert photocurrent back into numbers.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::laser::{LaserArray, LaserDiode};
 use crate::microring::RingParams;
@@ -27,7 +26,7 @@ use crate::weight_bank::{CalibrationReport, MrrWeightBank};
 use crate::{PhotonicError, Result};
 
 /// Configuration of a broadcast-and-weight link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Microring parameters for every ring of every bank.
     pub ring: RingParams,

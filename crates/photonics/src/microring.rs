@@ -19,10 +19,9 @@
 //! purely positive optical quantity — the key trick of broadcast-and-weight.
 
 use crate::{PhotonicError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Physical parameters of one add-drop microring.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingParams {
     /// Loaded quality factor.
     pub q_factor: f64,
@@ -112,7 +111,7 @@ impl RingParams {
 }
 
 /// One tunable add-drop microring assigned to a carrier wavelength.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Microring {
     params: RingParams,
     /// Carrier wavelength this ring weights, metres.

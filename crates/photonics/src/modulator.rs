@@ -10,10 +10,9 @@
 //! and extinction floor.
 
 use crate::{PhotonicError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A Mach-Zehnder intensity modulator with pre-distorted drive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mzm {
     /// Half-wave voltage, volts.
     pub v_pi: f64,

@@ -6,7 +6,6 @@
 //! into the two numbers architects actually compare: SNR (dB) and ENOB.
 
 use crate::degradation::HealthState;
-use serde::{Deserialize, Serialize};
 
 /// Ring detuning per kelvin of uncompensated ambient drift, in ring
 /// half-linewidths: the ~75 pm/K silicon thermo-optic walk-off over the
@@ -56,7 +55,7 @@ pub fn health_snr_penalty_db(health: &HealthState) -> f64 {
 }
 
 /// An additive noise budget: named variance contributions against a signal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoiseBudget {
     /// Full-scale signal amplitude (same unit family as the noise terms'
     /// square roots; e.g. amperes).

@@ -8,13 +8,12 @@
 //! noise (shot + thermal), which set the analog precision of the MAC.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::constants::{BOLTZMANN, ELEMENTARY_CHARGE, ROOM_TEMPERATURE};
 use crate::{PhotonicError, Result};
 
 /// A PIN photodiode with a transimpedance load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Photodiode {
     /// Responsivity, A/W.
     pub responsivity_a_w: f64,
@@ -101,7 +100,7 @@ impl Photodiode {
 /// between a drop bus (detected by the + diode) and a through bus (the −
 /// diode); the differential current is proportional to the signed weighted
 /// sum, and common-mode terms (dark current) cancel.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BalancedPair {
     /// The (identical) diodes of the pair.
     pub diode: Photodiode,

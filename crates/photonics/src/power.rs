@@ -5,10 +5,8 @@
 //! [`PhotonicPowerBudget`] aggregates the front-end draw so the core crate
 //! can report energy per inference alongside execution time.
 
-use serde::{Deserialize, Serialize};
-
 /// Itemised electrical power of the photonic subsystem, watts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhotonicPowerBudget {
     /// Laser wall-plug power.
     pub lasers_w: f64,

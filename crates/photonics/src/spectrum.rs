@@ -7,10 +7,9 @@
 //! bank's spectral structure matches its programmed weights.
 
 use crate::weight_bank::MrrWeightBank;
-use serde::{Deserialize, Serialize};
 
 /// One point of a spectrum scan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectrumPoint {
     /// Probe wavelength, metres.
     pub wavelength_m: f64,

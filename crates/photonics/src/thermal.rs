@@ -11,10 +11,9 @@
 
 use crate::weight_bank::MrrWeightBank;
 use crate::{PhotonicError, Result};
-use serde::{Deserialize, Serialize};
 
 /// First-order thermal disturbance model for a linear bank layout.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     /// Fraction of a ring's own thermal shift that leaks into its nearest
     /// neighbour; decays geometrically with ring distance.

@@ -6,8 +6,6 @@
 //! physical route length and the fan-out, and it is what ultimately bounds
 //! how many kernels can share one broadcast bus at a given laser power.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{PhotonicError, Result};
 
 /// Converts dB to a linear power factor.
@@ -23,7 +21,7 @@ pub fn linear_to_db(linear: f64) -> f64 {
 }
 
 /// Passive-loss model of an on-chip optical route.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaveguideModel {
     /// Propagation loss, dB/cm.
     pub loss_db_per_cm: f64,
@@ -90,7 +88,7 @@ impl WaveguideModel {
 }
 
 /// End-to-end optical link budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkBudget {
     /// Launched per-channel power, dBm.
     pub launch_dbm: f64,

@@ -9,7 +9,6 @@
 
 use crate::constants::SPEED_OF_LIGHT;
 use crate::{PhotonicError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Conventional C-band limits (metres).
 pub const C_BAND_MIN_M: f64 = 1530e-9;
@@ -17,7 +16,7 @@ pub const C_BAND_MIN_M: f64 = 1530e-9;
 pub const C_BAND_MAX_M: f64 = 1565e-9;
 
 /// A uniform WDM channel grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WdmGrid {
     center_m: f64,
     spacing_hz: f64,

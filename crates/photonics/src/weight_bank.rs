@@ -15,17 +15,16 @@
 use crate::microring::{Microring, RingParams};
 use crate::wavelength::WdmGrid;
 use crate::{PhotonicError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A serial bank of microrings weighting the channels of a [`WdmGrid`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MrrWeightBank {
     grid: WdmGrid,
     rings: Vec<Microring>,
 }
 
 /// Result of a calibration run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationReport {
     /// Iterations performed.
     pub iterations: usize,

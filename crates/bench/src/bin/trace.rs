@@ -220,7 +220,7 @@ fn main() {
     );
     let p = &telemetry.trace.profile;
     println!(
-        "  profile: {} wheel pushes / {} pops, {} dispatch scans, {} quote lookups, \
+        "  profile: {} wheel pushes / {} pops, {} dispatch bitset words, {} quote lookups, \
          {} merge folds, {} requests sampled",
         p.wheel_pushes,
         p.wheel_pops,

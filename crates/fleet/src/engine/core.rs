@@ -35,6 +35,14 @@
 //! placement, and the full degradation/failover
 //! protocol (degrade ⇒ requote, fail ⇒ abort + front-of-queue failover
 //! + refund, recalibrate ⇒ drain/offline/re-lock).
+//!
+//! Placement reads bitsets, never instance records: instances are
+//! kept per quote row, and idle ones per loaded class, so "the fastest
+//! instance for a class" and "the deepest class an idle instance
+//! already holds" are answered from at most two candidates per live
+//! row, whatever the number of instances or of distinct health
+//! states. Debug builds check both answers against an
+//! instance-by-instance scan on every dispatch.
 
 use super::shard::CellSpec;
 use super::wheel::{EventTime, TimingWheel, WheelEvent};
@@ -245,6 +253,19 @@ fn serviceable(q: &QuoteF, accuracy_routing: bool, min_accuracy: f64) -> bool {
     !accuracy_routing || q.top1 >= min_accuracy
 }
 
+/// The index of the first set bit in a bitset read word by word,
+/// adding `cost` to `read` per word read (the words an AND of `cost`
+/// runs loads).
+fn first_set(words: impl Iterator<Item = u64>, cost: u64, read: &mut u64) -> Option<usize> {
+    for (w, word) in words.enumerate() {
+        *read += cost;
+        if word != 0 {
+            return Some((w << 6) + word.trailing_zeros() as usize);
+        }
+    }
+    None
+}
+
 /// Everything one cell accumulated, in the exact shape
 /// [`merge::assemble`](super::merge::assemble) folds back into a
 /// [`FleetReport`](crate::metrics::FleetReport). Counters are exact
@@ -315,20 +336,20 @@ pub(crate) struct CellEngine<'a, S: TraceSink = NullSink> {
     fault_idx: usize,
     // --- struct-of-arrays instance state -----------------------------
     //
-    // Every per-instance record is a flat parallel array of primitives:
-    // the dispatch scans walk `eligible_bits` (a bitset whose set bits
-    // are exactly the up-and-idle instances, in index order) and read
-    // the other arrays by index — no `Option` discriminants, no
-    // struct-of-structs padding, and the saturated case touches
-    // `n/64` words instead of `n` records.
+    // Every per-instance record is a flat parallel array of primitives.
+    // Placement never walks instances: it reads three families of
+    // bitsets over them (eligible, per row, per loaded class), in index
+    // order, so a dispatch touches O(live rows × classes × words) words
+    // — `n/64` per run — instead of `n` records.
     //
     /// The interned quote table, row-major `row × local classes`: one
     /// immutable row per distinct `(config, health)` key the cell has
     /// met, appended in first-seen order and never rewritten. The
     /// first rows, one per distinct config, are the `(config,
-    /// nominal)` entries built at construction, so a homogeneous fleet
-    /// stores one row however many instances it has, and a heat wave
-    /// adds one row per distinct drift step, not one per fault event.
+    /// nominal)` entries built at construction, so a single-config
+    /// fleet stores one row however many instances it has, and a heat
+    /// wave adds one row per distinct drift step, not one per fault
+    /// event.
     quote_rows: Vec<QuoteF>,
     /// Serviceability per (row, local class), parallel to `quote_rows`.
     serviceable_rows: Vec<bool>,
@@ -342,8 +363,20 @@ pub(crate) struct CellEngine<'a, S: TraceSink = NullSink> {
     row_config: Vec<u32>,
     /// Instances whose `quote_row` points at each row.
     row_users: Vec<u32>,
-    /// Rows with at least one user.
-    rows_in_use: usize,
+    /// The rows with at least one user, in no particular order — the
+    /// only rows a dispatch visits, so its cost follows the states the
+    /// fleet is in now, not every state it ever met.
+    live_rows: Vec<u32>,
+    /// Each row's position in `live_rows` (meaningless while the row
+    /// has no users).
+    live_slot: Vec<u32>,
+    /// Per-row membership bitsets, one run of `words` u64 per interned
+    /// row: bit `i` of run `r` is set ⇔ `quote_row[i] == r`. The runs
+    /// partition the instances, so a row's idle instances are its run
+    /// ANDed with `eligible_bits`. Membership changes only at a
+    /// requote, never at a dispatch or completion, so the hot path
+    /// maintains nothing here.
+    row_members: Vec<u64>,
     queues: ClassQueues,
     /// Handle of the in-flight batch, or [`NO_BATCH`].
     busy: Vec<u32>,
@@ -352,31 +385,16 @@ pub(crate) struct CellEngine<'a, S: TraceSink = NullSink> {
     loaded: Vec<u32>,
     busy_time_s: Vec<f64>,
     /// Bitset over instances: bit set ⇔ up with no batch in flight.
-    /// The dispatch scans iterate its set bits in index order — the
-    /// branch-light linear pass that replaced the O(instances)
-    /// filter-scan of the struct-of-structs engine.
     eligible_bits: Vec<u64>,
     /// Count of set bits in `eligible_bits` — the dispatch fast path:
     /// when zero (a saturated or fully offline cell), arrivals skip the
-    /// placement scan entirely, which is what keeps large fleets from
-    /// paying O(instances) per arrival.
+    /// placement queries entirely, which is what keeps large fleets
+    /// from paying anything per arrival beyond the queue push.
     eligible_count: usize,
     /// Per-class eligibility bitsets, `n_classes` runs of
     /// `eligible_bits.len()` words each: bit `i` of run `c` is set ⇔
     /// instance `i` is eligible **and** holds class `c`'s weights.
-    /// Maintained alongside `eligible_bits` so the homogeneous-cell
-    /// dispatch fast path can answer "first/deepest loaded match" in
-    /// O(words) instead of walking every eligible instance.
     class_bits: Vec<u64>,
-    /// Whether every instance shares one quote row (`rows_in_use <=
-    /// 1`). While true, dispatch uses the O(words) bitset fast paths;
-    /// a requote that splits an instance from its siblings clears it
-    /// and the scans fall back to the general per-instance walk, and
-    /// the requote that brings the last one back sets it again.
-    homogeneous: bool,
-    /// `row × n_classes` of the shared row while `homogeneous` — where
-    /// the uniform fast paths read their quotes.
-    uniform_base: usize,
     /// Completion events, epoch-cancellable.
     completions: TimingWheel,
     /// Recalibration-restore events, epoch-cancellable.
@@ -489,17 +507,15 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
                 )
             })
             .collect();
+        // Every instance starts up and idle (eligible), in its config row.
         let words = n_instances.div_ceil(64);
-        let mut eligible_bits = vec![u64::MAX; words];
-        if let Some(last) = eligible_bits.last_mut() {
-            let tail = n_instances % 64;
-            if tail != 0 {
-                *last = (1u64 << tail) - 1;
-            }
-            if n_instances == 0 {
-                *last = 0;
-            }
+        let mut eligible_bits = vec![0u64; words];
+        let mut row_members = vec![0u64; row_users.len() * words];
+        for (i, &r) in quote_row.iter().enumerate() {
+            eligible_bits[i >> 6] |= 1 << (i & 63);
+            row_members[r as usize * words + (i >> 6)] |= 1 << (i & 63);
         }
+        let n_rows = u32::try_from(row_users.len()).expect("row count fits u32");
         CellEngine {
             scenario,
             classes: spec.classes.clone(),
@@ -518,10 +534,10 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
             quote_row,
             row_of_key,
             row_config,
-            rows_in_use: row_users.len(),
-            homogeneous: row_users.len() <= 1,
-            uniform_base: 0,
             row_users,
+            live_rows: (0..n_rows).collect(),
+            live_slot: (0..n_rows).collect(),
+            row_members,
             queues: ClassQueues::new(n_classes),
             busy: vec![NO_BATCH; n_instances],
             inflight: InflightArena::default(),
@@ -1234,8 +1250,9 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
     /// accuracy routing, a quote below the class's accuracy floor does
     /// the same — the pair is refused, not served below spec.
     ///
-    /// Moving the instance updates the rows' user counts, so the cell
-    /// is `homogeneous` again as soon as every instance shares one row.
+    /// Moving the instance updates the rows' user counts and the
+    /// live-row list, and moves its membership bit from the old row's
+    /// run to the new one's.
     fn requote(&mut self, instance: usize) {
         self.res.requotes += 1;
         if self.n_classes == 0 {
@@ -1250,26 +1267,32 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
                 let row = u32::try_from(self.row_users.len()).expect("row count fits u32");
                 self.derive_row(instance);
                 self.row_users.push(0);
+                self.live_slot.push(0);
                 self.row_config.push(config);
                 self.row_of_key.insert(key, row);
                 row
             }
         };
+        if old == row {
+            return;
+        }
         self.quote_row[instance] = row;
-        if old != row {
-            self.row_users[old as usize] -= 1;
-            if self.row_users[old as usize] == 0 {
-                self.rows_in_use -= 1;
-            }
-            self.row_users[row as usize] += 1;
-            if self.row_users[row as usize] == 1 {
-                self.rows_in_use += 1;
+        let words = self.eligible_bits.len();
+        let (word, bit) = (instance >> 6, 1u64 << (instance & 63));
+        self.row_members[old as usize * words + word] ^= bit;
+        self.row_members[row as usize * words + word] ^= bit;
+        self.row_users[old as usize] -= 1;
+        if self.row_users[old as usize] == 0 {
+            let slot = self.live_slot[old as usize] as usize;
+            self.live_rows.swap_remove(slot);
+            if let Some(&moved) = self.live_rows.get(slot) {
+                self.live_slot[moved as usize] = slot as u32;
             }
         }
-        self.homogeneous = self.rows_in_use <= 1;
-        if self.homogeneous {
-            // the one row in use is the one `instance` now points at
-            self.uniform_base = row as usize * self.n_classes;
+        self.row_users[row as usize] += 1;
+        if self.row_users[row as usize] == 1 {
+            self.live_slot[row as usize] = self.live_rows.len() as u32;
+            self.live_rows.push(row);
         }
     }
 
@@ -1294,6 +1317,9 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
             self.quote_rows.push(q);
             self.serviceable_rows.push(ok);
         }
+        // the new row's run: no instance is in it yet
+        let words = self.eligible_bits.len();
+        self.row_members.resize(self.row_members.len() + words, 0);
     }
 
     /// Whether a batch of `class` on `instance` skips the weight-load
@@ -1329,31 +1355,151 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
     /// Whether `instance` may take a new batch at all: in service and
     /// not already serving one. Failed, draining, and recalibrating
     /// instances all have `F_UP` cleared. Mirrors the `eligible_bits`
-    /// bitset, which the scans below walk instead of calling this.
+    /// bitset, which placement reads instead of calling this.
     fn eligible(&self, instance: usize) -> bool {
         self.flags[instance] & F_UP != 0 && self.busy[instance] == NO_BATCH
     }
 
     /// The eligible instance that would complete a batch of `class`
-    /// earliest, if any can serve it at all. Walks the eligibility
-    /// bitset word-at-a-time, so a mostly-busy cell costs O(n/64).
-    /// Ties keep the lowest index (`<`, first minimum), matching
-    /// `Iterator::min_by` over an ascending scan.
-    fn fastest_for(&self, class: usize) -> Option<usize> {
-        if self.homogeneous {
-            let fast = self.fastest_for_uniform(class);
-            debug_assert_eq!(
-                fast,
-                self.fastest_for_scan(class),
-                "uniform-cell placement fast path diverged from the general scan"
-            );
-            return fast;
+    /// earliest, if any can serve it at all; ties keep the lowest index
+    /// (the first minimum of an ascending walk). Adds the bitset words
+    /// it reads to `read`.
+    ///
+    /// Within one row a batch's service time takes two values, with or
+    /// without the weight reload, and `weight_load_s ≥ 0` makes the
+    /// loaded one never slower. So each live row that can serve `class`
+    /// offers at most two candidates — its first eligible instance
+    /// holding `class`'s weights and its first eligible instance — and
+    /// the answer is the cheapest, lowest-index candidate across rows;
+    /// debug builds check it against [`Self::fastest_for_scan`]. A cell
+    /// with one live row holds every instance in it, so its idle
+    /// instances and holders are `eligible_bits` and `class`'s run as
+    /// they stand, without the AND.
+    fn fastest_for(&self, class: usize, read: &mut u64) -> Option<usize> {
+        let n = (self.queues.class_len(class) as u64).min(self.scenario.max_batch) as f64;
+        let resident = self.scenario.resident_weights;
+        let words = self.eligible_bits.len();
+        let holders = &self.class_bits[class * words..][..words];
+        let one_row = self.live_rows.len() == 1;
+        let mut best: Option<(f64, usize)> = None;
+        let mut offer = |s: f64, i: usize| {
+            let better = match best {
+                None => s < f64::INFINITY,
+                Some((best_s, best_i)) => s < best_s || (s == best_s && i < best_i),
+            };
+            if better {
+                best = Some((s, i));
+            }
+        };
+        for &row in &self.live_rows {
+            let idx = row as usize * self.n_classes + class;
+            if !self.serviceable_rows[idx] {
+                continue;
+            }
+            let q = &self.quote_rows[idx];
+            let members = &self.row_members[row as usize * words..][..words];
+            let first = if one_row {
+                first_set(self.eligible_bits.iter().copied(), 1, read)
+            } else {
+                let idle = members.iter().zip(&self.eligible_bits);
+                first_set(idle.map(|(m, e)| m & e), 2, read)
+            };
+            let Some(first) = first else {
+                continue;
+            };
+            if resident && self.loaded[first] == class as u32 {
+                offer(q.per_frame_s * n, first);
+                continue;
+            }
+            offer(q.weight_load_s + q.per_frame_s * n, first);
+            if resident {
+                let loaded = if one_row {
+                    first_set(holders.iter().copied(), 1, read)
+                } else {
+                    first_set(members.iter().zip(holders).map(|(m, h)| m & h), 2, read)
+                };
+                if let Some(i) = loaded {
+                    offer(q.per_frame_s * n, i);
+                }
+            }
         }
-        self.fastest_for_scan(class)
+        let placed = best.map(|(_, i)| i);
+        // the scans exist only where this check runs
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            placed,
+            self.fastest_for_scan(class),
+            "placement bitset query diverged from the instance scan"
+        );
+        placed
     }
 
-    /// The general (heterogeneous) form of [`Self::fastest_for`]: walks
-    /// the eligibility bitset and prices every candidate.
+    /// Word `w` of the eligible instances holding `class`'s weights
+    /// whose row can serve `class`: the class run minus the members of
+    /// the live rows that cannot. Every instance is a member of one
+    /// live row, so this equals the class run ANDed with the union of
+    /// the live rows that can serve it. Adds the words read to `read`.
+    fn matchable_word(&self, class: usize, w: usize, read: &mut u64) -> u64 {
+        let words = self.eligible_bits.len();
+        let mut bits = self.class_bits[class * words + w];
+        *read += 1;
+        if bits == 0 {
+            return 0;
+        }
+        for &row in &self.live_rows {
+            if !self.serviceable_rows[row as usize * self.n_classes + class] {
+                bits &= !self.row_members[row as usize * words + w];
+                *read += 1;
+            }
+        }
+        bits
+    }
+
+    /// The affinity matched arm: the deepest queued class whose weights
+    /// an eligible instance able to serve it already holds, and of the
+    /// instances holding a deepest class, the **highest**-index one
+    /// (the last maximum of an ascending walk, `Iterator::max_by_key`'s
+    /// rule). Adds the bitset words it reads to `read`; debug builds
+    /// check the answer against [`Self::deepest_loaded_match_scan`].
+    fn deepest_loaded_match(&self, read: &mut u64) -> Option<(usize, usize)> {
+        let words = self.eligible_bits.len();
+        // (depth, highest matchable word, union of the deepest classes'
+        // matchable bits in that word)
+        let mut best: Option<(usize, usize, u64)> = None;
+        for c in 0..self.n_classes {
+            let depth = self.queues.class_len(c);
+            if depth == 0 || best.is_some_and(|(d, _, _)| depth < d) {
+                continue;
+            }
+            let Some((w, bits)) = (0..words).rev().find_map(|w| {
+                let bits = self.matchable_word(c, w, read);
+                (bits != 0).then_some((w, bits))
+            }) else {
+                continue;
+            };
+            best = match best {
+                Some((d, bw, union)) if d == depth && bw >= w => {
+                    Some((d, bw, if bw == w { union | bits } else { union }))
+                }
+                _ => Some((depth, w, bits)),
+            };
+        }
+        let matched = best.map(|(_, w, union)| {
+            let i = (w << 6) + 63 - union.leading_zeros() as usize;
+            (self.loaded[i] as usize, i)
+        });
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            matched,
+            self.deepest_loaded_match_scan(),
+            "affinity bitset query diverged from the instance scan"
+        );
+        matched
+    }
+
+    /// The reference form of [`Self::fastest_for`]: walks every
+    /// eligible instance and prices it.
+    #[cfg(any(test, debug_assertions))]
     fn fastest_for_scan(&self, class: usize) -> Option<usize> {
         let n = (self.queues.class_len(class) as u64).min(self.scenario.max_batch) as f64;
         let mut best: Option<usize> = None;
@@ -1383,110 +1529,10 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
         best
     }
 
-    /// [`Self::fastest_for`] when every instance shares one quote row
-    /// (at `uniform_base`): a batch's service time then takes at most
-    /// two values — with or without the weight reload. The first
-    /// minimum is the first eligible instance already holding `class`'s
-    /// weights, or (when none does, the reload is free, or residency is
-    /// off) the first eligible instance overall. O(words), no
-    /// per-instance arithmetic.
-    fn fastest_for_uniform(&self, class: usize) -> Option<usize> {
-        let idx = self.uniform_base + class;
-        if self.eligible_count == 0 || !self.serviceable_rows[idx] {
-            return None;
-        }
-        if self.scenario.resident_weights && self.quote_rows[idx].weight_load_s > 0.0 {
-            let words = self.eligible_bits.len();
-            let run = &self.class_bits[class * words..(class + 1) * words];
-            for (w, &word) in run.iter().enumerate() {
-                if word != 0 {
-                    return Some((w << 6) + word.trailing_zeros() as usize);
-                }
-            }
-        }
-        self.eligible_bits
-            .iter()
-            .enumerate()
-            .find(|&(_, &word)| word != 0)
-            .map(|(w, &word)| (w << 6) + word.trailing_zeros() as usize)
-    }
-
-    /// The policy's (class, instance) choice for the next dispatch.
-    ///
-    /// Classes are tried in the policy's preference order: the top
-    /// class can be unservable right now (every instance able to run it
-    /// busy, drained, or degraded past feasibility), and a single
-    /// "best class" answer would wedge the dispatcher behind it while
-    /// other queues starve next to eligible hardware.
-    fn choose(&mut self) -> Option<(usize, usize)> {
-        // Network affinity targets the reprogramming cost directly:
-        // serve a class whose weights an eligible instance already
-        // holds (the deepest such backlog); only reprogram when no
-        // queued class matches any eligible instance. Without weight
-        // residency there is no reload to save, so the matched arm is
-        // skipped and the policy degenerates to its depth-first
-        // fallback.
-        // The profiler's "dispatch scan" unit is instances examined by
-        // one candidate pass — each counted block below walks the whole
-        // instance slice once.
-        if self.scenario.policy == Policy::NetworkAffinity && self.scenario.resident_weights {
-            if S::ENABLED {
-                self.sink
-                    .count(ProfileOp::DispatchScan, self.busy.len() as u64);
-            }
-            let matched = if self.homogeneous {
-                let fast = self.deepest_loaded_match();
-                debug_assert_eq!(
-                    fast,
-                    self.deepest_loaded_match_scan(),
-                    "uniform-cell affinity fast path diverged from the general scan"
-                );
-                fast
-            } else {
-                self.deepest_loaded_match_scan()
-            };
-            if let Some(choice) = matched {
-                return Some(choice);
-            }
-        }
-        // FIFO / EDF (and the affinity fallback) serve the best
-        // servable class; placement is completion-earliest, which
-        // opportunistically reuses loaded weights. Fast path first: one
-        // allocation-free scan for the policy's top class, which is
-        // always servable while the fleet is healthy. Only when that
-        // class has no eligible instance (drained, failed, or degraded
-        // past feasibility) is the full preference ranking walked.
-        let top = self.queues.select_class(self.scenario.policy)?;
-        if S::ENABLED {
-            self.sink
-                .count(ProfileOp::DispatchScan, self.busy.len() as u64);
-        }
-        if let Some(i) = self.fastest_for(top) {
-            return Some((top, i));
-        }
-        let mut ranked = core::mem::take(&mut self.rank_buf);
-        self.queues
-            .ranked_classes(self.scenario.policy, &mut ranked);
-        let mut choice = None;
-        for &class in &ranked {
-            if S::ENABLED {
-                self.sink
-                    .count(ProfileOp::DispatchScan, self.busy.len() as u64);
-            }
-            if let Some(i) = self.fastest_for(class) {
-                choice = Some((class, i));
-                break;
-            }
-        }
-        self.rank_buf = ranked;
-        choice
-    }
-
-    /// The affinity matched arm for the general (heterogeneous) cell:
-    /// deepest queued class whose weights an eligible instance already
-    /// holds. Bitset scan; `>=` keeps the deepest backlog seen last,
-    /// matching `Iterator::max_by_key` (last maximum) over an ascending
-    /// instance walk.
+    /// The reference form of [`Self::deepest_loaded_match`]: walks
+    /// every eligible instance; `>=` keeps the deepest backlog seen
+    /// last.
+    #[cfg(any(test, debug_assertions))]
     fn deepest_loaded_match_scan(&self) -> Option<(usize, usize)> {
         let mut matched: Option<(usize, usize)> = None;
         let mut matched_depth = 0usize;
@@ -1513,45 +1559,58 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
         matched
     }
 
-    /// [`Self::deepest_loaded_match_scan`] for the homogeneous cell:
-    /// serviceability is per class (one shared row, at
-    /// `uniform_base`), so the deepest
-    /// matchable depth comes from an O(classes × words) emptiness test
-    /// on the per-class bitsets, and the winner — the **highest**-index
-    /// eligible instance holding a deepest class, matching the general
-    /// arm's last-maximum tie rule — from the top set bit of their
-    /// union. No per-instance walk.
-    fn deepest_loaded_match(&self) -> Option<(usize, usize)> {
-        let words = self.eligible_bits.len();
-        let base = self.uniform_base;
-        let mut best_depth = 0usize;
-        for c in 0..self.n_classes {
-            let depth = self.queues.class_len(c);
-            if depth > best_depth
-                && self.serviceable_rows[base + c]
-                && self.class_bits[c * words..(c + 1) * words]
-                    .iter()
-                    .any(|&w| w != 0)
-            {
-                best_depth = depth;
+    /// The policy's (class, instance) choice for the next dispatch.
+    ///
+    /// Classes are tried in the policy's preference order: the top
+    /// class can be unservable right now (every instance able to run it
+    /// busy, drained, or degraded past feasibility), and a single
+    /// "best class" answer would wedge the dispatcher behind it while
+    /// other queues starve next to eligible hardware.
+    fn choose(&mut self) -> Option<(usize, usize)> {
+        // The profiler's "dispatch scan" unit is one bitset word read
+        // by a placement query.
+        let mut read = 0u64;
+        let choice = self.choose_counted(&mut read);
+        if S::ENABLED {
+            self.sink.count(ProfileOp::DispatchScan, read);
+        }
+        choice
+    }
+
+    /// [`Self::choose`], adding the bitset words read to `read`.
+    fn choose_counted(&mut self, read: &mut u64) -> Option<(usize, usize)> {
+        // Network affinity targets the reprogramming cost directly:
+        // serve a class whose weights an eligible instance already
+        // holds (the deepest such backlog); only reprogram when no
+        // queued class matches any eligible instance. Without weight
+        // residency there is no reload to save, so the matched arm is
+        // skipped and the policy degenerates to its depth-first
+        // fallback.
+        if self.scenario.policy == Policy::NetworkAffinity && self.scenario.resident_weights {
+            let matched = self.deepest_loaded_match(read);
+            if matched.is_some() {
+                return matched;
             }
         }
-        if best_depth == 0 {
-            return None;
+        // FIFO / EDF (and the affinity fallback) serve the best
+        // servable class; placement is completion-earliest, which
+        // opportunistically reuses loaded weights. Fast path first: one
+        // query for the policy's top class, which is always servable
+        // while the fleet is healthy. Only when that class has no
+        // eligible instance (drained, failed, or degraded past
+        // feasibility) is the full preference ranking walked.
+        let top = self.queues.select_class(self.scenario.policy)?;
+        if let Some(i) = self.fastest_for(top, read) {
+            return Some((top, i));
         }
-        for w in (0..words).rev() {
-            let mut union = 0u64;
-            for c in 0..self.n_classes {
-                if self.serviceable_rows[base + c] && self.queues.class_len(c) == best_depth {
-                    union |= self.class_bits[c * words + w];
-                }
-            }
-            if union != 0 {
-                let i = (w << 6) + 63 - union.leading_zeros() as usize;
-                return Some((self.loaded[i] as usize, i));
-            }
-        }
-        None
+        let mut ranked = core::mem::take(&mut self.rank_buf);
+        self.queues
+            .ranked_classes(self.scenario.policy, &mut ranked);
+        let choice = ranked
+            .iter()
+            .find_map(|&class| self.fastest_for(class, read).map(|i| (class, i)));
+        self.rank_buf = ranked;
+        choice
     }
 
     /// Keeps dispatching while work is queued and instances are idle.
@@ -1629,11 +1688,60 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Checks the row bookkeeping against the instances themselves:
+    /// the user counts, the live-row list (exactly the rows in use,
+    /// each at its recorded slot), and every bitset run — row `r`'s run
+    /// holds exactly the instances on row `r`, class `c`'s run exactly
+    /// the eligible instances holding `c`'s weights.
+    fn assert_row_bookkeeping(cell: &CellEngine<'_>) {
+        let mut users = vec![0u32; cell.row_users.len()];
+        for &r in &cell.quote_row {
+            users[r as usize] += 1;
+        }
+        assert_eq!(users, cell.row_users);
+        let mut live = cell.live_rows.clone();
+        live.sort_unstable();
+        let in_use: Vec<u32> = (0..users.len())
+            .filter(|&r| users[r] > 0)
+            .map(|r| r as u32)
+            .collect();
+        assert_eq!(live, in_use, "the live rows are the rows in use");
+        for (slot, &r) in cell.live_rows.iter().enumerate() {
+            assert_eq!(cell.live_slot[r as usize] as usize, slot, "row {r}");
+        }
+        let words = cell.eligible_bits.len();
+        assert_eq!(cell.row_members.len(), users.len() * words);
+        let mut rows = vec![0u64; cell.row_members.len()];
+        let mut classes = vec![0u64; cell.class_bits.len()];
+        let mut eligible = vec![0u64; words];
+        for i in 0..cell.n_instances() {
+            let (w, bit) = (i >> 6, 1u64 << (i & 63));
+            rows[cell.quote_row[i] as usize * words + w] |= bit;
+            if !cell.eligible(i) {
+                continue;
+            }
+            eligible[w] |= bit;
+            if cell.loaded[i] != NO_CLASS {
+                classes[cell.loaded[i] as usize * words + w] |= bit;
+            }
+        }
+        assert_eq!(eligible, cell.eligible_bits);
+        assert_eq!(
+            cell.eligible_count,
+            cell.eligible_bits
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
+        );
+        assert_eq!(rows, cell.row_members, "row runs");
+        assert_eq!(classes, cell.class_bits, "class runs");
+    }
+
     /// Checks the intern table against the quote models: every
     /// instance's row equals a fresh `service_quote` of its current
     /// health for every class (all `QuoteF` fields, bit for bit, and
-    /// serviceability), and the user counts and `homogeneous` agree
-    /// with the rows the instances actually point at.
+    /// serviceability), and the row bookkeeping agrees with the rows
+    /// the instances actually point at.
     fn assert_rows_are_fresh(cell: &CellEngine<'_>) {
         let s = cell.scenario;
         for i in 0..cell.n_instances() {
@@ -1666,20 +1774,7 @@ mod tests {
                 }
             }
         }
-        let mut users = vec![0u32; cell.row_users.len()];
-        for &r in &cell.quote_row {
-            users[r as usize] += 1;
-        }
-        assert_eq!(users, cell.row_users);
-        let in_use = users.iter().filter(|&&u| u > 0).count();
-        assert_eq!(cell.rows_in_use, in_use);
-        assert_eq!(cell.homogeneous, in_use <= 1);
-        if cell.homogeneous {
-            assert_eq!(
-                cell.uniform_base,
-                cell.quote_row[0] as usize * cell.n_classes
-            );
-        }
+        assert_row_bookkeeping(cell);
     }
 
     fn scenario(instances: Vec<PcnnaConfig>, faults: FaultTimeline) -> FleetScenario {
@@ -1830,33 +1925,209 @@ mod tests {
         let quotes = s.quote_table().unwrap();
         let spec = CellSpec::whole_fleet(&s);
         let mut cell = CellEngine::new(&s, &quotes, &spec);
-        assert!(cell.homogeneous);
+        assert_eq!(cell.live_rows, [0]);
         cell.advance_through(0.0);
-        assert!(cell.homogeneous, "one shared drift row");
-        assert_eq!(cell.uniform_base, cell.n_classes);
+        assert_eq!(cell.live_rows, [1], "one shared drift row");
         assert_rows_are_fresh(&cell);
-        // the uniform fast paths must read the drift row, which serves
-        // nothing: these wait for the first re-lock
+        // placement must read the drift row, which serves nothing:
+        // these wait for the first re-lock
         for id in 0..8 {
             cell.admit(request(id, (id % 2) as usize, 0.0));
         }
         assert_eq!(cell.queue_len(), 8);
         cell.advance_through(last_recal_s);
-        assert!(!cell.homogeneous, "the last instance still drifts");
+        assert!(cell.live_rows.len() > 1, "the last instance still drifts");
         assert_rows_are_fresh(&cell);
         cell.advance_through(horizon_s);
-        assert!(
-            cell.homogeneous,
+        assert_eq!(
+            cell.live_rows,
+            [0],
             "every instance is back on the nominal row"
         );
-        assert_eq!(cell.uniform_base, 0);
         assert_rows_are_fresh(&cell);
-        // the re-homogenized cell dispatches through the bitset fast
-        // paths, which debug builds check against the general scans
+        // the healed cell dispatches through its one live row, which
+        // debug builds check against the instance scans
         for id in 8..72 {
             cell.admit(request(id, (id % 2) as usize, horizon_s));
         }
         let (outcome, _) = cell.finish_with_sink();
         assert_eq!(outcome.completed, 72);
+    }
+
+    /// Asserts both placement queries equal their instance scans for
+    /// every class, and read no more bitset words than their live-row
+    /// bound; returns how many of the answers placed something.
+    fn assert_queries_match_scans(cell: &CellEngine<'_>, case: usize) -> usize {
+        assert_row_bookkeeping(cell);
+        let words = cell.eligible_bits.len() as u64;
+        let live = cell.live_rows.len() as u64;
+        let mut placed = 0;
+        for c in 0..cell.n_classes {
+            let mut read = 0;
+            let got = cell.fastest_for(c, &mut read);
+            assert_eq!(got, cell.fastest_for_scan(c), "case {case} class {c}");
+            // per live row: its idle instances, then its holders, each
+            // an AND of two runs
+            assert!(read <= live * 4 * words, "case {case}: {read} words");
+            placed += usize::from(got.is_some());
+        }
+        let mut read = 0;
+        let got = cell.deepest_loaded_match(&mut read);
+        assert_eq!(got, cell.deepest_loaded_match_scan(), "case {case}");
+        // per class and word: the class word, then one per live row
+        let bound = cell.n_classes as u64 * words * (1 + live);
+        assert!(read <= bound, "case {case}: {read} words");
+        placed + usize::from(got.is_some())
+    }
+
+    #[test]
+    fn row_dispatch_matches_the_scan_oracle() {
+        let fast = PcnnaConfig::default().with_input_dacs(40);
+        let classes = vec![
+            NetworkClass::lenet5(0.010, 2.0),
+            NetworkClass::alexnet(0.050, 1.0),
+            NetworkClass::lenet5(0.020, 1.0),
+        ];
+        let probe = FleetScenario {
+            classes: classes.clone(),
+            ..FleetScenario::default()
+        };
+        let nominal_top1 = probe
+            .quote_table()
+            .unwrap()
+            .get(0, 0)
+            .accuracy
+            .top1_accuracy;
+        let limit = probe.limits.max_ambient_excursion_k;
+        let drifts = [0.0, 0.3 * limit, -0.9 * limit, 1.5 * limit];
+        let lasers = [1.0, 0.8, 0.5];
+        // (resident weights, accuracy routing, zero-reload row, configs)
+        let cases = [
+            (true, false, false, 2),
+            (true, true, true, 2),
+            (false, true, false, 2),
+            (true, false, true, 1),
+            (false, false, true, 2),
+            (true, true, false, 2),
+        ];
+        for (case, &(resident_weights, accuracy_routing, free_reload, configs)) in
+            cases.iter().enumerate()
+        {
+            let mut rng = StdRng::seed_from_u64(0x0B17_5E75 + case as u64);
+            let n = rng.gen_range(65..201usize);
+            let instances: Vec<PcnnaConfig> = (0..n)
+                .map(|_| {
+                    if configs == 2 && rng.gen_range(0..3u32) == 0 {
+                        fast
+                    } else {
+                        PcnnaConfig::default()
+                    }
+                })
+                .collect();
+            let mut s = FleetScenario {
+                classes: classes.clone(),
+                policy: Policy::NetworkAffinity,
+                resident_weights,
+                accuracy_routing,
+                ..scenario(instances, FaultTimeline::new())
+            };
+            // a floor exactly at LeNet's nominal quote: every degraded
+            // row is unserviceable for class 0 under accuracy routing
+            s.classes[0].min_accuracy = nominal_top1;
+            let quotes = s.quote_table().unwrap();
+            let spec = CellSpec::whole_fleet(&s);
+            let mut cell = CellEngine::new(&s, &quotes, &spec);
+            let classes_n = cell.n_classes;
+            if free_reload {
+                // a config row whose reload costs nothing: a loaded
+                // instance ties an unloaded one, and the lower index
+                // must win
+                let row = cell.quote_row[n - 1] as usize * classes_n;
+                for q in &mut cell.quote_rows[row..row + classes_n] {
+                    q.weight_load_s = 0.0;
+                }
+            }
+            let mut max_live = 1;
+            let mut placed = 0;
+            let mut id = 0u64;
+            for _ in 0..400 {
+                let i = rng.gen_range(0..n);
+                match rng.gen_range(0..8u32) {
+                    // degrade, mostly an idle instance
+                    0..=2 => {
+                        let idle: Vec<usize> = (0..n).filter(|&j| cell.eligible(j)).collect();
+                        let i = if idle.is_empty() || rng.gen_range(0..4u32) == 0 {
+                            i
+                        } else {
+                            idle[rng.gen_range(0..idle.len())]
+                        };
+                        let mut h = cell.health[i];
+                        match rng.gen_range(0..4u32) {
+                            0 => h.ambient_delta_k = drifts[rng.gen_range(0..drifts.len())],
+                            1 => h.laser_power_factor = lasers[rng.gen_range(0..lasers.len())],
+                            2 => h.dead_input_channels = rng.gen_range(0..3usize),
+                            _ => h = h.recalibrated(),
+                        }
+                        cell.health[i] = h;
+                        cell.requote(i);
+                    }
+                    // start a batch: busy, then holding some class (or none)
+                    3 if cell.busy[i] == NO_BATCH => {
+                        cell.busy[i] = 0;
+                        cell.refresh_eligibility(i);
+                        cell.loaded[i] = if rng.gen_range(0..4u32) == 0 {
+                            NO_CLASS
+                        } else {
+                            rng.gen_range(0..classes_n as u32)
+                        };
+                    }
+                    // finish a batch
+                    3 | 4 => {
+                        cell.busy[i] = NO_BATCH;
+                        cell.refresh_eligibility(i);
+                    }
+                    // take out of service, or bring back
+                    5 => {
+                        if cell.flag(i, F_UP) {
+                            cell.clear_flag(i, F_UP);
+                            cell.refresh_eligibility(i);
+                            cell.loaded[i] = NO_CLASS;
+                        } else {
+                            cell.set_flag(i, F_UP);
+                            cell.refresh_eligibility(i);
+                        }
+                    }
+                    // queue traffic
+                    6 => {
+                        let class = rng.gen_range(0..classes_n);
+                        for _ in 0..rng.gen_range(1..40u32) {
+                            cell.queues.push(request(id, class, 0.0));
+                            id += 1;
+                        }
+                    }
+                    _ => {
+                        let class = rng.gen_range(0..classes_n);
+                        cell.queues.pop_batch(class, rng.gen_range(1..40u64));
+                    }
+                }
+                placed += assert_queries_match_scans(&cell, case);
+                max_live = max_live.max(cell.live_rows.len());
+            }
+            assert!(max_live >= 3, "case {case}: {max_live} live rows at most");
+            assert!(placed >= 400, "case {case}: only {placed} placements");
+            // age every laser alike: the cell ends on one row per
+            // config, and the rows it left behind — the zero-reload
+            // row among them — are dead and must not be priced
+            let aged = HealthState {
+                laser_power_factor: lasers[1],
+                ..HealthState::nominal()
+            };
+            for i in 0..n {
+                cell.health[i] = aged;
+                cell.requote(i);
+                assert_queries_match_scans(&cell, case);
+            }
+            assert_eq!(cell.live_rows.len(), configs, "case {case}");
+        }
     }
 }

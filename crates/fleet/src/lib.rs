@@ -14,8 +14,7 @@
 //!   bursty [MMPP](workload::ArrivalProcess::Mmpp), sinusoidal
 //!   [diurnal](workload::ArrivalProcess::Diurnal)) over a weighted class
 //!   mix of networks from `pcnna_cnn::zoo` (the engine samples it through
-//!   the borrowed, allocation-free [`workload::ClassSampler`]; the owned
-//!   [`TrafficMix`] remains as the standalone mix description), each
+//!   the borrowed, allocation-free [`workload::ClassSampler`]), each
 //!   request tagged with its class's SLO deadline.
 //! * [`scheduler`] — batching admission policies: FIFO, earliest-deadline-
 //!   first, and network-affinity batching that amortizes the MRR
@@ -107,7 +106,7 @@ pub use metrics::{FleetReport, LatencySummary, ResilienceStats};
 pub use scenario::{CompiledScenario, ScenarioSpec};
 pub use scheduler::Policy;
 pub use telemetry::{FleetTrace, NullSink, TraceConfig, TraceSink, TracingSink};
-pub use workload::{ArrivalProcess, NetworkClass, Request, TrafficMix};
+pub use workload::{ArrivalProcess, NetworkClass, Request};
 
 /// Errors produced by the fleet simulator.
 #[derive(Debug)]
@@ -193,6 +192,6 @@ pub mod prelude {
         ControlTelemetry, FleetTrace, HealthMix, NullSink, Profile, TimeSeries, TraceConfig,
         TraceEvent, TraceEventKind, TraceSink, TracingSink, WindowSample,
     };
-    pub use crate::workload::{ArrivalProcess, ClassSampler, NetworkClass, TrafficMix};
+    pub use crate::workload::{ArrivalProcess, ClassSampler, NetworkClass};
     pub use pcnna_photonics::degradation::{DegradationLimits, HealthState};
 }

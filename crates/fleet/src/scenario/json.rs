@@ -207,10 +207,15 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a reason string with the byte offset of the problem.
+    /// Returns a reason string with the byte offset of the problem,
+    /// including arrays and objects nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -252,9 +257,18 @@ fn render_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, so this bounds its stack: a
+/// document of 200 000 `[` is an error naming the level, not a stack
+/// overflow. Committed scenario and regression files nest at most
+/// four levels deep.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -296,8 +310,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -305,6 +319,22 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper,
+    /// refusing to open a level past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting depth {} exceeds the limit of {MAX_DEPTH} at byte {}",
+                MAX_DEPTH + 1,
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -537,6 +567,25 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let deepest = Json::parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(deepest.render(), nested(MAX_DEPTH));
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.contains(&format!("depth {}", MAX_DEPTH + 1))
+                && err.contains(&format!("byte {MAX_DEPTH}")),
+            "must name the depth and offset: {err}"
+        );
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).unwrap_err().contains("nesting depth"));
     }
 
     #[test]

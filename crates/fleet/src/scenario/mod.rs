@@ -1659,6 +1659,26 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_scenario_is_an_error_not_a_stack_overflow() {
+        let committed = include_str!("../../../../scenarios/heat-wave.json");
+        assert!(ScenarioSpec::parse(committed).is_ok());
+        let bomb = committed.replacen(
+            "\"instances\": [",
+            &format!("\"instances\": {}", "[".repeat(200_000)),
+            1,
+        );
+        assert!(bomb.len() > 200_000);
+        let t0 = std::time::Instant::now();
+        let err = ScenarioSpec::parse(&bomb).unwrap_err().to_string();
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(1),
+            "{:?}",
+            t0.elapsed()
+        );
+        assert!(err.contains("nesting depth"), "got: {err}");
+    }
+
+    #[test]
     fn validation_rejects_degenerate_specs() {
         let ok = demo_spec();
         assert!(ok.validate().is_ok());

@@ -171,7 +171,7 @@ pub enum ProfileOp {
     WheelPush,
     /// Timing-wheel pops (events fired).
     WheelPop,
-    /// Instances examined by dispatch candidate scans.
+    /// Bitset words read by dispatch placement queries.
     DispatchScan,
     /// Service-quote evaluations priced for dispatched batches.
     QuoteLookup,
@@ -186,7 +186,8 @@ pub struct Profile {
     pub wheel_pushes: u64,
     /// Timing-wheel pops.
     pub wheel_pops: u64,
-    /// Instances examined across all dispatch candidate scans.
+    /// Bitset words (eligible, per-row and per-class runs) read by
+    /// all dispatch placement queries.
     pub dispatch_scans: u64,
     /// Service-quote evaluations (time + energy) priced at dispatch.
     pub quote_lookups: u64,

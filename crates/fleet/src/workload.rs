@@ -103,56 +103,10 @@ impl NetworkClass {
     }
 }
 
-/// A weighted set of [`NetworkClass`]es. The weight total is computed
-/// once at construction ([`sample_class`](TrafficMix::sample_class) runs
-/// once per simulated request).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrafficMix {
-    classes: Vec<NetworkClass>,
-    total_weight: f64,
-}
-
-impl TrafficMix {
-    /// Builds a mix.
-    #[must_use]
-    pub fn new(classes: Vec<NetworkClass>) -> Self {
-        let total_weight = classes.iter().map(|c| c.weight).sum();
-        TrafficMix {
-            classes,
-            total_weight,
-        }
-    }
-
-    /// The classes in the mix.
-    #[must_use]
-    pub fn classes(&self) -> &[NetworkClass] {
-        &self.classes
-    }
-
-    /// Draws a class index proportional to the weights.
-    ///
-    /// Documented defaults at the edges (no panics): an **empty** mix
-    /// returns 0 (there is no valid index — callers that admitted an
-    /// empty mix must not use the result), and a mix whose total
-    /// weight is zero or negative falls through to the **last** class.
-    /// Use [`ClassSampler::try_new`] to reject such mixes up front.
-    pub fn sample_class(&self, rng: &mut StdRng) -> usize {
-        let mut x = rng.gen_range(0.0..self.total_weight.max(f64::MIN_POSITIVE));
-        for (i, c) in self.classes.iter().enumerate() {
-            x -= c.weight;
-            if x <= 0.0 {
-                return i;
-            }
-        }
-        self.classes.len().saturating_sub(1)
-    }
-}
-
 /// Weighted class sampling over a *borrowed* class list.
 ///
-/// The engine builds one of these per run from `&scenario.classes` — the
-/// per-run [`TrafficMix`] it replaces had to deep-copy every class's
-/// layer stack each `simulate()` call. Construction is O(classes) once;
+/// The engine builds one of these per run from `&scenario.classes`, so
+/// no class's layer stack is copied. Construction is O(classes) once;
 /// sampling is an allocation-free binary search per request.
 #[derive(Debug, Clone)]
 pub struct ClassSampler {
@@ -208,8 +162,8 @@ impl ClassSampler {
         Ok(sampler)
     }
 
-    /// Draws a class index proportional to the weights (same convention
-    /// as [`TrafficMix::sample_class`]).
+    /// Draws a class index proportional to the weights: the first class
+    /// whose cumulative weight reaches a uniform draw over the total.
     ///
     /// Documented defaults at the edges (no panics): an **empty**
     /// sampler returns 0 (no valid index exists — don't sample an
@@ -563,13 +517,13 @@ mod tests {
 
     #[test]
     fn mix_sampling_follows_weights() {
-        let mix = TrafficMix::new(vec![
+        let sampler = ClassSampler::new(&[
             NetworkClass::lenet5(0.01, 3.0),
             NetworkClass::alexnet(0.05, 1.0),
         ]);
         let mut rng = StdRng::seed_from_u64(2);
         let n = 40_000;
-        let lenet = (0..n).filter(|_| mix.sample_class(&mut rng) == 0).count();
+        let lenet = (0..n).filter(|_| sampler.sample(&mut rng) == 0).count();
         let share = lenet as f64 / n as f64;
         assert!((share - 0.75).abs() < 0.02, "share {share}");
     }
@@ -614,9 +568,7 @@ mod tests {
     #[test]
     fn empty_and_zero_weight_mixes_use_documented_defaults() {
         let mut rng = StdRng::seed_from_u64(4);
-        // empty mix: sample_class used to underflow-panic on len() - 1
-        let empty = TrafficMix::new(vec![]);
-        assert_eq!(empty.sample_class(&mut rng), 0);
+        // empty mix: index 0, not an underflow panic on len() - 1
         let empty_sampler = ClassSampler::new(&[]);
         assert_eq!(empty_sampler.sample(&mut rng), 0);
         assert!(ClassSampler::try_new(&[]).is_err());
@@ -627,11 +579,8 @@ mod tests {
         ];
         let sampler = ClassSampler::new(&zero);
         let picks: Vec<usize> = (0..16).map(|_| sampler.sample(&mut rng)).collect();
-        assert!(picks.iter().all(|&p| p < zero.len()));
+        assert!(picks.iter().all(|&p| p < zero.len() && p == picks[0]));
         assert!(ClassSampler::try_new(&zero).is_err());
-        let mix = TrafficMix::new(zero);
-        let pick = mix.sample_class(&mut rng);
-        assert!(pick < mix.classes().len());
         // negative / NaN weights are rejected by try_new
         assert!(ClassSampler::try_new(&[NetworkClass::lenet5(0.01, -1.0)]).is_err());
         assert!(ClassSampler::try_new(&[NetworkClass::lenet5(0.01, f64::NAN)]).is_err());

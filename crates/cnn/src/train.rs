@@ -330,16 +330,6 @@ impl TinyConvNet {
         Ok(s.logits)
     }
 
-    /// Predicted class for one image.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors for mismatched inputs.
-    pub fn predict(&self, input: &Tensor) -> Result<usize> {
-        let logits = self.logits(input)?;
-        Ok(crate::metrics::argmax(&logits).unwrap_or(0))
-    }
-
     /// Fraction of the dataset classified correctly.
     ///
     /// # Errors

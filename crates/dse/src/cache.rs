@@ -1,13 +1,14 @@
 //! Memoized candidate evaluation keyed by config fingerprint.
 //!
 //! Evaluating a candidate walks the analytical, feasibility, power, and
-//! photonic-link models; an evolutionary search revisits designs
-//! constantly (mutation is local), so results are memoized by
-//! [`Candidate::fingerprint`]. A cached verdict is returned **bit
-//! identical** — [`DesignPoint`] is `Copy` and is stored exactly as the
-//! evaluator produced it — and infeasible candidates are cached too (as
-//! `None`), so a design is never re-evaluated no matter how often the
-//! search proposes it.
+//! photonic-link models. A caller that prices candidates one at a time
+//! and may repeat them memoizes the verdicts here, keyed by
+//! [`Candidate::fingerprint`]. (The searches need no memo: they dedup by
+//! fingerprint and read tabled parts, see [`crate::search`].) A cached
+//! verdict is returned **bit identical** — [`DesignPoint`] is `Copy` and
+//! is stored exactly as the evaluator produced it — and infeasible
+//! candidates are cached too (as `None`), so a design is never
+//! re-evaluated no matter how often it is offered.
 
 use crate::objectives::{DesignPoint, Evaluator};
 use crate::space::Candidate;
@@ -59,8 +60,8 @@ impl EvalCache {
         self.map.contains_key(&fingerprint)
     }
 
-    /// Stores an externally computed verdict (used by the parallel search
-    /// to fold `par_map` results in).
+    /// Stores an externally computed verdict (for example one priced on
+    /// another thread).
     pub fn insert(&mut self, fingerprint: u64, verdict: Option<DesignPoint>) {
         self.map.insert(fingerprint, verdict);
     }

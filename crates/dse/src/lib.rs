@@ -14,15 +14,20 @@
 //!   fingerprint.
 //! * [`objectives`] — the [`Evaluator`]: one named CNN workload from
 //!   `pcnna_cnn::zoo`, four objectives per candidate (latency, energy,
-//!   area proxy, SNR headroom — see the module docs for the exact sources
-//!   and the dominance rule).
+//!   area proxy, SNR headroom), priced as three parts — electronic,
+//!   spectral, link SNR — and one combine step. The module docs give the
+//!   exact sources, the dominance rule, and the map of which knob feeds
+//!   which part.
 //! * [`pareto`] — the incremental [`ParetoFrontier`] with dominance
 //!   pruning.
-//! * [`cache`] — the fingerprint-keyed [`EvalCache`]; repeat designs
-//!   return bit-identical verdicts without re-running the models.
+//! * [`cache`] — the fingerprint-keyed [`EvalCache`] for callers that
+//!   price candidates one at a time; repeat designs return bit-identical
+//!   verdicts without re-running the models.
 //! * [`search`] — exhaustive [`grid_sweep`] and the seeded [`evolve`]
-//!   evolutionary search, both fanning evaluations across threads via
-//!   `pcnna_fleet::par::par_map_slice`.
+//!   evolutionary search. Both read the parts from tables built once per
+//!   knob projection, dedup proposals by fingerprint, and may spread the
+//!   pricing across threads via `pcnna_fleet::par::par_map_slice`; the
+//!   grid sweep streams the grid in fixed-size blocks.
 //! * [`codesign`] — [`co_design`]: fields the top frontier designs as
 //!   serving fleets (uniform and mixed), replays traffic through the
 //!   `pcnna-fleet` engine, and ranks them by SLO attainment per watt.
@@ -37,10 +42,12 @@
 //! 2. all search randomness flows from one [`rand::rngs::StdRng`] seeded
 //!    by the caller;
 //! 3. parallel evaluation uses an order-preserving thread map and folds
-//!    results into the frontier sequentially in proposal order, so thread
-//!    count and scheduling cannot change the outcome;
-//! 4. cached verdicts are returned bit-identical ([`DesignPoint`] is
-//!    `Copy` and compared field-for-field in the property tests).
+//!    results into the frontier sequentially in proposal order, and each
+//!    table slot is built from its projection's canonical candidate, so
+//!    thread count and scheduling cannot change the outcome;
+//! 4. tabled and cached verdicts are bit-identical to the fresh
+//!    per-candidate evaluation ([`DesignPoint`] is `Copy` and compared
+//!    field-for-field in the property tests).
 //!
 //! Same seed ⇒ same frontier, across runs and across thread counts.
 //!

@@ -28,16 +28,44 @@
 //! config) or whose objectives come out non-finite are *infeasible*:
 //! [`Evaluator::evaluate`] returns `None` and the search counts them
 //! without inserting anything.
+//!
+//! ## The dependency map
+//!
+//! A verdict is three parts and one combine step. Each part reads only
+//! some of the [`DesignSpace`] knobs (plus the space's base config and
+//! budget, which every part may read):
+//!
+//! | part | what it holds | knobs it reads | default grid |
+//! |------|---------------|----------------|--------------|
+//! | electronic | per-layer [`AnalyticalModel`] full-system seconds (in layer order), the [`PowerModel`] energy summed at those times, converter + SRAM area; fails when the analytical model does (invalid config, SRAM overflow) | DACs, ADCs, clock, allocation | 144 |
+//! | spectral | per-layer [`FeasibilityModel`] corrected optical seconds, the summed spectral passes, the largest ring area, the usable channel count | clock, allocation, spacing, radius | 54 |
+//! | link | full-scale link SNR in dB with adjacent-channel crosstalk folded in; fails when the link's devices are invalid | clock (detection bandwidth), spacing, radius | 27 |
+//!
+//! ADC bits reach the verdict only through the combine step's SNR demand.
+//! `combine` takes the per-layer `max` and `+` and `spectrally_bound` in
+//! layer order, subtracts the demand from the link SNR, adds the ring area
+//! to the electronic area last, and rejects non-finite objectives — the
+//! association order of the single-pass evaluator, so every
+//! [`DesignPoint`] is bit-identical to it.
+//!
+//! [`Evaluator::evaluate_detailed_with`] builds the parts fresh from the
+//! candidate and combines them; the searches read the parts from
+//! `PartTables`, filled lazily once per knob projection, and combine the
+//! same way. Debug builds assert every tabled verdict equals the fresh
+//! one, which is how this map is checked: a part that read a knob its
+//! projection omits would disagree on some grid point.
 
-use crate::space::Candidate;
+use crate::space::{Candidate, DesignSpace, KnobChoice, N_KNOBS};
 use crate::{DseError, Result};
 use pcnna_cnn::geometry::ConvGeometry;
 use pcnna_cnn::zoo;
 use pcnna_core::analytical::AnalyticalModel;
+use pcnna_core::config::PcnnaConfig;
 use pcnna_core::feasibility::FeasibilityModel;
 use pcnna_core::power::{PowerAssumptions, PowerModel};
 use pcnna_photonics::constants::SPEED_OF_LIGHT;
 use pcnna_photonics::link::BroadcastWeightLink;
+use std::sync::OnceLock;
 
 /// Power ratio of adjacent-channel crosstalk: the two nearest WDM
 /// neighbours leak through a ring's Lorentzian drop response evaluated one
@@ -210,20 +238,18 @@ impl Evaluator {
 
     /// [`evaluate_detailed`](Self::evaluate_detailed) with a
     /// caller-computed fingerprint, so search loops that already keyed
-    /// their cache by the fingerprint do not hash the candidate twice.
+    /// their dedup set by the fingerprint do not hash the candidate twice.
     ///
-    /// The body is the workspace's hottest analysis loop (a grid sweep
-    /// runs it thousands of times per second), so it goes through the
-    /// core models' lean per-layer entry points
-    /// ([`AnalyticalModel::layer_full_system_time`],
-    /// [`FeasibilityModel::layer_spectrum`],
-    /// [`PowerModel::layer_energy_j`]) and iterates the evaluator's
-    /// stored geometry directly: layer names were interned once at
-    /// construction and no per-candidate map, vector, or string is built.
+    /// Builds the three [parts](self#the-dependency-map) fresh from the
+    /// candidate and combines them — the same arithmetic the searches run
+    /// on tabled parts, so a hand-built candidate and a grid point are
+    /// priced by one path.
     ///
     /// # Errors
     ///
-    /// As [`evaluate_detailed`](Self::evaluate_detailed).
+    /// As [`evaluate_detailed`](Self::evaluate_detailed). The electronic
+    /// part's failure wins over the link's, which wins over a non-finite
+    /// objective.
     pub fn evaluate_detailed_with(
         &self,
         candidate: &Candidate,
@@ -233,82 +259,70 @@ impl Evaluator {
         // whether it came from `DesignSpace::assemble` (already
         // harmonized — this is idempotent) or was built by hand. The
         // verdict keeps the *caller's* fingerprint so it stays consistent
-        // with the cache key the search computed before evaluating.
+        // with the dedup key the search computed before evaluating.
         let candidate = candidate.harmonized();
-        let config = &candidate.config;
-        let analytical = AnalyticalModel::new(*config).map_err(DseError::Core)?;
-        let feasibility =
-            FeasibilityModel::new(*config, candidate.budget).map_err(DseError::Core)?;
-        let power = PowerModel::new(*config, self.assumptions).map_err(DseError::Core)?;
+        let electronic = self.electronic_part(&candidate.config)?;
+        let spectral = self.spectral_part(&candidate)?;
+        let snr_db = link_snr_db(&candidate)?;
+        combine(
+            fingerprint,
+            &electronic,
+            &spectral,
+            snr_db,
+            candidate.config.adc.bits,
+        )
+    }
 
-        let mut latency_s = 0.0f64;
+    /// The electronic part of a (harmonized) config: the analytical
+    /// model's per-layer full-system time and the power model's energy at
+    /// that time. It goes through the core models' lean per-layer entry
+    /// points ([`AnalyticalModel::layer_full_system_time`],
+    /// [`PowerModel::layer_energy_j`]) over the evaluator's stored
+    /// geometry, so no name, map or report is built.
+    fn electronic_part(&self, config: &PcnnaConfig) -> Result<ElectronicPart> {
+        let analytical = AnalyticalModel::new(*config).map_err(DseError::Core)?;
+        let power = PowerModel::new(*config, self.assumptions).map_err(DseError::Core)?;
+        let mut electronic_s = Vec::with_capacity(self.layers.len());
         let mut energy_j = 0.0f64;
-        let mut spectral_passes = 0u64;
-        let mut ring_area_mm2 = 0.0f64;
-        let mut spectrally_bound = false;
         for (_, g) in &self.layers {
             let full = analytical
                 .layer_full_system_time(g)
                 .map_err(DseError::Core)?;
-            let spectrum = feasibility.layer_spectrum(g);
-            // The layer finishes when both the electronic pipeline and the
-            // spectrally-partitioned optical core have: take the later.
-            let electronic_s = full.as_secs_f64();
-            let optical_s = spectrum.corrected_optical_time.as_secs_f64();
-            latency_s += electronic_s.max(optical_s);
-            spectrally_bound |= optical_s > electronic_s;
-            spectral_passes += spectrum.spectral_passes;
-            ring_area_mm2 = ring_area_mm2.max(spectrum.ring_area_mm2);
-            energy_j += power.layer_energy_j(g, electronic_s);
+            let seconds = full.as_secs_f64();
+            electronic_s.push(seconds);
+            energy_j += power.layer_energy_j(g, seconds);
         }
-
-        // Full-scale link SNR is per-channel; one carrier and one bank
-        // suffice to price it at this candidate's detection bandwidth.
-        let link = BroadcastWeightLink::new(config.link, 1, 1).map_err(DseError::Photonic)?;
-        let noise_snr = link.full_scale_snr();
-        // With more than one simultaneous carrier, adjacent channels leak
-        // through the ring's Lorentzian skirt; fold that interference in
-        // as noise-like power.
-        let usable = feasibility.budget().usable_channels();
-        let xtalk = if usable > 1 {
-            crosstalk_ratio(
-                config.link.ring.q_factor,
-                candidate.budget.channel_spacing_hz,
-                candidate.budget.center_m,
-            )
-        } else {
-            0.0
-        };
-        let snr_db = 10.0 * (1.0 / (1.0 / noise_snr + xtalk)).log10();
-        let required_db = 6.02 * f64::from(config.adc.bits) + 1.76;
-
         let area_mm2 = config.input_dac.area_mm2
             * (config.n_input_dacs + config.n_weight_dacs) as f64
             + config.adc.area_mm2 * config.n_adcs as f64
-            + config.sram.area_mm2
-            + ring_area_mm2;
-
-        let point = DesignPoint {
-            fingerprint,
-            latency_s,
+            + config.sram.area_mm2;
+        Ok(ElectronicPart {
+            electronic_s,
             energy_j,
             area_mm2,
-            snr_headroom_db: snr_db - required_db,
-            usable_channels: usable,
-            spectral_passes,
-            spectrally_bound,
-            throughput_fps: if latency_s > 0.0 {
-                1.0 / latency_s
-            } else {
-                0.0
-            },
-        };
-        if !point.is_finite() {
-            return Err(DseError::NonFiniteObjective {
-                fingerprint: point.fingerprint,
-            });
+        })
+    }
+
+    /// The spectral part of a (harmonized) candidate, through
+    /// [`FeasibilityModel::layer_spectrum`].
+    fn spectral_part(&self, candidate: &Candidate) -> Result<SpectralPart> {
+        let feasibility =
+            FeasibilityModel::new(candidate.config, candidate.budget).map_err(DseError::Core)?;
+        let mut optical_s = Vec::with_capacity(self.layers.len());
+        let mut spectral_passes = 0u64;
+        let mut ring_area_mm2 = 0.0f64;
+        for (_, g) in &self.layers {
+            let spectrum = feasibility.layer_spectrum(g);
+            optical_s.push(spectrum.corrected_optical_time.as_secs_f64());
+            spectral_passes += spectrum.spectral_passes;
+            ring_area_mm2 = ring_area_mm2.max(spectrum.ring_area_mm2);
         }
-        Ok(point)
+        Ok(SpectralPart {
+            optical_s,
+            spectral_passes,
+            ring_area_mm2,
+            usable_channels: candidate.budget.usable_channels(),
+        })
     }
 
     /// Evaluates a candidate; `None` means infeasible (the search filters
@@ -319,8 +333,8 @@ impl Evaluator {
     }
 
     /// [`evaluate`](Self::evaluate) with a caller-computed fingerprint
-    /// (the search hot path — avoids re-hashing candidates whose
-    /// fingerprint the cache lookup already paid for).
+    /// (the fresh path the searches' tabled verdicts are checked
+    /// against).
     #[must_use]
     pub fn evaluate_with_fingerprint(
         &self,
@@ -331,10 +345,179 @@ impl Evaluator {
     }
 }
 
+/// The [electronic part](self#the-dependency-map) of a verdict.
+#[derive(Debug)]
+struct ElectronicPart {
+    /// Per-layer full-system seconds, in layer order.
+    electronic_s: Vec<f64>,
+    /// Energy per frame, summed in layer order.
+    energy_j: f64,
+    /// Converter plus SRAM area, mm² (the ring area is added last).
+    area_mm2: f64,
+}
+
+/// The [spectral part](self#the-dependency-map) of a verdict.
+#[derive(Debug)]
+struct SpectralPart {
+    /// Per-layer corrected optical seconds, in layer order.
+    optical_s: Vec<f64>,
+    /// Spectral passes summed over the layers.
+    spectral_passes: u64,
+    /// The largest layer's ring area, mm².
+    ring_area_mm2: f64,
+    /// Simultaneous WDM carriers the budget allows.
+    usable_channels: u64,
+}
+
+/// The [link part](self#the-dependency-map) of a (harmonized) candidate:
+/// full-scale link SNR in dB with adjacent-channel crosstalk folded in.
+fn link_snr_db(candidate: &Candidate) -> Result<f64> {
+    // Full-scale link SNR is per-channel; one carrier and one bank
+    // suffice to price it at this candidate's detection bandwidth.
+    let config = &candidate.config;
+    let link = BroadcastWeightLink::new(config.link, 1, 1).map_err(DseError::Photonic)?;
+    let noise_snr = link.full_scale_snr();
+    // With more than one simultaneous carrier, adjacent channels leak
+    // through the ring's Lorentzian skirt; fold that interference in
+    // as noise-like power.
+    let xtalk = if candidate.budget.usable_channels() > 1 {
+        crosstalk_ratio(
+            config.link.ring.q_factor,
+            candidate.budget.channel_spacing_hz,
+            candidate.budget.center_m,
+        )
+    } else {
+        0.0
+    };
+    Ok(10.0 * (1.0 / (1.0 / noise_snr + xtalk)).log10())
+}
+
+/// Combines the three parts and the ADC resolution into a verdict. Each
+/// layer finishes when both the electronic pipeline and the
+/// spectrally-partitioned optical core have, so latency sums the later of
+/// the two in layer order.
+fn combine(
+    fingerprint: u64,
+    electronic: &ElectronicPart,
+    spectral: &SpectralPart,
+    snr_db: f64,
+    adc_bits: u8,
+) -> Result<DesignPoint> {
+    let mut latency_s = 0.0f64;
+    let mut spectrally_bound = false;
+    for (&electronic_s, &optical_s) in electronic.electronic_s.iter().zip(&spectral.optical_s) {
+        latency_s += electronic_s.max(optical_s);
+        spectrally_bound |= optical_s > electronic_s;
+    }
+    let required_db = 6.02 * f64::from(adc_bits) + 1.76;
+    let point = DesignPoint {
+        fingerprint,
+        latency_s,
+        energy_j: electronic.energy_j,
+        area_mm2: electronic.area_mm2 + spectral.ring_area_mm2,
+        snr_headroom_db: snr_db - required_db,
+        usable_channels: spectral.usable_channels,
+        spectral_passes: spectral.spectral_passes,
+        spectrally_bound,
+        throughput_fps: if latency_s > 0.0 {
+            1.0 / latency_s
+        } else {
+            0.0
+        },
+    };
+    if !point.is_finite() {
+        return Err(DseError::NonFiniteObjective { fingerprint });
+    }
+    Ok(point)
+}
+
+/// Lazily filled tables of parts for one (space, evaluator) pair, indexed
+/// by knob projection (see [the dependency map](self#the-dependency-map)).
+/// Each slot is built once, from the space's *canonical* candidate of its
+/// projection (every knob outside the projection at index 0), so a slot's
+/// value never depends on which proposal touched it first or on which
+/// thread — the searches stay thread-count invariant. `None` records a
+/// part that failed (an infeasible projection).
+#[derive(Debug)]
+pub(crate) struct PartTables<'a> {
+    space: &'a DesignSpace,
+    evaluator: &'a Evaluator,
+    sizes: [usize; N_KNOBS],
+    /// Indexed by (DACs, ADCs, clock, allocation).
+    electronic: Vec<OnceLock<Option<ElectronicPart>>>,
+    /// Indexed by (clock, allocation, spacing, radius).
+    spectral: Vec<OnceLock<Option<SpectralPart>>>,
+    /// Indexed by (clock, spacing, radius).
+    snr_db: Vec<OnceLock<Option<f64>>>,
+}
+
+/// `n` unfilled table slots.
+fn empty_slots<T>(n: usize) -> Vec<OnceLock<T>> {
+    std::iter::repeat_with(OnceLock::new).take(n).collect()
+}
+
+impl<'a> PartTables<'a> {
+    /// Empty tables over a validated space.
+    pub(crate) fn new(space: &'a DesignSpace, evaluator: &'a Evaluator) -> Self {
+        let sizes = space.knob_sizes();
+        let [nd, na, _, nc, nl, ns, nr] = sizes;
+        PartTables {
+            space,
+            evaluator,
+            sizes,
+            electronic: empty_slots(nd * na * nc * nl),
+            spectral: empty_slots(nc * nl * ns * nr),
+            snr_db: empty_slots(nc * ns * nr),
+        }
+    }
+
+    /// The verdict of `choice`, whose assembled candidate has
+    /// `fingerprint`: the three tabled parts, combined. Debug builds check
+    /// it against the fresh path.
+    pub(crate) fn verdict(&self, choice: KnobChoice, fingerprint: u64) -> Option<DesignPoint> {
+        let point = self.combined(choice, fingerprint);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            point,
+            self.evaluator
+                .evaluate_with_fingerprint(&self.space.assemble(choice), fingerprint),
+            "tabled verdict of {choice:?} differs from the fresh path"
+        );
+        point
+    }
+
+    fn combined(&self, choice: KnobChoice, fingerprint: u64) -> Option<DesignPoint> {
+        let [d, a, b, c, l, s, r] = choice.0;
+        let [_, na, _, nc, nl, ns, nr] = self.sizes;
+        let canonical = |knobs: [usize; N_KNOBS]| self.space.assemble(KnobChoice(knobs));
+        let electronic = self.electronic[((d * na + a) * nc + c) * nl + l]
+            .get_or_init(|| {
+                let candidate = canonical([d, a, 0, c, l, 0, 0]);
+                self.evaluator.electronic_part(&candidate.config).ok()
+            })
+            .as_ref()?;
+        let snr_db = (*self.snr_db[(c * ns + s) * nr + r]
+            .get_or_init(|| link_snr_db(&canonical([0, 0, 0, c, 0, s, r])).ok()))?;
+        let spectral = self.spectral[((c * nl + l) * ns + s) * nr + r]
+            .get_or_init(|| {
+                let candidate = canonical([0, 0, 0, c, l, s, r]);
+                self.evaluator.spectral_part(&candidate).ok()
+            })
+            .as_ref()?;
+        combine(
+            fingerprint,
+            electronic,
+            spectral,
+            snr_db,
+            self.space.adc_bits[b],
+        )
+        .ok()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcnna_core::config::PcnnaConfig;
 
     fn point(objs: [f64; 4]) -> DesignPoint {
         DesignPoint {
@@ -378,6 +561,47 @@ mod tests {
         // every AlexNet layer needs spectral partitioning under Filtered
         assert!(p.spectral_passes > 5);
         assert!((p.throughput_fps * p.latency_s - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn paper_design_point_verdicts_are_pinned() {
+        // Golden verdicts of the paper's design point. The searches are
+        // checked against the fresh path; this pins the fresh path itself,
+        // so a change to the shared part arithmetic cannot pass unnoticed.
+        // (`log10` is libm's, so headroom gets a tolerance.)
+        let pinned = [
+            (
+                Evaluator::alexnet(),
+                4.05528e-5,
+                0.0021428433985384,
+                848.4029999999999,
+                548,
+            ),
+            (
+                Evaluator::vgg16(),
+                0.0007636944000000001,
+                0.034271026115016,
+                1493.523,
+                1527,
+            ),
+            (
+                Evaluator::lenet5(),
+                4.574e-7,
+                3.6397097875999993e-6,
+                48.96300000000001,
+                28,
+            ),
+        ];
+        for (ev, latency_s, energy_j, area_mm2, passes) in pinned {
+            let p = ev.evaluate(&Candidate::paper_default()).unwrap();
+            assert_eq!(p.latency_s, latency_s, "{}", ev.workload());
+            assert_eq!(p.energy_j, energy_j, "{}", ev.workload());
+            assert_eq!(p.area_mm2, area_mm2, "{}", ev.workload());
+            assert_eq!(p.spectral_passes, passes, "{}", ev.workload());
+            assert_eq!(p.usable_channels, 22);
+            assert!(p.spectrally_bound);
+            assert!((p.snr_headroom_db - -36.78130986542584).abs() < 1e-9);
+        }
     }
 
     #[test]

@@ -1,35 +1,45 @@
 //! Search drivers: exhaustive grid sweep and seeded evolutionary search.
 //!
-//! Both drivers evaluate candidates **in parallel** via
-//! [`pcnna_fleet::par::par_map_slice`] (an ordered, order-preserving
-//! thread map over warm reusable batch buffers), fold the results into a
-//! [`ParetoFrontier`] **sequentially in input order**, and memoize every
-//! verdict in an [`EvalCache`]. Because
-//! the fold order is deterministic and all randomness flows from one
-//! seeded [`StdRng`], repeated runs with the same seed produce identical
-//! frontiers — across thread counts, too, since threading only changes
-//! *where* an evaluation runs, never the order results are folded in.
+//! Both drivers price proposals from one set of part tables per run
+//! (see [the dependency map](crate::objectives#the-dependency-map)):
+//! each part is built once per knob projection it depends on, and a
+//! proposal's verdict is one combine step over three table reads. A
+//! proposal whose fingerprint was seen before in the run counts as a
+//! cache hit and is not offered again; a fresh one folds into the
+//! [`ParetoFrontier`] **sequentially in proposal order**.
+//!
+//! The grid sweep streams the odometer order in fixed-size blocks, so it
+//! never holds the whole grid. Every block (an evolve generation is one
+//! block) is assembled, fingerprinted and priced by an order-preserving
+//! thread map ([`pcnna_fleet::par::par_map_slice`], serial on one
+//! thread) before the in-order fold.
+//! Because the fold order is deterministic, every table slot is a pure
+//! function of its projection, and all randomness flows from one seeded
+//! [`StdRng`], repeated runs with the same seed produce identical
+//! frontiers — across thread counts, too.
 
-use crate::cache::EvalCache;
-use crate::objectives::Evaluator;
+use crate::objectives::{DesignPoint, Evaluator, PartTables};
 use crate::pareto::ParetoFrontier;
 use crate::space::{Candidate, DesignSpace, KnobChoice};
 use crate::{DseError, Result};
 use pcnna_fleet::par::par_map_slice;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Counters describing one search run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Fresh (non-memoized) evaluations performed.
+    /// Distinct designs priced (proposals whose fingerprint was new to
+    /// the run).
     pub evaluated: u64,
     /// Fresh evaluations that produced a feasible [`crate::DesignPoint`].
     pub valid: u64,
     /// Fresh evaluations that were infeasible.
     pub invalid: u64,
-    /// Proposals answered from the cache (including within-batch repeats).
+    /// Proposals whose fingerprint the run had already seen (a repeated
+    /// knob value or a revisited design); they are not offered to the
+    /// frontier again.
     pub cache_hits: u64,
 }
 
@@ -50,56 +60,88 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Reusable buffers for [`run_batch`]: an iterated search (the
-/// evolutionary driver calls `run_batch` once per generation) clears and
-/// refills these instead of reallocating the dedup set and the fresh-work
-/// vector every batch.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    seen: std::collections::HashSet<u64>,
-    fresh: Vec<(Candidate, u64)>,
+/// Grid points the sweep prices per block. Each block holds its priced
+/// candidates (≈ 0.6 KB a point), so peak memory grows with the block;
+/// on two threads blocks of 512 points or fewer lose time to the
+/// per-block worker spawns, and on one thread the size does not matter
+/// (PERF.md, "Factored grid sweep").
+const GRID_BLOCK: usize = 1024;
+
+/// One search run's state: the part tables, the fingerprints seen so
+/// far, the frontier and the counters.
+struct Search<'a> {
+    space: &'a DesignSpace,
+    tables: PartTables<'a>,
+    seen: HashSet<u64>,
+    frontier: ParetoFrontier,
+    stats: SearchStats,
 }
 
-/// Evaluates a batch of `(candidate, fingerprint)` pairs through the
-/// cache: repeats (cached or within-batch) are answered from memory,
-/// fresh designs fan out across `threads`, and every verdict folds into
-/// `frontier` in batch order. Fingerprints are computed once by the
-/// caller and threaded through to the evaluator.
-fn run_batch(
-    candidates: &[(Candidate, u64)],
-    evaluator: &Evaluator,
-    threads: usize,
-    scratch: &mut BatchScratch,
-    cache: &mut EvalCache,
-    frontier: &mut ParetoFrontier,
-    stats: &mut SearchStats,
-) {
-    scratch.seen.clear();
-    scratch.fresh.clear();
-    for &(cand, fp) in candidates {
-        if cache.contains(fp) || !scratch.seen.insert(fp) {
-            stats.cache_hits += 1;
-        } else {
-            scratch.fresh.push((cand, fp));
+impl<'a> Search<'a> {
+    fn new(space: &'a DesignSpace, evaluator: &'a Evaluator) -> Self {
+        Search {
+            space,
+            tables: PartTables::new(space, evaluator),
+            seen: HashSet::new(),
+            frontier: ParetoFrontier::new(),
+            stats: SearchStats::default(),
         }
     }
-    let verdicts = par_map_slice(&scratch.fresh, threads, |(cand, fp)| {
-        (cand, fp, evaluator.evaluate_with_fingerprint(&cand, fp))
-    });
-    for (cand, fp, verdict) in verdicts {
-        cache.insert(fp, verdict);
-        stats.evaluated += 1;
+
+    /// Prices `choices` on `threads` workers and folds the fresh ones in
+    /// order. `on_fresh` sees every fresh fingerprint with the choice that
+    /// produced it.
+    fn run_block(
+        &mut self,
+        choices: &[KnobChoice],
+        threads: usize,
+        mut on_fresh: impl FnMut(u64, KnobChoice),
+    ) {
+        let space = self.space;
+        let tables = &self.tables;
+        let priced = par_map_slice(choices, threads, |choice| {
+            let candidate = space.assemble(choice);
+            let fp = candidate.fingerprint();
+            (candidate, fp, tables.verdict(choice, fp))
+        });
+        for ((candidate, fp, verdict), &choice) in priced.into_iter().zip(choices) {
+            if self.admit(fp) {
+                on_fresh(fp, choice);
+                self.fold(candidate, verdict);
+            }
+        }
+    }
+
+    /// Whether `fp` is new to this run; a repeat counts as a cache hit.
+    fn admit(&mut self, fp: u64) -> bool {
+        let fresh = self.seen.insert(fp);
+        if !fresh {
+            self.stats.cache_hits += 1;
+        }
+        fresh
+    }
+
+    fn fold(&mut self, candidate: Candidate, verdict: Option<DesignPoint>) {
+        self.stats.evaluated += 1;
         match verdict {
             Some(point) => {
-                stats.valid += 1;
-                frontier.insert(cand, point);
+                self.stats.valid += 1;
+                self.frontier.insert(candidate, point);
             }
-            None => stats.invalid += 1,
+            None => self.stats.invalid += 1,
+        }
+    }
+
+    fn outcome(self) -> SearchOutcome {
+        SearchOutcome {
+            frontier: self.frontier,
+            stats: self.stats,
         }
     }
 }
 
-/// Exhaustively sweeps every grid point of `space`.
+/// Exhaustively sweeps every grid point of `space`, streaming the
+/// odometer order.
 ///
 /// # Errors
 ///
@@ -110,28 +152,18 @@ pub fn grid_sweep(
     threads: usize,
 ) -> Result<SearchOutcome> {
     space.validate()?;
-    let candidates: Vec<(Candidate, u64)> = space
-        .grid_choices()
-        .into_iter()
-        .map(|c| {
-            let cand = space.assemble(c);
-            (cand, cand.fingerprint())
-        })
-        .collect();
-    let mut scratch = BatchScratch::default();
-    let mut cache = EvalCache::new();
-    let mut frontier = ParetoFrontier::new();
-    let mut stats = SearchStats::default();
-    run_batch(
-        &candidates,
-        evaluator,
-        threads,
-        &mut scratch,
-        &mut cache,
-        &mut frontier,
-        &mut stats,
-    );
-    Ok(SearchOutcome { frontier, stats })
+    let mut search = Search::new(space, evaluator);
+    let mut grid = space.grid_iter();
+    let mut block = Vec::with_capacity(GRID_BLOCK);
+    loop {
+        block.clear();
+        block.extend(grid.by_ref().take(GRID_BLOCK));
+        if block.is_empty() {
+            break;
+        }
+        search.run_block(&block, threads, |_, _| {});
+    }
+    Ok(search.outcome())
 }
 
 /// Parameters of the seeded evolutionary search.
@@ -167,8 +199,8 @@ impl Default for EvolutionConfig {
 
 /// Runs the evolutionary search: generation 0 samples uniformly; each
 /// later generation mutates parents drawn uniformly from the current
-/// frontier (or immigrates fresh samples), evaluates through the shared
-/// cache, and folds survivors into the frontier.
+/// frontier (or immigrates fresh samples), prices the proposals through
+/// the run's part tables, and folds the unseen ones into the frontier.
 ///
 /// # Errors
 ///
@@ -193,23 +225,16 @@ pub fn evolve(
     }
 
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0D5E_C0DE_0D5E_C0DE);
-    let mut scratch = BatchScratch::default();
-    let mut cache = EvalCache::new();
-    let mut frontier = ParetoFrontier::new();
-    let mut stats = SearchStats::default();
+    let mut search = Search::new(space, evaluator);
     // The frontier stores candidates; mutation needs the knob indices that
-    // produced them, so remember each fingerprint's choice.
+    // produced them, so remember each fingerprint's first choice.
     let mut choice_of: HashMap<u64, KnobChoice> = HashMap::new();
     let mut parents: Vec<KnobChoice> = Vec::new();
-    // Generation buffers, warmed once and refilled per generation (the
-    // per-generation `collect()`s this replaces were the driver's only
-    // steady-state allocations).
+    // The generation buffer, warmed once and refilled per generation.
     let mut choices: Vec<KnobChoice> = Vec::with_capacity(config.population);
-    let mut candidates: Vec<(Candidate, u64)> = Vec::with_capacity(config.population);
 
     for generation in 0..config.generations {
         choices.clear();
-        candidates.clear();
         for _ in 0..config.population {
             choices.push(
                 if generation == 0 || parents.is_empty() || rng.gen_bool(config.immigrant_rate) {
@@ -220,31 +245,20 @@ pub fn evolve(
                 },
             );
         }
-        for &choice in &choices {
-            let cand = space.assemble(choice);
-            let fp = cand.fingerprint();
-            candidates.push((cand, fp));
-            choice_of.entry(fp).or_insert(choice);
-        }
-        run_batch(
-            &candidates,
-            evaluator,
-            config.threads,
-            &mut scratch,
-            &mut cache,
-            &mut frontier,
-            &mut stats,
-        );
+        search.run_block(&choices, config.threads, |fp, choice| {
+            choice_of.insert(fp, choice);
+        });
         parents.clear();
         parents.extend(
-            frontier
+            search
+                .frontier
                 .entries()
                 .iter()
                 .map(|e| choice_of[&e.point.fingerprint]),
         );
     }
 
-    Ok(SearchOutcome { frontier, stats })
+    Ok(search.outcome())
 }
 
 #[cfg(test)]
@@ -262,6 +276,23 @@ mod tests {
         assert!(out.frontier.invariant_holds());
         // the frontier is a subset of the valid evaluations
         assert!(out.frontier.len() as u64 <= out.stats.valid);
+    }
+
+    #[test]
+    fn repeated_knob_values_count_as_cache_hits() {
+        let smoke = DesignSpace::smoke();
+        let mut repeated = smoke.clone();
+        // 4 input-DAC entries, one a repeat: 64 grid points, 16 of them
+        // re-proposals of a design the sweep already priced.
+        repeated.n_input_dacs = vec![4, 10, 32, 4];
+        let ev = Evaluator::alexnet();
+        for threads in [1, 3] {
+            let once = grid_sweep(&smoke, &ev, threads).unwrap();
+            let twice = grid_sweep(&repeated, &ev, threads).unwrap();
+            assert_eq!(twice.stats.evaluated, smoke.cardinality());
+            assert_eq!(twice.stats.cache_hits, 16);
+            assert_eq!(twice.frontier, once.frontier);
+        }
     }
 
     #[test]

@@ -71,10 +71,12 @@ impl Candidate {
     /// A stable 64-bit key for memoization: word-wise FNV-1a over every
     /// semantic field of both halves (floats by IEEE bit pattern, enums by
     /// discriminant). Two candidates collide only if every field agrees,
-    /// which is precisely the "same design" equivalence the evaluation
-    /// cache needs. This runs in ~50 ns — it sits on the search hot path,
-    /// where the `Debug`-rendering hash it replaced cost ~7 µs per call
-    /// and dominated a grid sweep.
+    /// which is precisely the "same design" equivalence the searches'
+    /// dedup set and the evaluation cache need. It costs about 250 ns
+    /// per candidate (230–270 ns measured over the 24 576-point perfbench
+    /// design grid, release build, shared 2-core x86-64 host): the
+    /// largest per-point cost of a tabled grid sweep, though far below
+    /// the ~7 µs of the `Debug`-rendering hash it replaced.
     ///
     /// Every struct is destructured without `..`, so adding a field to a
     /// config type without teaching the fingerprint about it is a compile
@@ -452,12 +454,16 @@ impl DesignSpace {
     /// fastest). Deterministic: two calls return identical vectors.
     #[must_use]
     pub fn grid_choices(&self) -> Vec<KnobChoice> {
+        self.grid_iter().collect()
+    }
+
+    /// [`grid_choices`](Self::grid_choices) as a stream, for sweeps that
+    /// must not hold the whole grid.
+    pub(crate) fn grid_iter(&self) -> impl Iterator<Item = KnobChoice> {
         let sizes = self.knob_sizes();
-        let total = self.cardinality() as usize;
-        let mut out = Vec::with_capacity(total);
         let mut idx = [0usize; N_KNOBS];
-        for _ in 0..total {
-            out.push(KnobChoice(idx));
+        (0..self.cardinality()).map(move |_| {
+            let choice = KnobChoice(idx);
             for k in (0..N_KNOBS).rev() {
                 idx[k] += 1;
                 if idx[k] < sizes[k] {
@@ -465,8 +471,8 @@ impl DesignSpace {
                 }
                 idx[k] = 0;
             }
-        }
-        out
+            choice
+        })
     }
 
     /// Draws a uniform random choice.

@@ -1,9 +1,134 @@
 //! Property-based invariants of the design-space explorer: Pareto
-//! dominance, cache bit-identity, and seeded determinism.
+//! dominance, cache bit-identity, seeded determinism, and the factored
+//! searches against the per-candidate evaluator.
 
 use proptest::prelude::*;
 
+use pcnna_core::config::{AllocationPolicy, BottleneckModel};
 use pcnna_dse::prelude::*;
+use std::collections::HashSet;
+
+/// The per-candidate oracle of [`grid_sweep`]: every grid point in
+/// odometer order, deduplicated by fingerprint, priced by the fresh
+/// evaluator and folded into a frontier.
+fn fold_fresh(space: &DesignSpace, ev: &Evaluator) -> SearchOutcome {
+    let mut seen = HashSet::new();
+    let mut frontier = ParetoFrontier::new();
+    let mut stats = SearchStats::default();
+    for choice in space.grid_choices() {
+        let candidate = space.assemble(choice);
+        let fp = candidate.fingerprint();
+        if !seen.insert(fp) {
+            stats.cache_hits += 1;
+            continue;
+        }
+        stats.evaluated += 1;
+        match ev.evaluate_with_fingerprint(&candidate, fp) {
+            Some(point) => {
+                stats.valid += 1;
+                frontier.insert(candidate, point);
+            }
+            None => stats.invalid += 1,
+        }
+    }
+    SearchOutcome { frontier, stats }
+}
+
+/// Asserts a tabled grid sweep equals the fresh fold, at one and four
+/// threads.
+fn assert_sweep_matches_fresh(space: &DesignSpace, ev: &Evaluator) {
+    let oracle = fold_fresh(space, ev);
+    for threads in [1, 4] {
+        let out = grid_sweep(space, ev, threads).unwrap();
+        assert_eq!(
+            out.stats,
+            oracle.stats,
+            "{} at {threads} threads",
+            ev.workload()
+        );
+        assert_eq!(
+            out.frontier,
+            oracle.frontier,
+            "{} at {threads} threads",
+            ev.workload()
+        );
+    }
+}
+
+#[test]
+fn factored_sweep_matches_per_candidate_evaluation() {
+    for space in [DesignSpace::smoke(), DesignSpace::default()] {
+        for ev in [
+            Evaluator::alexnet(),
+            Evaluator::vgg16(),
+            Evaluator::lenet5(),
+        ] {
+            assert_sweep_matches_fresh(&space, &ev);
+        }
+    }
+}
+
+/// A value list drawn (with repeats) from `pool`, one to three long.
+fn knob_values<T: Clone + 'static>(pool: &'static [T]) -> impl Strategy<Value = Vec<T>> {
+    prop::collection::vec(0..pool.len(), 1..4)
+        .prop_map(move |idx| idx.into_iter().map(|i| pool[i].clone()).collect())
+}
+
+/// Random sub-spaces of the default knob lists plus the unfiltered
+/// allocation (repeats allowed, so some grid points share a fingerprint)
+/// over perturbed base configs: a tiny SRAM that nothing fits, the
+/// weight-load term on or off, and either bottleneck model (DAC only or
+/// the max of stages).
+fn sub_spaces() -> impl Strategy<Value = DesignSpace> {
+    (
+        (
+            knob_values(&[4usize, 8, 10, 16, 32, 64]),
+            knob_values(&[8usize, 16, 32, 64]),
+            knob_values(&[6u8, 8, 10]),
+            knob_values(&[2.5f64, 5.0, 10.0]),
+        ),
+        (
+            knob_values(&[
+                AllocationPolicy::Filtered,
+                AllocationPolicy::FilteredChannelSequential,
+                AllocationPolicy::Unfiltered,
+            ]),
+            knob_values(&[25.0f64, 50.0, 100.0]),
+            knob_values(&[5.0f64, 10.0, 20.0]),
+        ),
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+    )
+        .prop_map(
+            |(
+                (n_input_dacs, n_adcs, adc_bits, fast_clock_ghz),
+                (allocations, channel_spacing_ghz, ring_radius_um),
+                (tiny_sram, weight_load, dac_only),
+            )| {
+                let mut base = DesignSpace::default().base_config;
+                if tiny_sram {
+                    base.sram.capacity_bits = 64;
+                }
+                base = base
+                    .with_weight_load_charged(weight_load)
+                    .with_bottleneck(if dac_only {
+                        BottleneckModel::DacOnly
+                    } else {
+                        BottleneckModel::MaxOfStages
+                    });
+                DesignSpace {
+                    n_input_dacs,
+                    n_adcs,
+                    adc_bits,
+                    fast_clock_ghz,
+                    allocations,
+                    channel_spacing_ghz,
+                    ring_radius_um,
+                    base_config: base,
+                    ..DesignSpace::default()
+                }
+            },
+        )
+}
 
 /// Random objective vectors over a few orders of magnitude (all four
 /// senses folded to "minimize" inside `DesignPoint::objectives`).
@@ -132,6 +257,30 @@ proptest! {
         prop_assert_eq!(cache.hits(), (repeats - 1) as u64);
         // and a fresh evaluator run agrees with the cached verdict
         prop_assert_eq!(first, ev.evaluate(&cand));
+    }
+
+    #[test]
+    fn factored_searches_match_the_fresh_path(space in sub_spaces(), network in 0usize..3) {
+        let ev = match network {
+            0 => Evaluator::alexnet(),
+            1 => Evaluator::vgg16(),
+            _ => Evaluator::lenet5(),
+        };
+        assert_sweep_matches_fresh(&space, &ev);
+        let cfg = EvolutionConfig {
+            population: 16,
+            generations: 3,
+            seed: 3,
+            threads: 2,
+            ..EvolutionConfig::default()
+        };
+        let out = evolve(&space, &ev, &cfg).unwrap();
+        for e in out.frontier.entries() {
+            prop_assert_eq!(
+                ev.evaluate_with_fingerprint(&e.candidate, e.point.fingerprint),
+                Some(e.point)
+            );
+        }
     }
 
     #[test]

@@ -41,16 +41,6 @@ impl ClockDomain {
         }
     }
 
-    /// A representative slower main clock (1 GHz) for the external
-    /// interface; the paper does not pin its frequency.
-    #[must_use]
-    pub fn main_1ghz() -> Self {
-        ClockDomain {
-            name: "main",
-            frequency_hz: 1e9,
-        }
-    }
-
     /// Domain name.
     #[must_use]
     pub fn name(&self) -> &'static str {

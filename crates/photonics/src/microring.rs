@@ -273,16 +273,6 @@ impl Microring {
         max_det - self.detuning_m
     }
 
-    /// The ring's free spectral range at its carrier for a given physical
-    /// circumference and group index: `FSR = λ² / (n_g · L)`. Rings resonate
-    /// periodically — only carriers within one FSR can be weighted
-    /// independently, a constraint the paper does not discuss (see the
-    /// `pcnna-core` feasibility module).
-    #[must_use]
-    pub fn free_spectral_range_m(&self, circumference_m: f64, group_index: f64) -> f64 {
-        self.carrier_m * self.carrier_m / (group_index * circumference_m)
-    }
-
     /// Heater power currently dissipated, from the linear shift/power model.
     #[must_use]
     pub fn heater_power_w(&self) -> f64 {

@@ -8,8 +8,7 @@
 //! authors), and the paper reads their numbers off the published charts; we
 //! substitute *analytical throughput models* calibrated to each chip's
 //! published architecture parameters, which reproduce the ordering and the
-//! orders-of-magnitude gaps Figure 6 shows (see DESIGN.md, "Simulated
-//! substitutions").
+//! orders-of-magnitude gaps Figure 6 shows.
 //!
 //! All models implement [`AcceleratorModel`] so the figure harnesses can
 //! treat engines uniformly.

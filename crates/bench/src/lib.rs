@@ -1,6 +1,7 @@
 //! Figure/table regeneration harness for the PCNNA reproduction.
 //!
-//! One binary per paper artifact (see DESIGN.md §3 for the index):
+//! One binary per paper artifact (the README's "Reproducing the paper's
+//! artifacts" section shows how to run them):
 //!
 //! | target | artifact |
 //! |--------|----------|

@@ -152,6 +152,39 @@ mod tests {
     }
 
     #[test]
+    fn committed_scenario_files_are_canonical() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut files: Vec<_> = std::fs::read_dir(format!("{root}/scenarios"))
+            .expect("scenarios/ exists")
+            .map(|e| e.expect("readable dir entry").path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+            .collect();
+        assert!(files.len() >= ChaosKind::ALL.len(), "{files:?}");
+        // the copy the repo benchmark loads
+        files.push(format!("{root}/perfbench/scenarios/heat-wave.json").into());
+        for path in files {
+            let text = std::fs::read_to_string(&path).expect("readable scenario file");
+            let spec =
+                ScenarioSpec::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(
+                spec.render(),
+                text,
+                "{} does not re-render to its bytes",
+                path.display()
+            );
+        }
+        for kind in ChaosKind::ALL {
+            let path = format!("{root}/scenarios/{}.json", kind.name());
+            let text = std::fs::read_to_string(&path).expect("committed matrix file");
+            assert_eq!(
+                matrix_spec(kind, true, 7).render(),
+                text,
+                "{path} drifted from the generator"
+            );
+        }
+    }
+
+    #[test]
     fn chaos_config_scales_recalibration_with_mode() {
         assert!(chaos_config(true, 7).recalibration_s < chaos_config(false, 7).recalibration_s);
         assert_eq!(chaos_config(true, 9).seed, 9);

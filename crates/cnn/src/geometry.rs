@@ -114,7 +114,8 @@ impl ConvGeometry {
 
     /// Receptive-field size of a single channel slice, `m · m`.
     ///
-    /// Used by the channel-sequential allocation policy (see DESIGN.md §3).
+    /// Used by the channel-sequential allocation policy
+    /// (`AllocationPolicy::FilteredChannelSequential` in `pcnna-core`).
     #[must_use]
     pub fn n_kernel_per_channel(&self) -> u64 {
         (self.m * self.m) as u64

@@ -2,9 +2,9 @@
 //!
 //! The paper's timing and area results are data-independent, and its
 //! functional behaviour only needs statistically representative tensors, so
-//! ImageNet inputs are substituted by seeded generators (see DESIGN.md §2,
-//! "Simulated substitutions"). Every generator takes an explicit seed so that
-//! tests, examples and benches are reproducible bit-for-bit.
+//! ImageNet inputs are substituted by seeded generators. Every generator
+//! takes an explicit seed so that tests, examples and benches are
+//! reproducible bit-for-bit.
 
 use crate::geometry::ConvGeometry;
 use crate::tensor::Tensor;

@@ -4,7 +4,8 @@
 //! paper parameterises it: a 224×224×3 input, five convolution layers, and
 //! **no channel grouping** — the paper's own numbers (conv1 unfiltered ring
 //! count of ~5.2 B, eq. (8)'s `nc = 384` for the largest layer) treat
-//! AlexNet's grouped convolutions as dense. See DESIGN.md §3.
+//! AlexNet's grouped convolutions as dense. `tests/claims.rs` checks both
+//! numbers.
 //!
 //! The other networks extend the evaluation beyond the paper (stretch goals):
 //! LeNet-5 for fast functional tests, VGG-16 for a deeper sweep, and a small

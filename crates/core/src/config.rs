@@ -25,7 +25,8 @@ pub enum AllocationPolicy {
     /// Receptive-field filtering with channel-sequential processing:
     /// `Nrings = K · m · m`; the `nc` input channels share rings across
     /// `nc` optical cycles. This is the policy implied by the paper's
-    /// conv4 numbers (3456 rings, 2.2 mm²) — see DESIGN.md §3.
+    /// conv4 numbers (3456 rings, 2.2 mm²), which `tests/claims.rs`
+    /// checks.
     FilteredChannelSequential,
 }
 

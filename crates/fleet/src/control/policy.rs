@@ -160,6 +160,27 @@ fn overload_guard(
     (admission, shed_to)
 }
 
+/// `Ok` when knob `label` lies in `(0, 1]`.
+fn fraction(label: &str, v: f64) -> Result<(), String> {
+    if v.is_finite() && v > 0.0 && v <= 1.0 {
+        Ok(())
+    } else {
+        Err(format!("{label} must be in (0, 1], got {v}"))
+    }
+}
+
+/// `Ok` when the overload guard's two knobs are in range.
+fn validate_guard(p99_guard_frac: f64, accuracy_guard: f64) -> Result<(), String> {
+    fraction("p99_guard_frac", p99_guard_frac)?;
+    if (0.0..=1.0).contains(&accuracy_guard) {
+        Ok(())
+    } else {
+        Err(format!(
+            "accuracy_guard must be in [0, 1], got {accuracy_guard}"
+        ))
+    }
+}
+
 /// The open-loop baseline: keep whatever is provisioned, admit
 /// everything, never shed. With `initial_active = fleet size` this
 /// reproduces [`simulate`](crate::engine::FleetScenario::simulate)
@@ -224,6 +245,27 @@ impl ReactivePolicy {
     #[must_use]
     pub fn new() -> Self {
         ReactivePolicy::default()
+    }
+
+    /// Checks the knobs' ranges; the reason names the knob.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if !(self.scale_up_load > 0.0) || !self.scale_up_load.is_finite() {
+            return Err(format!(
+                "scale_up_load must be finite and positive, got {}",
+                self.scale_up_load
+            ));
+        }
+        if !(self.scale_down_load >= 0.0) || self.scale_down_load >= self.scale_up_load {
+            return Err(format!(
+                "scale_down_load must be in [0, scale_up_load), got {}",
+                self.scale_down_load
+            ));
+        }
+        validate_guard(self.p99_guard_frac, self.accuracy_guard)?;
+        if self.cooldown_windows == 0 {
+            return Err("cooldown_windows must be at least 1".to_owned());
+        }
+        Ok(())
     }
 }
 
@@ -316,6 +358,14 @@ impl PredictivePolicy {
     #[must_use]
     pub fn new() -> Self {
         PredictivePolicy::default()
+    }
+
+    /// Checks the knobs' ranges; the reason names the knob.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        fraction("alpha", self.alpha)?;
+        fraction("beta", self.beta)?;
+        fraction("target_util", self.target_util)?;
+        validate_guard(self.p99_guard_frac, self.accuracy_guard)
     }
 }
 

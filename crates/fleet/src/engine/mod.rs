@@ -137,65 +137,120 @@ impl Default for FleetScenario {
     }
 }
 
+/// The most classes a scenario may serve: 64× the 16 classes of the
+/// largest in-repo workload (the mega-fleet legs).
+pub const MAX_CLASSES: usize = 1024;
+
+/// The most requests a scenario may expect, `horizon_s` × the arrival
+/// process's peak rate: 50× the 2M of the largest in-repo workload (the
+/// full-mode 1k-instance mega leg, 10M req/s for 0.2 s). A run's
+/// arrivals, and so its wall time, are bounded with it.
+pub const MAX_EXPECTED_REQUESTS: f64 = 1e8;
+
+/// The rules a scenario file and an API-built [`FleetScenario`] share,
+/// written once for both validators. `classes` yields each class's
+/// `(name, slo_s, weight, min_accuracy)`. The reason names the field.
+pub(crate) fn validate_common<'c>(
+    classes: impl ExactSizeIterator<Item = (&'c str, f64, f64, f64)>,
+    arrival: &ArrivalProcess,
+    max_batch: u64,
+    queue_capacity: usize,
+    horizon_s: f64,
+    limits: &DegradationLimits,
+) -> Result<()> {
+    let fail = |reason: String| Err(FleetError::InvalidScenario { reason });
+    let n = classes.len();
+    if n == 0 || n > MAX_CLASSES {
+        return fail(format!(
+            "classes: {n} classes, need 1 to MAX_CLASSES ({MAX_CLASSES})"
+        ));
+    }
+    for (i, (name, slo_s, weight, min_accuracy)) in classes.enumerate() {
+        for (field, v) in [("slo_s", slo_s), ("weight", weight)] {
+            if !(v > 0.0) || !v.is_finite() {
+                return fail(format!(
+                    "classes[{i}] ({name}) {field} must be finite and positive, got {v}"
+                ));
+            }
+        }
+        if !(0.0..=1.0).contains(&min_accuracy) {
+            return fail(format!(
+                "classes[{i}] ({name}) min_accuracy must be in [0, 1], got {min_accuracy}"
+            ));
+        }
+    }
+    if max_batch == 0 {
+        return fail("max_batch must be at least 1".to_owned());
+    }
+    if queue_capacity == 0 {
+        return fail("queue_capacity must be at least 1 (0 rejects everything)".to_owned());
+    }
+    if !(horizon_s > 0.0) || !horizon_s.is_finite() {
+        return fail(format!(
+            "horizon_s must be finite and positive, got {horizon_s}"
+        ));
+    }
+    if let Err(reason) = arrival.validate() {
+        return fail(format!("arrival {reason}"));
+    }
+    let expected = horizon_s * arrival.peak_rate_rps();
+    if expected > MAX_EXPECTED_REQUESTS {
+        return fail(format!(
+            "horizon_s × arrival peak rate expects {expected:e} requests, past \
+             MAX_EXPECTED_REQUESTS ({MAX_EXPECTED_REQUESTS:e})"
+        ));
+    }
+    let excursion = limits.max_ambient_excursion_k;
+    if !(excursion >= 0.0) || !excursion.is_finite() {
+        return fail(format!(
+            "limits.max_ambient_excursion_k must be finite and non-negative, got {excursion}"
+        ));
+    }
+    if !(0.0..=1.0).contains(&limits.min_laser_power_factor) {
+        return fail(format!(
+            "limits.min_laser_power_factor must be in [0, 1], got {}",
+            limits.min_laser_power_factor
+        ));
+    }
+    Ok(())
+}
+
 impl FleetScenario {
     /// Validates the scenario.
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidScenario`] for empty classes/instances,
-    /// a zero batch bound, a non-positive horizon, or bad arrival rates.
+    /// Returns [`FleetError::InvalidScenario`] naming the field: the
+    /// shared rules of a scenario file (class count, SLOs, weights and
+    /// accuracy floors, batch and queue bounds, horizon, arrival rates,
+    /// [`MAX_EXPECTED_REQUESTS`], limits), no instances, a class with no
+    /// layers, or a bad fault timeline.
     pub fn validate(&self) -> Result<()> {
+        let classes = self.classes.iter();
+        validate_common(
+            classes.map(|c| (c.name.as_str(), c.slo_s, c.weight, c.min_accuracy)),
+            &self.arrival,
+            self.max_batch,
+            self.queue_capacity,
+            self.horizon_s,
+            &self.limits,
+        )?;
         let fail = |reason: String| Err(FleetError::InvalidScenario { reason });
-        if self.classes.is_empty() {
-            return fail("need at least one network class".to_owned());
-        }
         if self.instances.is_empty() {
             return fail("need at least one accelerator instance".to_owned());
         }
-        if self.max_batch == 0 {
-            return fail("max_batch must be at least 1".to_owned());
-        }
-        if self.queue_capacity == 0 {
-            return fail("queue_capacity must be at least 1 (0 rejects everything)".to_owned());
-        }
-        if !(self.horizon_s > 0.0) || !self.horizon_s.is_finite() {
-            return fail(format!(
-                "horizon must be finite and positive, got {}",
-                self.horizon_s
-            ));
-        }
-        if let Err(reason) = self.arrival.validate() {
-            return fail(reason);
-        }
-        for c in &self.classes {
-            if c.layers.is_empty() {
-                // An empty stack quotes to zero time and energy — every
-                // request would "complete" instantly and poison the stats.
-                return fail(format!("class {} has no conv layers to serve", c.name));
-            }
-            if !(c.weight > 0.0) {
-                return fail(format!("class {} weight must be positive", c.name));
-            }
-            if !(c.slo_s > 0.0) {
-                return fail(format!("class {} SLO must be positive", c.name));
-            }
-            if !(0.0..=1.0).contains(&c.min_accuracy) {
-                return fail(format!(
-                    "class {} min_accuracy must be in [0, 1], got {}",
-                    c.name, c.min_accuracy
-                ));
-            }
+        if let Some((i, c)) = self
+            .classes
+            .iter()
+            .enumerate()
+            .find(|(_, c)| c.layers.is_empty())
+        {
+            // An empty stack quotes to zero time and energy — every
+            // request would "complete" instantly and poison the stats.
+            return fail(format!("classes[{i}] ({}) has no conv layers", c.name));
         }
         if let Err(reason) = self.faults.validate(self.instances.len()) {
             return fail(format!("fault timeline: {reason}"));
-        }
-        if !(self.limits.max_ambient_excursion_k >= 0.0)
-            || !(0.0..=1.0).contains(&self.limits.min_laser_power_factor)
-        {
-            return fail(format!(
-                "degradation limits out of range: {:?}",
-                self.limits
-            ));
         }
         Ok(())
     }
@@ -551,10 +606,55 @@ mod tests {
         let empty_class = NetworkClass::new("empty", &[], 0.01, 1.0);
         assert!(FleetScenario {
             classes: vec![empty_class],
-            ..ok
+            ..ok.clone()
         }
         .validate()
         .is_err());
+        // (case, the field its reason must name, the edit that breaks it)
+        type Edit = fn(&mut FleetScenario);
+        let cases: [(&str, &str, Edit); 7] = [
+            ("infinite weight", "weight", |s| {
+                s.classes[0].weight = f64::INFINITY
+            }),
+            ("infinite slo", "slo_s", |s| {
+                s.classes[0].slo_s = f64::INFINITY
+            }),
+            ("infinite excursion", "max_ambient_excursion_k", |s| {
+                s.limits.max_ambient_excursion_k = f64::INFINITY;
+            }),
+            ("nan laser floor", "min_laser_power_factor", |s| {
+                s.limits.min_laser_power_factor = f64::NAN;
+            }),
+            ("too many classes", "classes", |s| {
+                s.classes = vec![s.classes[0].clone(); MAX_CLASSES + 1];
+            }),
+            ("too long", "horizon_s", |s| {
+                s.horizon_s = 1.01 * MAX_EXPECTED_REQUESTS / s.arrival.peak_rate_rps();
+            }),
+            ("too fast", "arrival", |s| {
+                s.arrival = ArrivalProcess::Poisson {
+                    rate_rps: 1.01 * MAX_EXPECTED_REQUESTS / s.horizon_s,
+                };
+            }),
+        ];
+        for (label, field, edit) in cases {
+            let mut s = ok.clone();
+            edit(&mut s);
+            match s.validate() {
+                Err(FleetError::InvalidScenario { reason }) => {
+                    assert!(
+                        reason.contains(field),
+                        "{label}: {reason:?} must name {field}"
+                    );
+                }
+                other => panic!("{label} must be rejected, got {other:?}"),
+            }
+        }
+        // each cap admits its own value
+        let mut at_caps = ok;
+        at_caps.classes = vec![at_caps.classes[0].clone(); MAX_CLASSES];
+        at_caps.horizon_s = MAX_EXPECTED_REQUESTS / at_caps.arrival.peak_rate_rps();
+        assert!(at_caps.validate().is_ok());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! arrival processes, under horizons short enough that a 50-scenario
 //! campaign stays a smoke test.
 
+use crate::control::policy::{PredictivePolicy, ReactivePolicy};
 use crate::control::ControlConfig;
 use crate::faults::{ChaosKind, FaultAction, FaultEvent};
 use crate::scenario::{ClassSpec, ControlSpec, FaultSpec, InstanceSpec, PolicySpec, ScenarioSpec};
@@ -213,29 +214,29 @@ impl ScenarioGen {
 
         let control = if rng.chance(0.3) {
             let policy = if rng.chance(0.5) {
-                PolicySpec::Reactive {
-                    scale_up_load: rng.range(0.6, 0.9),
-                    scale_down_load: rng.range(0.1, 0.4),
-                    p99_guard_frac: rng.range(0.6, 0.9),
-                    accuracy_guard: if rng.chance(0.3) {
-                        rng.range(0.5, 0.9)
-                    } else {
-                        0.0
-                    },
-                    cooldown_windows: 1 + rng.below(4) as u32,
-                }
+                let mut p = ReactivePolicy::new();
+                p.scale_up_load = rng.range(0.6, 0.9);
+                p.scale_down_load = rng.range(0.1, 0.4);
+                p.p99_guard_frac = rng.range(0.6, 0.9);
+                p.accuracy_guard = if rng.chance(0.3) {
+                    rng.range(0.5, 0.9)
+                } else {
+                    0.0
+                };
+                p.cooldown_windows = 1 + rng.below(4) as u32;
+                PolicySpec::Reactive(p)
             } else {
-                PolicySpec::Predictive {
-                    alpha: rng.range(0.2, 0.6),
-                    beta: rng.range(0.05, 0.3),
-                    target_util: rng.range(0.5, 0.8),
-                    p99_guard_frac: rng.range(0.6, 0.9),
-                    accuracy_guard: if rng.chance(0.3) {
-                        rng.range(0.5, 0.9)
-                    } else {
-                        0.0
-                    },
-                }
+                let mut p = PredictivePolicy::new();
+                p.alpha = rng.range(0.2, 0.6);
+                p.beta = rng.range(0.05, 0.3);
+                p.target_util = rng.range(0.5, 0.8);
+                p.p99_guard_frac = rng.range(0.6, 0.9);
+                p.accuracy_guard = if rng.chance(0.3) {
+                    rng.range(0.5, 0.9)
+                } else {
+                    0.0
+                };
+                PolicySpec::Predictive(p)
             };
             Some(ControlSpec {
                 policy,
@@ -328,8 +329,9 @@ mod tests {
             specs.iter().any(|s| s.control.as_ref().is_some_and(|c| {
                 matches!(
                     c.policy,
-                    PolicySpec::Reactive { accuracy_guard, .. }
-                    | PolicySpec::Predictive { accuracy_guard, .. } if accuracy_guard > 0.0
+                    PolicySpec::Reactive(ReactivePolicy { accuracy_guard, .. })
+                    | PolicySpec::Predictive(PredictivePolicy { accuracy_guard, .. })
+                        if accuracy_guard > 0.0
                 )
             })),
             "accuracy guard must be exercised"

@@ -19,7 +19,14 @@
 //! required fields, non-finite or negative times, out-of-range
 //! instance indices, non-monotone per-instance fault sequences, and
 //! empty class mixes are all rejected with a reason — nothing is
-//! silently defaulted except fields documented as optional.
+//! silently defaulted except fields documented as optional. Every
+//! error names the key path it is about, e.g. `control.policy.alpha`
+//! or `classes[1].slo_s`.
+//!
+//! Each type of the format lists its keys once, in its `Fields::walk`
+//! at the end of this file; `render` and `parse` both walk that list.
+//! A new knob is one entry there, next to its siblings, plus its range
+//! check in the validator its type already has.
 //!
 //! ## Format reference
 //!
@@ -70,10 +77,11 @@
 //! no faults, no control).
 
 pub mod json;
+mod schema;
 
 use crate::control::policy::{ControlPolicy, Hold, PredictivePolicy, ReactivePolicy};
 use crate::control::ControlConfig;
-use crate::engine::FleetScenario;
+use crate::engine::{validate_common, FleetScenario};
 use crate::faults::{
     chaos_timeline, ChaosConfig, ChaosKind, FaultAction, FaultEvent, FaultTimeline,
 };
@@ -83,6 +91,7 @@ use crate::{FleetError, Result};
 use json::Json;
 use pcnna_core::config::PcnnaConfig;
 use pcnna_photonics::degradation::{DegradationLimits, HealthState};
+use schema::{fresh, Blank, Fields, Io, Path, Value};
 use std::collections::HashMap;
 
 /// One served class in a scenario file: a model-zoo network name plus
@@ -151,23 +160,15 @@ impl InstanceSpec {
     }
 
     fn to_config(&self) -> PcnnaConfig {
-        let mut c = PcnnaConfig::default();
-        if let Some(n) = self.input_dacs {
-            c = c.with_input_dacs(n);
+        let d = PcnnaConfig::default();
+        PcnnaConfig {
+            n_input_dacs: self.input_dacs.unwrap_or(d.n_input_dacs),
+            n_adcs: self.adcs.unwrap_or(d.n_adcs),
+            n_weight_dacs: self.weight_dacs.unwrap_or(d.n_weight_dacs),
+            ring_pitch_m: self.ring_pitch_m.unwrap_or(d.ring_pitch_m),
+            bytes_per_value: self.bytes_per_value.unwrap_or(d.bytes_per_value),
+            ..d
         }
-        if let Some(n) = self.adcs {
-            c = c.with_adcs(n);
-        }
-        if let Some(n) = self.weight_dacs {
-            c = c.with_weight_dacs(n);
-        }
-        if let Some(p) = self.ring_pitch_m {
-            c = c.with_ring_pitch(p);
-        }
-        if let Some(b) = self.bytes_per_value {
-            c = c.with_bytes_per_value(b);
-        }
-        c
     }
 }
 
@@ -194,70 +195,33 @@ impl Default for FaultSpec {
     }
 }
 
-/// The control policy section of a scenario file.
+/// The control policy section of a scenario file: the policy to run,
+/// carrying its knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicySpec {
     /// The open-loop baseline.
     Hold,
-    /// [`ReactivePolicy`] with its public knobs.
-    Reactive {
-        /// Load factor above which the fleet scales up.
-        scale_up_load: f64,
-        /// Load factor below which the fleet may scale down.
-        scale_down_load: f64,
-        /// p99 fraction of the tightest SLO that arms the overload guard.
-        p99_guard_frac: f64,
-        /// Worst quoted top-1 accuracy below which the guard presses
-        /// (`0.0` = never).
-        accuracy_guard: f64,
-        /// Consecutive low-load windows before each scale-down.
-        cooldown_windows: u32,
-    },
-    /// [`PredictivePolicy`] with its public knobs.
-    Predictive {
-        /// Level smoothing factor α.
-        alpha: f64,
-        /// Trend smoothing factor β.
-        beta: f64,
-        /// Utilization the forecast is provisioned at.
-        target_util: f64,
-        /// p99 fraction of the tightest SLO that arms the overload guard.
-        p99_guard_frac: f64,
-        /// Worst quoted top-1 accuracy below which the guard presses
-        /// (`0.0` = never).
-        accuracy_guard: f64,
-    },
+    /// A [`ReactivePolicy`] with the file's knobs.
+    Reactive(ReactivePolicy),
+    /// A [`PredictivePolicy`] with the file's knobs.
+    Predictive(PredictivePolicy),
 }
 
 impl PolicySpec {
+    /// Every kind, with its default knobs.
+    fn kinds() -> [PolicySpec; 3] {
+        [
+            PolicySpec::Hold,
+            PolicySpec::Reactive(ReactivePolicy::new()),
+            PolicySpec::Predictive(PredictivePolicy::new()),
+        ]
+    }
+
     /// The defaults for a named policy kind, or `None` for an unknown
     /// name.
     #[must_use]
     pub fn from_kind(kind: &str) -> Option<PolicySpec> {
-        match kind {
-            "hold" => Some(PolicySpec::Hold),
-            "reactive" => {
-                let d = ReactivePolicy::new();
-                Some(PolicySpec::Reactive {
-                    scale_up_load: d.scale_up_load,
-                    scale_down_load: d.scale_down_load,
-                    p99_guard_frac: d.p99_guard_frac,
-                    accuracy_guard: d.accuracy_guard,
-                    cooldown_windows: d.cooldown_windows,
-                })
-            }
-            "predictive" => {
-                let d = PredictivePolicy::new();
-                Some(PolicySpec::Predictive {
-                    alpha: d.alpha,
-                    beta: d.beta,
-                    target_util: d.target_util,
-                    p99_guard_frac: d.p99_guard_frac,
-                    accuracy_guard: d.accuracy_guard,
-                })
-            }
-            _ => None,
-        }
+        PolicySpec::kinds().into_iter().find(|p| p.kind() == kind)
     }
 
     /// The policy's stable kind name.
@@ -265,103 +229,19 @@ impl PolicySpec {
     pub fn kind(&self) -> &'static str {
         match self {
             PolicySpec::Hold => "hold",
-            PolicySpec::Reactive { .. } => "reactive",
-            PolicySpec::Predictive { .. } => "predictive",
+            PolicySpec::Reactive(_) => "reactive",
+            PolicySpec::Predictive(_) => "predictive",
         }
     }
 
-    /// Builds the runnable policy (fresh internal state).
+    /// Builds the runnable policy: a clone of the carried one, whose
+    /// internal state is fresh until it first plans.
     #[must_use]
     pub fn build(&self) -> Box<dyn ControlPolicy> {
-        match *self {
+        match self {
             PolicySpec::Hold => Box::new(Hold),
-            PolicySpec::Reactive {
-                scale_up_load,
-                scale_down_load,
-                p99_guard_frac,
-                accuracy_guard,
-                cooldown_windows,
-            } => {
-                let mut p = ReactivePolicy::new();
-                p.scale_up_load = scale_up_load;
-                p.scale_down_load = scale_down_load;
-                p.p99_guard_frac = p99_guard_frac;
-                p.accuracy_guard = accuracy_guard;
-                p.cooldown_windows = cooldown_windows;
-                Box::new(p)
-            }
-            PolicySpec::Predictive {
-                alpha,
-                beta,
-                target_util,
-                p99_guard_frac,
-                accuracy_guard,
-            } => {
-                let mut p = PredictivePolicy::new();
-                p.alpha = alpha;
-                p.beta = beta;
-                p.target_util = target_util;
-                p.p99_guard_frac = p99_guard_frac;
-                p.accuracy_guard = accuracy_guard;
-                Box::new(p)
-            }
-        }
-    }
-
-    fn validate(&self) -> core::result::Result<(), String> {
-        let frac = |label: &str, v: f64| {
-            if v.is_finite() && v > 0.0 && v <= 1.0 {
-                Ok(())
-            } else {
-                Err(format!("{label} must be in (0, 1], got {v}"))
-            }
-        };
-        let unit = |label: &str, v: f64| {
-            if v.is_finite() && (0.0..=1.0).contains(&v) {
-                Ok(())
-            } else {
-                Err(format!("{label} must be in [0, 1], got {v}"))
-            }
-        };
-        match *self {
-            PolicySpec::Hold => Ok(()),
-            PolicySpec::Reactive {
-                scale_up_load,
-                scale_down_load,
-                p99_guard_frac,
-                accuracy_guard,
-                cooldown_windows,
-            } => {
-                if !(scale_up_load > 0.0) || !scale_up_load.is_finite() {
-                    return Err(format!(
-                        "scale_up_load must be positive, got {scale_up_load}"
-                    ));
-                }
-                if !(scale_down_load >= 0.0) || scale_down_load >= scale_up_load {
-                    return Err(format!(
-                        "scale_down_load must be in [0, scale_up_load), got {scale_down_load}"
-                    ));
-                }
-                frac("p99_guard_frac", p99_guard_frac)?;
-                unit("accuracy_guard", accuracy_guard)?;
-                if cooldown_windows == 0 {
-                    return Err("cooldown_windows must be at least 1".to_owned());
-                }
-                Ok(())
-            }
-            PolicySpec::Predictive {
-                alpha,
-                beta,
-                target_util,
-                p99_guard_frac,
-                accuracy_guard,
-            } => {
-                frac("alpha", alpha)?;
-                frac("beta", beta)?;
-                frac("target_util", target_util)?;
-                frac("p99_guard_frac", p99_guard_frac)?;
-                unit("accuracy_guard", accuracy_guard)
-            }
+            PolicySpec::Reactive(p) => Box::new(p.clone()),
+            PolicySpec::Predictive(p) => Box::new(p.clone()),
         }
     }
 }
@@ -441,16 +321,12 @@ pub fn policy_name(policy: Policy) -> &'static str {
     }
 }
 
-/// Parses a scheduling-policy name ([`policy_name`]'s inverse).
-#[must_use]
-pub fn policy_from_name(name: &str) -> Option<Policy> {
-    match name {
-        "fifo" => Some(Policy::Fifo),
-        "edf" => Some(Policy::EarliestDeadlineFirst),
-        "network-affinity" => Some(Policy::NetworkAffinity),
-        _ => None,
-    }
-}
+/// Every scheduling policy, in [`policy_name`]'s order.
+const POLICIES: [Policy; 3] = [
+    Policy::Fifo,
+    Policy::EarliestDeadlineFirst,
+    Policy::NetworkAffinity,
+];
 
 impl ScenarioSpec {
     /// Validates every field of the spec (strict `try_from`-style:
@@ -475,104 +351,72 @@ impl ScenarioSpec {
                 self.name
             )));
         }
-        if self.classes.is_empty() {
-            return Err(invalid("class mix must be non-empty".to_owned()));
+        let classes = self.classes.iter();
+        validate_common(
+            classes.map(|c| (c.network.as_str(), c.slo_s, c.weight, c.min_accuracy)),
+            &self.arrival,
+            self.max_batch,
+            self.queue_capacity,
+            self.horizon_s,
+            &self.limits,
+        )?;
+        if let Some((i, c)) = (self.classes.iter().enumerate())
+            .find(|(_, c)| !KNOWN_NETWORKS.contains(&c.network.as_str()))
+        {
+            return Err(invalid(format!(
+                "classes[{i}].network {:?} is unknown (known: {})",
+                c.network,
+                KNOWN_NETWORKS.join(", ")
+            )));
         }
-        for c in &self.classes {
-            if !KNOWN_NETWORKS.contains(&c.network.as_str()) {
-                return Err(invalid(format!(
-                    "unknown network {:?} (known: {})",
-                    c.network,
-                    KNOWN_NETWORKS.join(", ")
-                )));
-            }
-            if !(c.slo_s > 0.0) || !c.slo_s.is_finite() {
-                return Err(invalid(format!(
-                    "class {} slo_s must be finite and positive, got {}",
-                    c.network, c.slo_s
-                )));
-            }
-            if !(c.weight > 0.0) || !c.weight.is_finite() {
-                return Err(invalid(format!(
-                    "class {} weight must be finite and positive, got {}",
-                    c.network, c.weight
-                )));
-            }
-            if !c.min_accuracy.is_finite() || !(0.0..=1.0).contains(&c.min_accuracy) {
-                return Err(invalid(format!(
-                    "class {} min_accuracy must be in [0, 1], got {}",
-                    c.network, c.min_accuracy
-                )));
-            }
-        }
-        self.arrival.validate().map_err(invalid)?;
         if self.instances.is_empty() {
-            return Err(invalid("instance list must be non-empty".to_owned()));
+            return Err(invalid("instances must be non-empty".to_owned()));
         }
         let mut fleet = 0usize;
         for (g, spec) in self.instances.iter().enumerate() {
             if spec.count == 0 {
-                return Err(invalid(format!("instance group {g} has count 0")));
+                return Err(invalid(format!("instances[{g}].count must be at least 1")));
             }
             fleet = fleet
                 .checked_add(spec.count)
                 .filter(|&n| n <= MAX_INSTANCES)
                 .ok_or_else(|| {
                     invalid(format!(
-                        "instance group {g} count {} takes the fleet past \
+                        "instances[{g}].count {} takes the fleet past \
                          {MAX_INSTANCES} instances",
                         spec.count
                     ))
                 })?;
-            for (label, v) in [
-                ("input_dacs", spec.input_dacs),
-                ("adcs", spec.adcs),
-                ("weight_dacs", spec.weight_dacs),
-            ] {
-                if v == Some(0) {
-                    return Err(invalid(format!(
-                        "instance group {g} {label} must be at least 1"
-                    )));
-                }
+            if spec.input_dacs == Some(0) {
+                return Err(invalid(format!(
+                    "instances[{g}].input_dacs must be at least 1"
+                )));
+            }
+            if spec.adcs == Some(0) {
+                return Err(invalid(format!("instances[{g}].adcs must be at least 1")));
+            }
+            if spec.weight_dacs == Some(0) {
+                return Err(invalid(format!(
+                    "instances[{g}].weight_dacs must be at least 1"
+                )));
             }
             if let Some(p) = spec.ring_pitch_m {
                 if !(p > 0.0) || !p.is_finite() {
                     return Err(invalid(format!(
-                        "instance group {g} ring_pitch_m must be finite and positive, got {p}"
+                        "instances[{g}].ring_pitch_m must be finite and positive, got {p}"
                     )));
                 }
             }
             if spec.bytes_per_value == Some(0) {
                 return Err(invalid(format!(
-                    "instance group {g} bytes_per_value must be at least 1"
+                    "instances[{g}].bytes_per_value must be at least 1"
                 )));
             }
-        }
-        if self.max_batch == 0 {
-            return Err(invalid("max_batch must be at least 1".to_owned()));
-        }
-        if self.queue_capacity == 0 {
-            return Err(invalid("queue_capacity must be at least 1".to_owned()));
-        }
-        if !(self.horizon_s > 0.0) || !self.horizon_s.is_finite() {
-            return Err(invalid(format!(
-                "horizon_s must be finite and positive, got {}",
-                self.horizon_s
-            )));
-        }
-        if !(self.limits.max_ambient_excursion_k >= 0.0)
-            || !self.limits.max_ambient_excursion_k.is_finite()
-            || !(0.0..=1.0).contains(&self.limits.min_laser_power_factor)
-        {
-            return Err(invalid(format!(
-                "degradation limits out of range: {:?}",
-                self.limits
-            )));
         }
         match &self.faults {
             FaultSpec::Events(events) => {
                 FaultTimeline::try_from_events(events.clone(), fleet)
-                    .map_err(|e| invalid(format!("fault timeline: {e}")))?;
+                    .map_err(|e| invalid(format!("faults.events: {e}")))?;
                 // The file's per-instance order is the replay order for
                 // same-instant events; require it monotone so what you
                 // read is what runs. Keyed by instance, so the check
@@ -582,7 +426,7 @@ impl ScenarioSpec {
                     let last = last_at.entry(e.instance).or_insert(e.at_s);
                     if e.at_s < *last {
                         return Err(invalid(format!(
-                            "fault event {k} at t={} precedes an earlier event for \
+                            "faults.events[{k}] at t={} precedes an earlier event for \
                              instance {} — per-instance event order must be monotone",
                             e.at_s, e.instance
                         )));
@@ -595,17 +439,20 @@ impl ScenarioSpec {
             } => {
                 if !(*recalibration_s > 0.0) || !recalibration_s.is_finite() {
                     return Err(invalid(format!(
-                        "chaos recalibration_s must be finite and positive, got {recalibration_s}"
+                        "faults.chaos.recalibration_s must be finite and positive, \
+                         got {recalibration_s}"
                     )));
                 }
             }
         }
         if let Some(control) = &self.control {
             control.config.validate()?;
-            control
-                .policy
-                .validate()
-                .map_err(|e| invalid(format!("control policy: {e}")))?;
+            match &control.policy {
+                PolicySpec::Hold => Ok(()),
+                PolicySpec::Reactive(p) => p.validate(),
+                PolicySpec::Predictive(p) => p.validate(),
+            }
+            .map_err(|e| invalid(format!("control.policy.{e}")))?;
         }
         Ok(())
     }
@@ -690,55 +537,7 @@ impl ScenarioSpec {
     /// emits).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(&str, Json)> = vec![
-            ("name", json::str(&self.name)),
-            ("seed", json::int(self.seed)),
-            ("horizon_s", json::num(self.horizon_s)),
-            ("arrival", arrival_to_json(&self.arrival)),
-            ("policy", json::str(policy_name(self.policy))),
-            (
-                "classes",
-                Json::Arr(
-                    self.classes
-                        .iter()
-                        .map(|c| {
-                            json::obj([
-                                ("network", json::str(&c.network)),
-                                ("slo_s", json::num(c.slo_s)),
-                                ("weight", json::num(c.weight)),
-                                ("min_accuracy", json::num(c.min_accuracy)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "instances",
-                Json::Arr(self.instances.iter().map(instance_to_json).collect()),
-            ),
-            ("max_batch", json::int(self.max_batch)),
-            ("queue_capacity", json::uint(self.queue_capacity)),
-            ("resident_weights", Json::Bool(self.resident_weights)),
-            ("accuracy_routing", Json::Bool(self.accuracy_routing)),
-            (
-                "limits",
-                json::obj([
-                    (
-                        "max_ambient_excursion_k",
-                        json::num(self.limits.max_ambient_excursion_k),
-                    ),
-                    (
-                        "min_laser_power_factor",
-                        json::num(self.limits.min_laser_power_factor),
-                    ),
-                ]),
-            ),
-            ("faults", faults_to_json(&self.faults)),
-        ];
-        if let Some(control) = &self.control {
-            fields.push(("control", control_to_json(control)));
-        }
-        json::obj(fields)
+        self.clone().write()
     }
 
     /// Renders the spec as pretty-printed JSON with a trailing
@@ -778,625 +577,286 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidScenario`] with the reason.
+    /// Returns [`FleetError::InvalidScenario`] with the reason, naming
+    /// the key path.
     pub fn from_json(value: &Json) -> Result<ScenarioSpec> {
-        let fields = value
-            .as_obj()
-            .ok_or_else(|| invalid("scenario must be a JSON object".to_owned()))?;
-        const KNOWN: [&str; 15] = [
-            "name",
-            "seed",
-            "horizon_s",
-            "arrival",
-            "policy",
-            "classes",
-            "instances",
-            "max_batch",
-            "queue_capacity",
-            "resident_weights",
-            "accuracy_routing",
-            "limits",
-            "faults",
-            "control",
-            "description",
-        ];
-        for (k, _) in fields {
-            if !KNOWN.contains(&k.as_str()) {
-                return Err(invalid(format!("unknown scenario key {k:?}")));
-            }
-        }
-        let name = req_str(value, "name")?;
-        let seed = opt_u64(value, "seed")?.unwrap_or(0);
-        let horizon_s = req_f64(value, "horizon_s")?;
-        let arrival = arrival_from_json(
-            value
-                .get("arrival")
-                .ok_or_else(|| invalid("missing \"arrival\"".to_owned()))?,
-        )?;
-        let policy = match value.get("policy") {
-            None => Policy::Fifo,
-            Some(v) => {
-                let name = v
-                    .as_str()
-                    .ok_or_else(|| invalid("\"policy\" must be a string".to_owned()))?;
-                policy_from_name(name).ok_or_else(|| {
-                    invalid(format!(
-                        "unknown policy {name:?} (known: fifo, edf, network-affinity)"
-                    ))
-                })?
-            }
-        };
-        let classes = value
-            .get("classes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| invalid("\"classes\" must be an array".to_owned()))?
-            .iter()
-            .map(class_from_json)
-            .collect::<Result<Vec<_>>>()?;
-        let instances = value
-            .get("instances")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| invalid("\"instances\" must be an array".to_owned()))?
-            .iter()
-            .map(instance_from_json)
-            .collect::<Result<Vec<_>>>()?;
-        let defaults = FleetScenario::default();
-        let max_batch = opt_u64(value, "max_batch")?.unwrap_or(defaults.max_batch);
-        let queue_capacity = opt_usize(value, "queue_capacity")?.unwrap_or(defaults.queue_capacity);
-        let resident_weights = match value.get("resident_weights") {
-            None => defaults.resident_weights,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| invalid("\"resident_weights\" must be a bool".to_owned()))?,
-        };
-        let accuracy_routing = match value.get("accuracy_routing") {
-            None => defaults.accuracy_routing,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| invalid("\"accuracy_routing\" must be a bool".to_owned()))?,
-        };
-        let limits = match value.get("limits") {
-            None => DegradationLimits::default(),
-            Some(v) => limits_from_json(v)?,
-        };
-        let faults = match value.get("faults") {
-            None => FaultSpec::default(),
-            Some(v) => faults_from_json(v)?,
-        };
-        let control = match value.get("control") {
-            None => None,
-            Some(v) => Some(control_from_json(v)?),
-        };
-        let spec = ScenarioSpec {
-            name,
-            classes,
-            arrival,
-            policy,
-            instances,
-            max_batch,
-            queue_capacity,
-            resident_weights,
-            accuracy_routing,
-            horizon_s,
-            seed,
-            limits,
-            faults,
-            control,
-        };
+        let spec: ScenarioSpec = fresh(value, Path::Root)?;
         spec.validate()?;
         Ok(spec)
     }
 }
 
-// ---- field helpers -------------------------------------------------
+// ---- the format: one field list per type ----------------------------
 
-fn req_str(value: &Json, key: &str) -> Result<String> {
-    value
-        .get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| invalid(format!("missing or non-string {key:?}")))
-}
-
-fn req_f64(value: &Json, key: &str) -> Result<f64> {
-    value
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| invalid(format!("missing or non-numeric {key:?}")))
-}
-
-fn opt_f64(value: &Json, key: &str) -> Result<Option<f64>> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| invalid(format!("{key:?} must be a number"))),
-    }
-}
-
-fn opt_u64(value: &Json, key: &str) -> Result<Option<u64>> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| invalid(format!("{key:?} must be a non-negative integer"))),
-    }
-}
-
-fn opt_usize(value: &Json, key: &str) -> Result<Option<usize>> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_usize()
-            .map(Some)
-            .ok_or_else(|| invalid(format!("{key:?} must be a non-negative integer"))),
-    }
-}
-
-fn reject_unknown(value: &Json, known: &[&str], what: &str) -> Result<()> {
-    let fields = value
-        .as_obj()
-        .ok_or_else(|| invalid(format!("{what} must be a JSON object")))?;
-    for (k, _) in fields {
-        if !known.contains(&k.as_str()) {
-            return Err(invalid(format!("unknown {what} key {k:?}")));
+impl Blank for ScenarioSpec {
+    fn blank() -> Self {
+        let d = FleetScenario::default();
+        ScenarioSpec {
+            name: String::new(),
+            classes: Vec::new(),
+            arrival: d.arrival,
+            policy: d.policy,
+            instances: Vec::new(),
+            max_batch: d.max_batch,
+            queue_capacity: d.queue_capacity,
+            resident_weights: d.resident_weights,
+            accuracy_routing: d.accuracy_routing,
+            horizon_s: d.horizon_s,
+            seed: d.seed,
+            limits: d.limits,
+            faults: FaultSpec::default(),
+            control: None,
         }
     }
-    Ok(())
 }
 
-// ---- arrival -------------------------------------------------------
+impl Fields for ScenarioSpec {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        io.req("name", &mut self.name)?;
+        io.opt("seed", &mut self.seed)?;
+        io.req("horizon_s", &mut self.horizon_s)?;
+        io.req("arrival", &mut self.arrival)?;
+        io.opt("policy", &mut self.policy)?;
+        io.req("classes", &mut self.classes)?;
+        io.req("instances", &mut self.instances)?;
+        io.opt("max_batch", &mut self.max_batch)?;
+        io.opt("queue_capacity", &mut self.queue_capacity)?;
+        io.opt("resident_weights", &mut self.resident_weights)?;
+        io.opt("accuracy_routing", &mut self.accuracy_routing)?;
+        io.opt("limits", &mut self.limits)?;
+        io.opt("faults", &mut self.faults)?;
+        io.maybe("control", &mut self.control)?;
+        io.skip("description");
+        Ok(())
+    }
+}
 
-fn arrival_to_json(arrival: &ArrivalProcess) -> Json {
-    match *arrival {
-        ArrivalProcess::Poisson { rate_rps } => {
-            json::obj([("poisson", json::obj([("rate_rps", json::num(rate_rps))]))])
+impl Fields for ArrivalProcess {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        let tag = io.variant(
+            self,
+            [
+                ("poisson", ArrivalProcess::Poisson { rate_rps: 0.0 }),
+                (
+                    "mmpp",
+                    ArrivalProcess::Mmpp {
+                        low_rps: 0.0,
+                        high_rps: 0.0,
+                        dwell_low_s: 0.0,
+                        dwell_high_s: 0.0,
+                    },
+                ),
+                (
+                    "diurnal",
+                    ArrivalProcess::Diurnal {
+                        base_rps: 0.0,
+                        peak_rps: 0.0,
+                        period_s: 0.0,
+                    },
+                ),
+            ],
+        )?;
+        io.object(tag, |io| match self {
+            ArrivalProcess::Poisson { rate_rps } => io.req("rate_rps", rate_rps),
+            ArrivalProcess::Mmpp {
+                low_rps,
+                high_rps,
+                dwell_low_s,
+                dwell_high_s,
+            } => {
+                io.req("low_rps", low_rps)?;
+                io.req("high_rps", high_rps)?;
+                io.req("dwell_low_s", dwell_low_s)?;
+                io.req("dwell_high_s", dwell_high_s)
+            }
+            ArrivalProcess::Diurnal {
+                base_rps,
+                peak_rps,
+                period_s,
+            } => {
+                io.req("base_rps", base_rps)?;
+                io.req("peak_rps", peak_rps)?;
+                io.req("period_s", period_s)
+            }
+        })
+    }
+}
+
+impl Blank for ClassSpec {
+    fn blank() -> Self {
+        ClassSpec {
+            network: String::new(),
+            slo_s: 0.0,
+            weight: 0.0,
+            min_accuracy: 0.0,
         }
-        ArrivalProcess::Mmpp {
-            low_rps,
-            high_rps,
-            dwell_low_s,
-            dwell_high_s,
-        } => json::obj([(
-            "mmpp",
-            json::obj([
-                ("low_rps", json::num(low_rps)),
-                ("high_rps", json::num(high_rps)),
-                ("dwell_low_s", json::num(dwell_low_s)),
-                ("dwell_high_s", json::num(dwell_high_s)),
-            ]),
-        )]),
-        ArrivalProcess::Diurnal {
-            base_rps,
-            peak_rps,
-            period_s,
-        } => json::obj([(
-            "diurnal",
-            json::obj([
-                ("base_rps", json::num(base_rps)),
-                ("peak_rps", json::num(peak_rps)),
-                ("period_s", json::num(period_s)),
-            ]),
-        )]),
     }
 }
 
-fn arrival_from_json(value: &Json) -> Result<ArrivalProcess> {
-    let fields = value
-        .as_obj()
-        .ok_or_else(|| invalid("\"arrival\" must be a JSON object".to_owned()))?;
-    if fields.len() != 1 {
-        return Err(invalid(
-            "\"arrival\" must have exactly one of: poisson, mmpp, diurnal".to_owned(),
-        ));
-    }
-    let (kind, body) = &fields[0];
-    match kind.as_str() {
-        "poisson" => {
-            reject_unknown(body, &["rate_rps"], "poisson")?;
-            Ok(ArrivalProcess::Poisson {
-                rate_rps: req_f64(body, "rate_rps")?,
-            })
-        }
-        "mmpp" => {
-            reject_unknown(
-                body,
-                &["low_rps", "high_rps", "dwell_low_s", "dwell_high_s"],
-                "mmpp",
-            )?;
-            Ok(ArrivalProcess::Mmpp {
-                low_rps: req_f64(body, "low_rps")?,
-                high_rps: req_f64(body, "high_rps")?,
-                dwell_low_s: req_f64(body, "dwell_low_s")?,
-                dwell_high_s: req_f64(body, "dwell_high_s")?,
-            })
-        }
-        "diurnal" => {
-            reject_unknown(body, &["base_rps", "peak_rps", "period_s"], "diurnal")?;
-            Ok(ArrivalProcess::Diurnal {
-                base_rps: req_f64(body, "base_rps")?,
-                peak_rps: req_f64(body, "peak_rps")?,
-                period_s: req_f64(body, "period_s")?,
-            })
-        }
-        other => Err(invalid(format!("unknown arrival process {other:?}"))),
+impl Fields for ClassSpec {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        io.req("network", &mut self.network)?;
+        io.req("slo_s", &mut self.slo_s)?;
+        io.req("weight", &mut self.weight)?;
+        io.opt("min_accuracy", &mut self.min_accuracy)
     }
 }
 
-// ---- classes / instances / limits ----------------------------------
-
-fn class_from_json(value: &Json) -> Result<ClassSpec> {
-    reject_unknown(
-        value,
-        &["network", "slo_s", "weight", "min_accuracy"],
-        "class",
-    )?;
-    Ok(ClassSpec {
-        network: req_str(value, "network")?,
-        slo_s: req_f64(value, "slo_s")?,
-        weight: req_f64(value, "weight")?,
-        min_accuracy: opt_f64(value, "min_accuracy")?.unwrap_or(0.0),
-    })
-}
-
-fn instance_to_json(spec: &InstanceSpec) -> Json {
-    let mut fields = vec![("count", json::uint(spec.count))];
-    if let Some(n) = spec.input_dacs {
-        fields.push(("input_dacs", json::uint(n)));
-    }
-    if let Some(n) = spec.adcs {
-        fields.push(("adcs", json::uint(n)));
-    }
-    if let Some(n) = spec.weight_dacs {
-        fields.push(("weight_dacs", json::uint(n)));
-    }
-    if let Some(p) = spec.ring_pitch_m {
-        fields.push(("ring_pitch_m", json::num(p)));
-    }
-    if let Some(b) = spec.bytes_per_value {
-        fields.push(("bytes_per_value", json::int(b)));
-    }
-    json::obj(fields)
-}
-
-fn instance_from_json(value: &Json) -> Result<InstanceSpec> {
-    reject_unknown(
-        value,
-        &[
-            "count",
-            "input_dacs",
-            "adcs",
-            "weight_dacs",
-            "ring_pitch_m",
-            "bytes_per_value",
-        ],
-        "instance group",
-    )?;
-    Ok(InstanceSpec {
-        count: opt_usize(value, "count")?.unwrap_or(1),
-        input_dacs: opt_usize(value, "input_dacs")?,
-        adcs: opt_usize(value, "adcs")?,
-        weight_dacs: opt_usize(value, "weight_dacs")?,
-        ring_pitch_m: opt_f64(value, "ring_pitch_m")?,
-        bytes_per_value: opt_u64(value, "bytes_per_value")?,
-    })
-}
-
-fn limits_from_json(value: &Json) -> Result<DegradationLimits> {
-    reject_unknown(
-        value,
-        &["max_ambient_excursion_k", "min_laser_power_factor"],
-        "limits",
-    )?;
-    let defaults = DegradationLimits::default();
-    Ok(DegradationLimits {
-        max_ambient_excursion_k: opt_f64(value, "max_ambient_excursion_k")?
-            .unwrap_or(defaults.max_ambient_excursion_k),
-        min_laser_power_factor: opt_f64(value, "min_laser_power_factor")?
-            .unwrap_or(defaults.min_laser_power_factor),
-    })
-}
-
-// ---- faults --------------------------------------------------------
-
-fn health_to_json(h: &HealthState) -> Json {
-    json::obj([
-        ("ambient_delta_k", json::num(h.ambient_delta_k)),
-        ("laser_power_factor", json::num(h.laser_power_factor)),
-        ("dead_input_channels", json::uint(h.dead_input_channels)),
-        ("dead_output_channels", json::uint(h.dead_output_channels)),
-    ])
-}
-
-fn health_from_json(value: &Json) -> Result<HealthState> {
-    reject_unknown(
-        value,
-        &[
-            "ambient_delta_k",
-            "laser_power_factor",
-            "dead_input_channels",
-            "dead_output_channels",
-        ],
-        "degrade",
-    )?;
-    let nominal = HealthState::nominal();
-    Ok(HealthState {
-        ambient_delta_k: opt_f64(value, "ambient_delta_k")?.unwrap_or(nominal.ambient_delta_k),
-        laser_power_factor: opt_f64(value, "laser_power_factor")?
-            .unwrap_or(nominal.laser_power_factor),
-        dead_input_channels: opt_usize(value, "dead_input_channels")?
-            .unwrap_or(nominal.dead_input_channels),
-        dead_output_channels: opt_usize(value, "dead_output_channels")?
-            .unwrap_or(nominal.dead_output_channels),
-    })
-}
-
-fn action_to_json(action: &FaultAction) -> Json {
-    match action {
-        FaultAction::Fail => json::str("fail"),
-        FaultAction::Degrade(h) => json::obj([("degrade", health_to_json(h))]),
-        FaultAction::Recalibrate { duration_s } => json::obj([(
-            "recalibrate",
-            json::obj([("duration_s", json::num(*duration_s))]),
-        )]),
+impl Blank for InstanceSpec {
+    fn blank() -> Self {
+        InstanceSpec::defaults(1)
     }
 }
 
-fn action_from_json(value: &Json) -> Result<FaultAction> {
-    if value.as_str() == Some("fail") {
-        return Ok(FaultAction::Fail);
-    }
-    let fields = value
-        .as_obj()
-        .ok_or_else(|| invalid("fault action must be \"fail\" or an object".to_owned()))?;
-    if fields.len() != 1 {
-        return Err(invalid(
-            "fault action must have exactly one of: degrade, recalibrate".to_owned(),
-        ));
-    }
-    let (kind, body) = &fields[0];
-    match kind.as_str() {
-        "degrade" => Ok(FaultAction::Degrade(health_from_json(body)?)),
-        "recalibrate" => {
-            reject_unknown(body, &["duration_s"], "recalibrate")?;
-            Ok(FaultAction::Recalibrate {
-                duration_s: req_f64(body, "duration_s")?,
-            })
-        }
-        other => Err(invalid(format!("unknown fault action {other:?}"))),
+impl Fields for InstanceSpec {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        io.opt("count", &mut self.count)?;
+        io.maybe("input_dacs", &mut self.input_dacs)?;
+        io.maybe("adcs", &mut self.adcs)?;
+        io.maybe("weight_dacs", &mut self.weight_dacs)?;
+        io.maybe("ring_pitch_m", &mut self.ring_pitch_m)?;
+        io.maybe("bytes_per_value", &mut self.bytes_per_value)
     }
 }
 
-fn faults_to_json(faults: &FaultSpec) -> Json {
-    match faults {
-        FaultSpec::Events(events) => json::obj([(
-            "events",
-            Json::Arr(
-                events
-                    .iter()
-                    .map(|e| {
-                        json::obj([
-                            ("at_s", json::num(e.at_s)),
-                            ("instance", json::uint(e.instance)),
-                            ("action", action_to_json(&e.action)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )]),
-        FaultSpec::Chaos {
-            kind,
-            recalibration_s,
-            seed,
-        } => json::obj([(
-            "chaos",
-            json::obj([
-                ("kind", json::str(kind.name())),
-                ("recalibration_s", json::num(*recalibration_s)),
-                ("seed", json::int(*seed)),
-            ]),
-        )]),
+impl Fields for DegradationLimits {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        io.opt("max_ambient_excursion_k", &mut self.max_ambient_excursion_k)?;
+        io.opt("min_laser_power_factor", &mut self.min_laser_power_factor)
     }
 }
 
-fn faults_from_json(value: &Json) -> Result<FaultSpec> {
-    let fields = value
-        .as_obj()
-        .ok_or_else(|| invalid("\"faults\" must be a JSON object".to_owned()))?;
-    if fields.len() != 1 {
-        return Err(invalid(
-            "\"faults\" must have exactly one of: events, chaos".to_owned(),
-        ));
-    }
-    let (kind, body) = &fields[0];
-    match kind.as_str() {
-        "events" => {
-            let events = body
-                .as_arr()
-                .ok_or_else(|| invalid("\"events\" must be an array".to_owned()))?
-                .iter()
-                .map(|e| {
-                    reject_unknown(e, &["at_s", "instance", "action"], "fault event")?;
-                    Ok(FaultEvent {
-                        at_s: req_f64(e, "at_s")?,
-                        instance: e.get("instance").and_then(Json::as_usize).ok_or_else(|| {
-                            invalid(
-                                "fault event \"instance\" must be a non-negative integer"
-                                    .to_owned(),
-                            )
-                        })?,
-                        action: action_from_json(e.get("action").ok_or_else(|| {
-                            invalid("fault event missing \"action\"".to_owned())
-                        })?)?,
-                    })
-                })
-                .collect::<Result<Vec<_>>>()?;
-            Ok(FaultSpec::Events(events))
-        }
-        "chaos" => {
-            reject_unknown(body, &["kind", "recalibration_s", "seed"], "chaos")?;
-            let kind_name = req_str(body, "kind")?;
-            let kind = ChaosKind::from_name(&kind_name).ok_or_else(|| {
-                invalid(format!(
-                    "unknown chaos kind {kind_name:?} (known: {})",
-                    ChaosKind::ALL
-                        .iter()
-                        .map(|k| k.name())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ))
-            })?;
-            let defaults = ChaosConfig::default();
-            Ok(FaultSpec::Chaos {
+impl Fields for FaultSpec {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        let d = ChaosConfig::default();
+        let chaos = FaultSpec::Chaos {
+            kind: ChaosKind::HeatWave,
+            recalibration_s: d.recalibration_s,
+            seed: d.seed,
+        };
+        let tag = io.variant(self, [("events", FaultSpec::default()), ("chaos", chaos)])?;
+        match self {
+            FaultSpec::Events(events) => io.req(tag, events),
+            FaultSpec::Chaos {
                 kind,
-                recalibration_s: opt_f64(body, "recalibration_s")?
-                    .unwrap_or(defaults.recalibration_s),
-                seed: opt_u64(body, "seed")?.unwrap_or(defaults.seed),
-            })
+                recalibration_s,
+                seed,
+            } => io.object(tag, |io| {
+                io.req("kind", kind)?;
+                io.opt("recalibration_s", recalibration_s)?;
+                io.opt("seed", seed)
+            }),
         }
-        other => Err(invalid(format!("unknown faults key {other:?}"))),
     }
 }
 
-// ---- control -------------------------------------------------------
-
-fn control_to_json(control: &ControlSpec) -> Json {
-    let policy = match control.policy {
-        PolicySpec::Hold => json::obj([("kind", json::str("hold"))]),
-        PolicySpec::Reactive {
-            scale_up_load,
-            scale_down_load,
-            p99_guard_frac,
-            accuracy_guard,
-            cooldown_windows,
-        } => json::obj([
-            ("kind", json::str("reactive")),
-            ("scale_up_load", json::num(scale_up_load)),
-            ("scale_down_load", json::num(scale_down_load)),
-            ("p99_guard_frac", json::num(p99_guard_frac)),
-            ("accuracy_guard", json::num(accuracy_guard)),
-            ("cooldown_windows", json::int(u64::from(cooldown_windows))),
-        ]),
-        PolicySpec::Predictive {
-            alpha,
-            beta,
-            target_util,
-            p99_guard_frac,
-            accuracy_guard,
-        } => json::obj([
-            ("kind", json::str("predictive")),
-            ("alpha", json::num(alpha)),
-            ("beta", json::num(beta)),
-            ("target_util", json::num(target_util)),
-            ("p99_guard_frac", json::num(p99_guard_frac)),
-            ("accuracy_guard", json::num(accuracy_guard)),
-        ]),
-    };
-    let cfg = &control.config;
-    json::obj([
-        ("policy", policy),
-        (
-            "config",
-            json::obj([
-                ("window_s", json::num(cfg.window_s)),
-                ("boot_s", json::num(cfg.boot_s)),
-                ("min_active", json::uint(cfg.min_active)),
-                ("initial_active", json::uint(cfg.initial_active)),
-                ("max_step", json::uint(cfg.max_step)),
-                ("idle_power_w", json::num(cfg.idle_power_w)),
-            ]),
-        ),
-    ])
-}
-
-fn control_from_json(value: &Json) -> Result<ControlSpec> {
-    reject_unknown(value, &["policy", "config"], "control")?;
-    let policy_value = value
-        .get("policy")
-        .ok_or_else(|| invalid("control missing \"policy\"".to_owned()))?;
-    reject_unknown(
-        policy_value,
-        &[
-            "kind",
-            "scale_up_load",
-            "scale_down_load",
-            "p99_guard_frac",
-            "accuracy_guard",
-            "cooldown_windows",
-            "alpha",
-            "beta",
-            "target_util",
-        ],
-        "control policy",
-    )?;
-    let kind = req_str(policy_value, "kind")?;
-    let mut policy = PolicySpec::from_kind(&kind).ok_or_else(|| {
-        invalid(format!(
-            "unknown control policy {kind:?} (known: hold, reactive, predictive)"
-        ))
-    })?;
-    match &mut policy {
-        PolicySpec::Hold => {}
-        PolicySpec::Reactive {
-            scale_up_load,
-            scale_down_load,
-            p99_guard_frac,
-            accuracy_guard,
-            cooldown_windows,
-        } => {
-            *scale_up_load = opt_f64(policy_value, "scale_up_load")?.unwrap_or(*scale_up_load);
-            *scale_down_load =
-                opt_f64(policy_value, "scale_down_load")?.unwrap_or(*scale_down_load);
-            *p99_guard_frac = opt_f64(policy_value, "p99_guard_frac")?.unwrap_or(*p99_guard_frac);
-            *accuracy_guard = opt_f64(policy_value, "accuracy_guard")?.unwrap_or(*accuracy_guard);
-            if let Some(w) = opt_u64(policy_value, "cooldown_windows")? {
-                *cooldown_windows = u32::try_from(w)
-                    .map_err(|_| invalid(format!("cooldown_windows {w} out of range")))?;
-            }
-        }
-        PolicySpec::Predictive {
-            alpha,
-            beta,
-            target_util,
-            p99_guard_frac,
-            accuracy_guard,
-        } => {
-            *alpha = opt_f64(policy_value, "alpha")?.unwrap_or(*alpha);
-            *beta = opt_f64(policy_value, "beta")?.unwrap_or(*beta);
-            *target_util = opt_f64(policy_value, "target_util")?.unwrap_or(*target_util);
-            *p99_guard_frac = opt_f64(policy_value, "p99_guard_frac")?.unwrap_or(*p99_guard_frac);
-            *accuracy_guard = opt_f64(policy_value, "accuracy_guard")?.unwrap_or(*accuracy_guard);
+impl Blank for FaultEvent {
+    fn blank() -> Self {
+        FaultEvent {
+            at_s: 0.0,
+            instance: 0,
+            action: FaultAction::Fail,
         }
     }
-    let config = match value.get("config") {
-        None => ControlConfig::default(),
-        Some(v) => {
-            reject_unknown(
-                v,
-                &[
-                    "window_s",
-                    "boot_s",
-                    "min_active",
-                    "initial_active",
-                    "max_step",
-                    "idle_power_w",
-                ],
-                "control config",
-            )?;
-            let d = ControlConfig::default();
-            ControlConfig {
-                window_s: opt_f64(v, "window_s")?.unwrap_or(d.window_s),
-                boot_s: opt_f64(v, "boot_s")?.unwrap_or(d.boot_s),
-                min_active: opt_usize(v, "min_active")?.unwrap_or(d.min_active),
-                initial_active: opt_usize(v, "initial_active")?.unwrap_or(d.initial_active),
-                max_step: opt_usize(v, "max_step")?.unwrap_or(d.max_step),
-                idle_power_w: opt_f64(v, "idle_power_w")?.unwrap_or(d.idle_power_w),
+}
+
+impl Fields for FaultEvent {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        io.req("at_s", &mut self.at_s)?;
+        io.req("instance", &mut self.instance)?;
+        io.req("action", &mut self.action)
+    }
+}
+
+impl Fields for FaultAction {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        let tag = io.variant(
+            self,
+            [
+                ("fail", FaultAction::Fail),
+                ("degrade", FaultAction::Degrade(HealthState::nominal())),
+                ("recalibrate", FaultAction::Recalibrate { duration_s: 0.0 }),
+            ],
+        )?;
+        match self {
+            FaultAction::Fail => io.unit(tag),
+            FaultAction::Degrade(health) => io.req(tag, health),
+            FaultAction::Recalibrate { duration_s } => {
+                io.object(tag, |io| io.req("duration_s", duration_s))
             }
         }
-    };
-    Ok(ControlSpec { policy, config })
+    }
+}
+
+impl Fields for HealthState {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        io.opt("ambient_delta_k", &mut self.ambient_delta_k)?;
+        io.opt("laser_power_factor", &mut self.laser_power_factor)?;
+        io.opt("dead_input_channels", &mut self.dead_input_channels)?;
+        io.opt("dead_output_channels", &mut self.dead_output_channels)
+    }
+}
+
+impl Blank for ControlSpec {
+    fn blank() -> Self {
+        ControlSpec {
+            policy: PolicySpec::Hold,
+            config: ControlConfig::default(),
+        }
+    }
+}
+
+impl Fields for ControlSpec {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        io.req("policy", &mut self.policy)?;
+        io.opt("config", &mut self.config)
+    }
+}
+
+impl Fields for PolicySpec {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        io.tag("kind", self, PolicySpec::kinds().map(|p| (p.kind(), p)))?;
+        match self {
+            PolicySpec::Hold => Ok(()),
+            PolicySpec::Reactive(p) => p.walk(io),
+            PolicySpec::Predictive(p) => p.walk(io),
+        }
+    }
+}
+
+/// The overload-guard knobs both control policies carry.
+fn guard_fields(io: &mut Io<'_>, p99_guard_frac: &mut f64, accuracy_guard: &mut f64) -> Result<()> {
+    io.opt("p99_guard_frac", p99_guard_frac)?;
+    io.opt("accuracy_guard", accuracy_guard)
+}
+
+impl Fields for ReactivePolicy {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        io.opt("scale_up_load", &mut self.scale_up_load)?;
+        io.opt("scale_down_load", &mut self.scale_down_load)?;
+        guard_fields(io, &mut self.p99_guard_frac, &mut self.accuracy_guard)?;
+        io.opt("cooldown_windows", &mut self.cooldown_windows)
+    }
+}
+
+impl Fields for PredictivePolicy {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        io.opt("alpha", &mut self.alpha)?;
+        io.opt("beta", &mut self.beta)?;
+        io.opt("target_util", &mut self.target_util)?;
+        guard_fields(io, &mut self.p99_guard_frac, &mut self.accuracy_guard)
+    }
+}
+
+impl Fields for ControlConfig {
+    fn walk(&mut self, io: &mut Io<'_>) -> Result<()> {
+        io.opt("window_s", &mut self.window_s)?;
+        io.opt("boot_s", &mut self.boot_s)?;
+        io.opt("min_active", &mut self.min_active)?;
+        io.opt("initial_active", &mut self.initial_active)?;
+        io.opt("max_step", &mut self.max_step)?;
+        io.opt("idle_power_w", &mut self.idle_power_w)
+    }
 }
 
 #[cfg(test)]
@@ -1511,14 +971,13 @@ mod tests {
     #[test]
     fn control_section_round_trips_and_builds() {
         let mut spec = demo_spec();
+        let mut reactive = ReactivePolicy::new();
+        reactive.scale_up_load = 0.8;
+        reactive.scale_down_load = 0.3;
+        reactive.accuracy_guard = 0.85;
+        reactive.cooldown_windows = 3;
         spec.control = Some(ControlSpec {
-            policy: PolicySpec::Reactive {
-                scale_up_load: 0.8,
-                scale_down_load: 0.3,
-                p99_guard_frac: 0.7,
-                accuracy_guard: 0.85,
-                cooldown_windows: 3,
-            },
+            policy: PolicySpec::Reactive(reactive),
             config: ControlConfig {
                 initial_active: 4,
                 ..ControlConfig::default()
@@ -1541,14 +1000,11 @@ mod tests {
         let mut spec = demo_spec();
         spec.accuracy_routing = true;
         spec.classes[0].min_accuracy = 0.85;
+        let mut predictive = PredictivePolicy::new();
+        predictive.alpha = 0.5;
+        predictive.accuracy_guard = 0.8;
         spec.control = Some(ControlSpec {
-            policy: PolicySpec::Predictive {
-                alpha: 0.4,
-                beta: 0.2,
-                target_util: 0.6,
-                p99_guard_frac: 0.7,
-                accuracy_guard: 0.8,
-            },
+            policy: PolicySpec::Predictive(predictive),
             config: ControlConfig::default(),
         });
         let rendered = spec.render();
@@ -1576,14 +1032,10 @@ mod tests {
             "error must name the field and class: {err}"
         );
         let mut spec = demo_spec();
+        let mut reactive = ReactivePolicy::new();
+        reactive.accuracy_guard = -0.2;
         spec.control = Some(ControlSpec {
-            policy: PolicySpec::Reactive {
-                scale_up_load: 0.75,
-                scale_down_load: 0.35,
-                p99_guard_frac: 0.7,
-                accuracy_guard: -0.2,
-                cooldown_windows: 2,
-            },
+            policy: PolicySpec::Reactive(reactive),
             config: ControlConfig::default(),
         });
         let err = spec.validate().unwrap_err().to_string();
@@ -1626,12 +1078,24 @@ mod tests {
         ] {
             let mut spec = demo_spec();
             let faults = Json::parse(patch).unwrap();
-            spec.faults = match faults_from_json(&faults) {
-                Ok(f) => f,
-                Err(_) => continue, // rejected at parse: also a pass
-            };
+            if spec.faults.read(&faults, Path::Root).is_err() {
+                continue; // rejected at parse: also a pass
+            }
             assert!(spec.validate().is_err(), "{label} must be rejected");
         }
+        // a reactive policy takes no predictive knobs (render would
+        // drop them, so the file would not round-trip)
+        let mut spec = demo_spec();
+        spec.control = Some(ControlSpec {
+            policy: PolicySpec::from_kind("reactive").unwrap(),
+            config: ControlConfig::default(),
+        });
+        let smuggled = spec.render().replace(
+            "\"kind\": \"reactive\"",
+            "\"kind\": \"reactive\", \"alpha\": 0.5, \"target_util\": 9.0",
+        );
+        let err = ScenarioSpec::parse(&smuggled).unwrap_err().to_string();
+        assert!(err.contains("control.policy.alpha"), "got: {err}");
         // fleet sizes a file can ask for: a total that overflows
         // `usize`, and one far past MAX_INSTANCES next to a fault event
         // (the per-instance order check is sized by the events)
@@ -1655,6 +1119,146 @@ mod tests {
             }
             let err = ScenarioSpec::parse(&Json::Obj(fields).render()).unwrap_err();
             assert!(err.to_string().contains("count"), "{label}: {err}");
+        }
+    }
+
+    /// `demo_spec` reaching every nesting level of the format: MMPP
+    /// arrivals, a control section, and explicit fault events (or, with
+    /// `chaos`, the chaos reference).
+    fn deep_spec(chaos: bool) -> ScenarioSpec {
+        let mut spec = demo_spec();
+        spec.arrival = ArrivalProcess::Mmpp {
+            low_rps: 10_000.0,
+            high_rps: 40_000.0,
+            dwell_low_s: 0.01,
+            dwell_high_s: 0.005,
+        };
+        spec.control = Some(ControlSpec {
+            policy: PolicySpec::from_kind("reactive").unwrap(),
+            config: ControlConfig::default(),
+        });
+        if !chaos {
+            spec.faults = FaultSpec::Events(vec![
+                FaultEvent {
+                    at_s: 0.01,
+                    instance: 0,
+                    action: FaultAction::Fail,
+                },
+                FaultEvent {
+                    at_s: 0.02,
+                    instance: 1,
+                    action: FaultAction::Degrade(HealthState::nominal()),
+                },
+            ]);
+        }
+        spec
+    }
+
+    #[test]
+    fn every_error_names_its_key_path() {
+        // (the object to plant a stray key in, as JSON path segments;
+        // the stray key — unknown or a typo of a real one; the path the
+        // error must name)
+        let cases: [(&[&str], &str, &str); 9] = [
+            (&[], "sed", "sed"),
+            (&["classes", "1"], "slo", "classes[1].slo"),
+            (&["instances", "0"], "adc", "instances[0].adc"),
+            (&["arrival", "mmpp"], "low_rp", "arrival.mmpp.low_rp"),
+            (&["limits"], "max_ambient_k", "limits.max_ambient_k"),
+            (&["faults", "chaos"], "recal_s", "faults.chaos.recal_s"),
+            (
+                &["faults", "events", "1", "action", "degrade"],
+                "ambient_k",
+                "faults.events[1].action.degrade.ambient_k",
+            ),
+            (&["control", "policy"], "alpha", "control.policy.alpha"),
+            (&["control", "config"], "window", "control.config.window"),
+        ];
+        for (at, key, path) in cases {
+            let mut doc = deep_spec(at == ["faults", "chaos"]).to_json();
+            let mut node = &mut doc;
+            for seg in at {
+                node = match node {
+                    Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == seg).unwrap().1,
+                    Json::Arr(items) => &mut items[seg.parse::<usize>().unwrap()],
+                    other => panic!("{path}: {other:?} has no {seg}"),
+                };
+            }
+            let Json::Obj(fields) = node else {
+                panic!("{path}: not an object")
+            };
+            fields.push((key.to_owned(), Json::Int(1)));
+            let err = ScenarioSpec::from_json(&doc).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unknown key {path}")),
+                "{path}: {err}"
+            );
+        }
+        // missing, mistyped and unknown-variant values name
+        // their paths too
+        let good = deep_spec(false).render();
+        for (edit, path) in [
+            (
+                good.replace("\"kind\": \"reactive\"", "\"sort\": 1"),
+                "control.policy.kind",
+            ),
+            (
+                good.replace("\"slo_s\": 0.001", "\"slo_s\": \"fast\""),
+                "classes[1].slo_s",
+            ),
+            (
+                good.replace("\"count\": 4", "\"count\": -4"),
+                "instances[0].count",
+            ),
+            (
+                good.replace("\"mmpp\"", "\"mmmp\""),
+                "arrival: unknown \"mmmp\"",
+            ),
+            (
+                good.replace("\"fail\"", "\"explode\""),
+                "faults.events[0].action",
+            ),
+        ] {
+            assert_ne!(edit, good, "{path}: edit did not apply");
+            let err = ScenarioSpec::parse(&edit).unwrap_err().to_string();
+            assert!(err.contains(path), "{path}: {err}");
+        }
+    }
+
+    #[test]
+    fn oversized_heat_wave_edits_are_refused_fast() {
+        let committed = include_str!("../../../../scenarios/heat-wave.json");
+        let (head, tail) = committed.split_at(committed.find("\"classes\"").unwrap());
+        let tail = &tail[tail.find("\"instances\"").unwrap()..];
+        let class = r#"{"network": "lenet5", "slo_s": 0.001, "weight": 1.0}"#;
+        let many = format!(
+            "{head}\"classes\": [{}],\n  {tail}",
+            vec![class; 200_000].join(",")
+        );
+        // The bound is an optimized build's: unoptimized, the parser
+        // alone takes ~0.5 s over the 11 MB of 200 000 classes.
+        let budget = std::time::Duration::from_secs(if cfg!(debug_assertions) { 5 } else { 1 });
+        for (label, text, fields) in [
+            (
+                "horizon_s 1e7",
+                committed.replace("\"horizon_s\": 0.05", "\"horizon_s\": 1e7"),
+                ["horizon_s", "MAX_EXPECTED_REQUESTS"],
+            ),
+            (
+                "rate_rps 1e13",
+                committed.replace("\"rate_rps\": 45000.0", "\"rate_rps\": 1e13"),
+                ["arrival", "MAX_EXPECTED_REQUESTS"],
+            ),
+            ("200 000 classes", many, ["classes", "MAX_CLASSES"]),
+        ] {
+            assert_ne!(text, committed, "{label}: edit did not apply");
+            let t0 = std::time::Instant::now();
+            let err = ScenarioSpec::parse(&text).unwrap_err().to_string();
+            let elapsed = t0.elapsed();
+            assert!(elapsed < budget, "{label}: {elapsed:?}");
+            for field in fields {
+                assert!(err.contains(field), "{label}: {err}");
+            }
         }
     }
 
@@ -1756,13 +1360,13 @@ mod tests {
 
     #[test]
     fn policy_names_round_trip() {
-        for p in [
-            Policy::Fifo,
-            Policy::EarliestDeadlineFirst,
-            Policy::NetworkAffinity,
-        ] {
-            assert_eq!(policy_from_name(policy_name(p)), Some(p));
+        for p in POLICIES {
+            let mut spec = demo_spec();
+            spec.policy = p;
+            assert_eq!(ScenarioSpec::parse(&spec.render()).unwrap().policy, p);
         }
-        assert_eq!(policy_from_name("lifo"), None);
+        let lifo = demo_spec().render().replace("network-affinity", "lifo");
+        let err = ScenarioSpec::parse(&lifo).unwrap_err().to_string();
+        assert!(err.contains("policy: unknown \"lifo\""), "got: {err}");
     }
 }

@@ -1,4 +1,4 @@
-//! Paper-claim assertions (experiment C1 in DESIGN.md): every quantitative
+//! Paper-claim assertions: every quantitative
 //! statement in the paper's abstract and §V, checked against this
 //! reproduction's models end to end.
 
@@ -35,8 +35,9 @@ fn claim_150k_saving() {
 }
 
 /// §V-A: conv4 "will require 3456 microrings ... it takes an area of
-/// 2.2mm² to fit all the microrings" (channel-sequential reading; see
-/// DESIGN.md §3 for why eq. (5) verbatim gives 663k/1.3M instead).
+/// 2.2mm² to fit all the microrings" (channel-sequential reading: eq. (5)
+/// verbatim weights all `nc` input channels at once, which gives 663k
+/// rings with AlexNet's channel grouping and 1.3M without).
 #[test]
 fn claim_conv4_3456_rings_2_2_mm2() {
     let conv4 = zoo::alexnet_conv_layers()[3].1;

@@ -17,7 +17,6 @@ use crate::tensor::Tensor;
 use crate::{CnnError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::OnceLock;
 
 /// A labelled dataset of `(image, class)` pairs; images are `(1, n, n)`.
 pub type Dataset = Vec<(Tensor, usize)>;
@@ -503,12 +502,53 @@ pub fn small_signal_dataset(n_samples: usize, side: usize, seed: u64) -> Dataset
 /// multi-GSa/s ADC ENOB is well under 12).
 pub const PROXY_MAX_BITS: u8 = 12;
 
-/// The measured proxy ladder: a trained net's top-1 accuracy as a function
-/// of the effective bit width of its conv datapath, as [`proxy_ladder`]
-/// measures it.
-struct ProxyLadder {
-    pristine: f64,
-    top1: [f64; PROXY_MAX_BITS as usize],
+/// How many held-out test images the proxy ladder is measured on.
+pub const PROXY_TEST_IMAGES: u32 = 200;
+
+/// The proxy ladder, compiled: correct answers out of
+/// [`PROXY_TEST_IMAGES`] through the float datapath, and through the
+/// quantized datapath at `1..=PROXY_MAX_BITS` bits after the lower
+/// envelope. [`measure_proxy_ladder`] is the oracle of these counts: it
+/// trains the net from its fixed seeds and must reproduce every rung bit
+/// for bit. When the proxy's training or evaluation changes, run
+/// `cargo run --release -p pcnna-cnn --example proxy_ladder_dump` and
+/// paste the counts it prints here.
+const PRISTINE_HITS: u32 = 178;
+const LADDER_HITS: [u32; PROXY_MAX_BITS as usize] =
+    [50, 50, 64, 154, 164, 177, 177, 177, 177, 177, 177, 178];
+
+// A hand edit that breaks the ladder's shape fails the build: the
+// serving quote's property tests rely on accuracy never rising as bits
+// fall, and on no datapath beating the float one.
+const _: () = {
+    assert!(PRISTINE_HITS <= PROXY_TEST_IMAGES);
+    let mut b = 0;
+    while b < LADDER_HITS.len() {
+        assert!(LADDER_HITS[b] <= PRISTINE_HITS, "a rung beats pristine");
+        assert!(
+            b == 0 || LADDER_HITS[b - 1] <= LADDER_HITS[b],
+            "a rung falls as bits grow"
+        );
+        b += 1;
+    }
+};
+
+/// A proxy ladder: a trained net's top-1 accuracy as a function of the
+/// effective bit width of its conv datapath.
+#[derive(Debug, Clone, Copy)]
+pub struct ProxyLadder {
+    /// Top-1 through the float (unquantized) datapath.
+    pub pristine: f64,
+    /// Top-1 at `bits = index + 1`, lower-enveloped: a coarser datapath
+    /// never scores above a finer one or above `pristine`.
+    pub top1: [f64; PROXY_MAX_BITS as usize],
+}
+
+/// `hits` correct answers as a top-1 fraction of the test set: the
+/// division [`measure_proxy_ladder`] performs, so every compiled rung is
+/// bit-identical to the measured one.
+const fn top1_of(hits: u32) -> f64 {
+    hits as f64 / PROXY_TEST_IMAGES as f64
 }
 
 /// One bit width of the functional photonic simulator's converter
@@ -586,41 +626,44 @@ fn quantized_correct(
     Ok(correct)
 }
 
-/// Trains the fixed proxy net once (process-wide) and measures its top-1
-/// accuracy at every bit width. Deterministic: fixed seeds, fixed
+/// Trains the fixed proxy net and measures its top-1 accuracy at every
+/// bit width: the oracle of the compiled ladder that [`quantized_top1`]
+/// and [`pristine_top1`] read. Deterministic: fixed seeds, fixed
 /// architecture, fixed evaluation order — the ladder is the same in every
 /// process and on every thread.
 ///
 /// The 3 200 SGD steps and 2 600 evaluated images run [`TinyConvNet`]'s
 /// fused kernels in one reused scratch, allocating nothing per image.
 /// What a bit width shares across images (the quantized kernels and each
-/// bank's `Σ|w|`) is derived once per width by [`PhotonicDatapath`], and
-/// each image's full scale once for all widths: 12 derivations instead of
-/// 2 400. Every f32 operation keeps the order of the per-image
-/// [`crate::reference`] tensor composition these kernels replaced, so the
-/// ladder is bit-identical to the one it measured; the tests pin both.
-fn proxy_ladder() -> &'static ProxyLadder {
-    static LADDER: OnceLock<ProxyLadder> = OnceLock::new();
-    LADDER.get_or_init(|| {
-        let mut net = TinyConvNet::new(12, 6, 4, 7).expect("fixed geometry is valid");
-        let train = small_signal_dataset(160, 12, 11);
-        net.train(&train, 20, 0.05).expect("fixed shapes");
-        let test = small_signal_dataset(200, 12, 99);
-        let pristine = net.accuracy(&test).expect("fixed shapes");
-        let correct = quantized_correct(&net, &test).expect("fixed shapes");
+/// bank's `Σ|w|`) is derived once per width, and each image's full scale
+/// once for all widths: 12 derivations instead of 2 400. Every f32
+/// operation keeps the order of the per-image [`crate::reference`] tensor
+/// composition these kernels replaced, so the ladder is bit-identical to
+/// the one it measured; the tests pin both.
+///
+/// # Errors
+///
+/// Returns the net's geometry or shape errors; the fixed architecture
+/// and datasets raise none.
+pub fn measure_proxy_ladder() -> Result<ProxyLadder> {
+    let mut net = TinyConvNet::new(12, 6, 4, 7)?;
+    let train = small_signal_dataset(160, 12, 11);
+    net.train(&train, 20, 0.05)?;
+    let test = small_signal_dataset(PROXY_TEST_IMAGES as usize, 12, 99);
+    let pristine = net.accuracy(&test)?;
+    let correct = quantized_correct(&net, &test)?;
 
-        // Lower envelope sweeping bits downward: a coarser datapath never
-        // quotes better accuracy than a finer one. This pins the
-        // monotonicity the serving-quote property tests rely on even if a
-        // single bit width gets lucky on the small test set.
-        let mut top1 = correct.map(|hits| hits as f64 / test.len() as f64);
-        let mut cap = pristine;
-        for b in (0..PROXY_MAX_BITS as usize).rev() {
-            cap = cap.min(top1[b]);
-            top1[b] = cap;
-        }
-        ProxyLadder { pristine, top1 }
-    })
+    // Lower envelope sweeping bits downward: a coarser datapath never
+    // quotes better accuracy than a finer one. This pins the
+    // monotonicity the serving-quote property tests rely on even if a
+    // single bit width gets lucky on the small test set.
+    let mut top1 = correct.map(|hits| hits as f64 / test.len() as f64);
+    let mut cap = pristine;
+    for b in (0..PROXY_MAX_BITS as usize).rev() {
+        cap = cap.min(top1[b]);
+        top1[b] = cap;
+    }
+    Ok(ProxyLadder { pristine, top1 })
 }
 
 /// Top-1 accuracy of the trained proxy net when its conv datapath — DAC
@@ -631,18 +674,25 @@ fn proxy_ladder() -> &'static ProxyLadder {
 ///
 /// This is the measured end of the serving accuracy quote: photonic health
 /// maps to effective bits via the SNR budget, and effective bits map to
-/// top-1 here.
+/// top-1 here. It reads the compiled ladder; [`measure_proxy_ladder`]
+/// reproduces it.
 #[must_use]
-pub fn quantized_top1(bits: u8) -> f64 {
-    let ladder = proxy_ladder();
-    ladder.top1[(bits.clamp(1, PROXY_MAX_BITS) as usize) - 1]
+pub const fn quantized_top1(bits: u8) -> f64 {
+    let rung = if bits < 1 {
+        1
+    } else if bits > PROXY_MAX_BITS {
+        PROXY_MAX_BITS
+    } else {
+        bits
+    };
+    top1_of(LADDER_HITS[rung as usize - 1])
 }
 
 /// Top-1 accuracy of the trained proxy net with a float (unquantized)
 /// datapath — the ceiling of [`quantized_top1`].
 #[must_use]
-pub fn pristine_top1() -> f64 {
-    proxy_ladder().pristine
+pub const fn pristine_top1() -> f64 {
+    top1_of(PRISTINE_HITS)
 }
 
 /// Numerically stable softmax.
@@ -973,18 +1023,19 @@ mod tests {
 
     #[test]
     fn proxy_ladder_is_pinned_bit_for_bit() {
-        // Correct answers out of the 200 test images at 1..=12 bits. Any
-        // change to the proxy's training or evaluation arithmetic moves
-        // these, and with them every accuracy quote.
-        const CORRECT: [u32; PROXY_MAX_BITS as usize] =
-            [50, 50, 64, 154, 164, 177, 177, 177, 177, 177, 177, 178];
-        assert_eq!(pristine_top1().to_bits(), (178.0f64 / 200.0).to_bits());
-        for (bits, hits) in (1..=PROXY_MAX_BITS).zip(CORRECT) {
-            let want = f64::from(hits) / 200.0;
+        // The compiled table against its oracle: retrain the proxy and
+        // re-measure every rung. Any change to the proxy's training or
+        // evaluation arithmetic moves these, and with them every
+        // accuracy quote, until the table is regenerated.
+        let measured = measure_proxy_ladder().unwrap();
+        let (got, want) = (measured.pristine, pristine_top1());
+        assert_eq!(got.to_bits(), want.to_bits(), "pristine: {got} vs {want}");
+        for (bits, got) in (1..=PROXY_MAX_BITS).zip(measured.top1) {
+            let want = quantized_top1(bits);
             assert_eq!(
-                quantized_top1(bits).to_bits(),
+                got.to_bits(),
                 want.to_bits(),
-                "{bits} bits"
+                "{bits} bits: {got} vs {want}"
             );
         }
     }

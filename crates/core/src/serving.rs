@@ -35,8 +35,10 @@
 //!   an effective datapath bit width, and a trained proxy net measured at
 //!   that width ([`pcnna_cnn::train::quantized_top1`]) prices the top-1
 //!   accuracy the instance would actually serve. The ladder behind it is
-//!   measured once per process and does not depend on the network, so
-//!   pricing accuracy is two array reads.
+//!   a compiled table, checked in the tests against its oracle
+//!   [`pcnna_cnn::train::measure_proxy_ladder`], which retrains the net.
+//!   It does not depend on the network, so pricing accuracy is two table
+//!   reads and no process trains anything before its first quote.
 
 use crate::config::PcnnaConfig;
 use crate::execution::ExecutionModel;

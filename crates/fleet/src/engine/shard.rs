@@ -66,10 +66,12 @@ use super::{FleetScenario, QuoteTable};
 use crate::metrics::FleetReport;
 use crate::telemetry::{FleetTrace, NullSink, TraceConfig, TraceSink, TracingSink};
 use crate::workload::{ArrivalSampler, ClassSampler, Request};
-use crate::Result;
+use crate::{FleetError, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::any::Any;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// One cell of the partition: the classes it owns, its contiguous
@@ -451,7 +453,7 @@ impl FleetScenario {
             run_serial(self, seed, cells, &plan.class_to_cell)
         } else {
             let window_s = window_len(self, &quotes);
-            run_windowed(self, seed, cells, &plan.class_to_cell, workers, window_s)
+            run_windowed(self, seed, cells, &plan.class_to_cell, workers, window_s)?
         };
         Ok(pairs.into_iter().unzip())
     }
@@ -543,6 +545,11 @@ pub(crate) fn run_serial<S: TraceSink>(
 /// arrival order and drains them when the stream closes. Outcomes are
 /// re-ordered by cell index before merging, so the report is
 /// independent of scheduling.
+///
+/// A worker that panics closes its channel: the generator stops, the
+/// other workers drain, and the run returns
+/// [`FleetError::WorkerPanicked`] naming the cell that worker was
+/// running and the panic's message.
 fn run_windowed<'a, S: TraceSink + Send>(
     scenario: &'a FleetScenario,
     seed: u64,
@@ -550,25 +557,31 @@ fn run_windowed<'a, S: TraceSink + Send>(
     class_to_cell: &[usize],
     workers: usize,
     window_s: f64,
-) -> Vec<(CellOutcome, S)> {
+) -> Result<Vec<(CellOutcome, S)>> {
     let n_cells = cells.len();
     let mut worker_cells: Vec<Vec<(usize, CellEngine<'a, S>)>> =
         (0..workers).map(|_| Vec::new()).collect();
     for (i, cell) in cells.into_iter().enumerate() {
         worker_cells[i % workers].push((i, cell));
     }
+    // The cell each worker is running, read only after its join: the
+    // join orders the worker's last store before the load, so Relaxed
+    // suffices.
+    let running: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
 
     let mut outcomes: Vec<Option<(CellOutcome, S)>> = (0..n_cells).map(|_| None).collect();
+    let mut panicked: Option<(usize, String)> = None;
     std::thread::scope(|scope| {
         let mut senders: Vec<mpsc::SyncSender<WindowBatch>> = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        for owned in worker_cells {
+        for (owned, running) in worker_cells.into_iter().zip(&running) {
             let (tx, rx) = mpsc::sync_channel::<WindowBatch>(BATCHES_IN_FLIGHT);
             senders.push(tx);
             handles.push(scope.spawn(move || {
                 let mut owned = owned;
                 for batch in rx {
                     for (cell_idx, reqs) in batch {
+                        running.store(cell_idx, Ordering::Relaxed);
                         let (_, cell) = owned
                             .iter_mut()
                             .find(|(i, _)| *i == cell_idx)
@@ -581,7 +594,10 @@ fn run_windowed<'a, S: TraceSink + Send>(
                 }
                 owned
                     .into_iter()
-                    .map(|(i, cell)| (i, cell.finish_with_sink()))
+                    .map(|(i, cell)| {
+                        running.store(i, Ordering::Relaxed);
+                        (i, cell.finish_with_sink())
+                    })
                     .collect::<Vec<_>>()
             }));
         }
@@ -589,7 +605,9 @@ fn run_windowed<'a, S: TraceSink + Send>(
         let mut gen = ArrivalGen::new(scenario, seed);
         let mut bufs: Vec<Vec<Request>> = (0..n_cells).map(|_| Vec::new()).collect();
         let mut t_edge = window_s;
-        loop {
+        // A failed send means that worker panicked: stop generating and
+        // let the joins below report it.
+        'generate: loop {
             while let Some(req) = gen.next_before(t_edge) {
                 let cell = class_to_cell[req.class];
                 let buf = &mut bufs[cell];
@@ -600,9 +618,9 @@ fn run_windowed<'a, S: TraceSink + Send>(
                     // preserved — batches travel the cell's one channel
                     // in generation order.
                     let reqs = std::mem::replace(buf, Vec::with_capacity(ARRIVAL_CHUNK));
-                    senders[cell % workers]
-                        .send(vec![(cell, reqs)])
-                        .expect("worker outlives the generator");
+                    if senders[cell % workers].send(vec![(cell, reqs)]).is_err() {
+                        break 'generate;
+                    }
                 }
             }
             for (w, tx) in senders.iter().enumerate() {
@@ -613,8 +631,8 @@ fn run_windowed<'a, S: TraceSink + Send>(
                         batch.push((i, std::mem::replace(&mut bufs[i], Vec::with_capacity(hint))));
                     }
                 }
-                if !batch.is_empty() {
-                    tx.send(batch).expect("worker outlives the generator");
+                if !batch.is_empty() && tx.send(batch).is_err() {
+                    break 'generate;
                 }
             }
             if gen.exhausted() {
@@ -623,21 +641,43 @@ fn run_windowed<'a, S: TraceSink + Send>(
             t_edge += window_s;
         }
         drop(senders); // close the channels: workers drain and finish
-        for handle in handles {
-            for (i, outcome) in handle.join().expect("shard worker panicked") {
-                outcomes[i] = Some(outcome);
+        for (handle, running) in handles.into_iter().zip(&running) {
+            match handle.join() {
+                Ok(finished) => {
+                    for (i, outcome) in finished {
+                        outcomes[i] = Some(outcome);
+                    }
+                }
+                Err(payload) if panicked.is_none() => {
+                    panicked = Some((running.load(Ordering::Relaxed), panic_message(&*payload)));
+                }
+                Err(_) => {}
             }
         }
     });
-    outcomes
+    if let Some((cell, message)) = panicked {
+        return Err(FleetError::WorkerPanicked { cell, message });
+    }
+    Ok(outcomes
         .into_iter()
         .map(|o| o.expect("every cell reports exactly once"))
-        .collect()
+        .collect())
+}
+
+/// The text a panic was raised with (`panic!` payloads are a `&str` or
+/// a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{ProfileOp, TraceEventKind};
     use crate::workload::{ArrivalProcess, NetworkClass};
     use pcnna_core::PcnnaConfig;
 
@@ -731,6 +771,50 @@ mod tests {
                 }
                 assert_eq!(materialized, streamed, "window {window_s}");
             }
+        }
+    }
+
+    /// A sink that panics on the first request its cell is offered when
+    /// that cell is `faulty`, and records nothing otherwise.
+    struct PanickingSink {
+        cell: usize,
+        faulty: usize,
+    }
+
+    impl TraceSink for PanickingSink {
+        const ENABLED: bool = true;
+
+        fn sample(&mut self, _class: usize, _id: u64) -> bool {
+            assert!(
+                self.cell != self.faulty,
+                "injected fault in cell {}",
+                self.cell
+            );
+            false
+        }
+
+        fn is_traced(&self, _id: u64) -> bool {
+            false
+        }
+
+        fn event(&mut self, _: TraceEventKind, _: f64, _: u64, _: usize, _: usize) {}
+
+        fn count(&mut self, _op: ProfileOp, _n: u64) {}
+    }
+
+    #[test]
+    fn worker_panic_is_reported_with_its_cell_and_message() {
+        let s = scenario(4, 8);
+        assert_eq!(s.shard_plan().n_cells(), 4);
+        let faulty = 2;
+        let result = s.sharded_outcomes(s.seed, 2, 2, |cell| PanickingSink { cell, faulty });
+        match result {
+            Err(FleetError::WorkerPanicked { cell, message }) => {
+                assert_eq!(cell, faulty);
+                assert_eq!(message, "injected fault in cell 2");
+            }
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a panicking cell must fail the run"),
         }
     }
 

@@ -129,6 +129,14 @@ pub enum FleetError {
         /// Index of the class it cannot serve, in `FleetScenario::classes`.
         class: usize,
     },
+    /// A worker thread of a sharded run panicked while it ran a cell.
+    WorkerPanicked {
+        /// Index of the shard cell the worker was running, in the
+        /// scenario's [`ShardPlan`].
+        cell: usize,
+        /// The panic's message.
+        message: String,
+    },
 }
 
 impl core::fmt::Display for FleetError {
@@ -142,6 +150,9 @@ impl core::fmt::Display for FleetError {
                 f,
                 "instance config {config} has no nominal quote for class {class}"
             ),
+            FleetError::WorkerPanicked { cell, message } => {
+                write!(f, "shard worker panicked in cell {cell}: {message}")
+            }
         }
     }
 }
@@ -150,7 +161,9 @@ impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FleetError::Core(e) => Some(e),
-            FleetError::InvalidScenario { .. } | FleetError::UnquotableConfig { .. } => None,
+            FleetError::InvalidScenario { .. }
+            | FleetError::UnquotableConfig { .. }
+            | FleetError::WorkerPanicked { .. } => None,
         }
     }
 }

@@ -4,16 +4,30 @@
 
 use pcnna::cnn::zoo;
 use pcnna::core::config::{BottleneckModel, PcnnaConfig, ScanOrder};
+use pcnna::core::simulator::SimResult;
 use pcnna::core::Pcnna;
 use pcnna::electronics::time::SimTime;
+use std::sync::OnceLock;
+
+/// AlexNet's conv layers simulated on the default (raster-scan) config,
+/// once per test binary: the simulation is deterministic, and every test
+/// here that reads it reads the same result.
+fn raster_alexnet() -> &'static [SimResult] {
+    static SIMULATED: OnceLock<Vec<SimResult>> = OnceLock::new();
+    SIMULATED.get_or_init(|| {
+        Pcnna::new(PcnnaConfig::default())
+            .unwrap()
+            .simulate_conv_layers(&zoo::alexnet_conv_layers())
+            .unwrap()
+    })
+}
 
 #[test]
 fn alexnet_analysis_and_simulation_agree_in_order_of_magnitude() {
     let layers = zoo::alexnet_conv_layers();
     let accel = Pcnna::new(PcnnaConfig::default()).unwrap();
     let analytical = accel.analyze_conv_layers(&layers).unwrap();
-    let simulated = accel.simulate_conv_layers(&layers).unwrap();
-    for (a, s) in analytical.layers.iter().zip(&simulated) {
+    for (a, s) in analytical.layers.iter().zip(raster_alexnet()) {
         let ratio = s.total_time.ratio(a.full_system_time);
         // The simulator sees exact update sets, SRAM windows, DRAM misses
         // and row-wrap penalties; it must be ≥ the paper's model but within
@@ -32,26 +46,20 @@ fn alexnet_analysis_and_simulation_agree_in_order_of_magnitude() {
 fn simulated_alexnet_totals_are_stable() {
     // Regression pin: exact simulation totals only change when the model
     // changes (everything is deterministic).
-    let layers = zoo::alexnet_conv_layers();
-    let accel = Pcnna::new(PcnnaConfig::default()).unwrap();
-    let a = accel.simulate_conv_layers(&layers).unwrap();
-    let b = accel.simulate_conv_layers(&layers).unwrap();
-    let total_a: SimTime = a.iter().map(|r| r.total_time).sum();
-    let total_b: SimTime = b.iter().map(|r| r.total_time).sum();
-    assert_eq!(total_a, total_b);
-    assert!(total_a > SimTime::ZERO);
+    let total: SimTime = raster_alexnet().iter().map(|r| r.total_time).sum();
+    assert_eq!(total.as_ps(), 167_802_969);
+    assert!(total > SimTime::ZERO);
 }
 
 #[test]
 fn serpentine_never_loads_more_than_raster_on_alexnet() {
-    let layers = zoo::alexnet_conv_layers();
-    let raster = Pcnna::new(PcnnaConfig::default()).unwrap();
     let serp = Pcnna::new(PcnnaConfig::default().with_scan(ScanOrder::Serpentine)).unwrap();
-    let r = raster.simulate_conv_layers(&layers).unwrap();
-    let s = serp.simulate_conv_layers(&layers).unwrap();
+    let s = serp
+        .simulate_conv_layers(&zoo::alexnet_conv_layers())
+        .unwrap();
     let mut raster_total = SimTime::ZERO;
     let mut serp_total = SimTime::ZERO;
-    for (a, b) in r.iter().zip(&s) {
+    for (a, b) in raster_alexnet().iter().zip(&s) {
         // Serpentine strictly reduces SRAM refills on every layer…
         assert!(b.total_input_loads <= a.total_input_loads, "{}", a.name);
         // …but FIFO-eviction interactions can cost a few extra DRAM misses
@@ -115,9 +123,7 @@ fn max_of_stages_dominates_dac_only_everywhere() {
 fn optical_core_utilization_is_poor_at_the_paper_design_point() {
     // The quantified version of the paper's conclusion: the optical core
     // could do ~100x more work than the electronics can feed it.
-    let layers = zoo::alexnet_conv_layers();
-    let accel = Pcnna::new(PcnnaConfig::default()).unwrap();
-    for r in accel.simulate_conv_layers(&layers).unwrap() {
+    for r in raster_alexnet() {
         let u = r.optical_utilization();
         assert!(u < 0.05, "{}: optical utilization {u}", r.name);
     }

@@ -13,10 +13,9 @@
 //! | `fig6`   | Figure 6 — execution times vs. Eyeriss and YodaNN |
 //! | `sweep`  | design-space sweep (beyond the paper) |
 //!
-//! The Criterion benches (`cargo bench`) time the *models themselves*
-//! (reference conv, photonic MAC, mapping, analytical framework, pipeline
-//! simulator) and re-emit the fig5/fig6 data as benchmark-attached output so
-//! a CI run regenerates every number in EXPERIMENTS.md.
+//! The models and the serving simulator are timed by the `perf` bin
+//! (`BENCH_perf.json`, gated in CI) and by the repository benchmark under
+//! `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,8 +64,7 @@ impl Fig6Row {
 ///
 /// Panics if a layer exceeds the configured hardware — the AlexNet layers
 /// used by every caller are validated by construction.
-#[must_use]
-pub fn figure6_rows(config: PcnnaConfig, layers: &[(&str, ConvGeometry)]) -> Vec<Fig6Row> {
+fn figure6_rows(config: PcnnaConfig, layers: &[(&str, ConvGeometry)]) -> Vec<Fig6Row> {
     let accel = Pcnna::new(config).expect("config is valid");
     let report = accel
         .analyze_conv_layers(layers)

@@ -95,37 +95,55 @@ impl Default for ControlConfig {
     }
 }
 
+/// The most control windows one run may take, `horizon_s / window_s`:
+/// 50× the 200 of the largest in-repo caller (the full-mode `control`
+/// and `trace` bins, 0.4 s in 2 ms windows). Every window costs an
+/// observation and a plan, so a run's wall time is bounded with it, and
+/// the window edge `t += window_s` always advances.
+pub const MAX_CONTROL_WINDOWS: f64 = 1e4;
+
 impl ControlConfig {
-    /// Validates the control parameters.
+    /// Validates the control parameters for a run of `horizon_s`
+    /// seconds.
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidScenario`] for a non-positive or
-    /// non-finite window, a negative or non-finite boot time or idle
-    /// power, a zero floor, or a zero step.
-    pub fn validate(&self) -> Result<()> {
+    /// Returns [`FleetError::InvalidScenario`] naming the
+    /// `control.config` key: a non-positive or non-finite window, more
+    /// than [`MAX_CONTROL_WINDOWS`] windows in the horizon, a negative
+    /// or non-finite boot time or idle power, a zero floor, or a zero
+    /// step.
+    pub fn validate(&self, horizon_s: f64) -> Result<()> {
         let fail = |reason: String| Err(FleetError::InvalidScenario { reason });
         if !(self.window_s > 0.0) || !self.window_s.is_finite() {
             return fail(format!(
-                "control window must be positive, got {}",
+                "control.config.window_s must be finite and positive, got {}",
+                self.window_s
+            ));
+        }
+        let windows = horizon_s / self.window_s;
+        if windows > MAX_CONTROL_WINDOWS {
+            return fail(format!(
+                "control.config.window_s {:e} splits horizon_s {horizon_s} into {windows:e} \
+                 windows, past MAX_CONTROL_WINDOWS ({MAX_CONTROL_WINDOWS:e})",
                 self.window_s
             ));
         }
         if !(self.boot_s >= 0.0) || !self.boot_s.is_finite() {
             return fail(format!(
-                "boot time must be non-negative, got {}",
+                "control.config.boot_s must be finite and non-negative, got {}",
                 self.boot_s
             ));
         }
         if self.min_active == 0 {
-            return fail("min_active must be at least 1".to_owned());
+            return fail("control.config.min_active must be at least 1".to_owned());
         }
         if self.max_step == 0 {
-            return fail("max_step must be at least 1".to_owned());
+            return fail("control.config.max_step must be at least 1".to_owned());
         }
         if !(self.idle_power_w >= 0.0) || !self.idle_power_w.is_finite() {
             return fail(format!(
-                "idle power must be non-negative, got {}",
+                "control.config.idle_power_w must be finite and non-negative, got {}",
                 self.idle_power_w
             ));
         }
@@ -253,7 +271,9 @@ impl FleetScenario {
     ///
     /// # Errors
     ///
-    /// Returns scenario/config validation or core quoting failures.
+    /// Returns scenario/config validation failures (a config with more
+    /// than [`MAX_CONTROL_WINDOWS`] windows in the horizon among them),
+    /// checked before the first window, or core quoting failures.
     pub fn simulate_controlled(
         &self,
         cfg: &ControlConfig,
@@ -300,7 +320,7 @@ impl FleetScenario {
         timeline_capacity: Option<usize>,
     ) -> Result<(ControlledReport, S, Option<TimeSeries>)> {
         self.validate()?;
-        cfg.validate()?;
+        cfg.validate(self.horizon_s)?;
         let quotes = self.quote_table()?;
         let n = self.instances.len();
         let min_active = cfg.min_active.min(n);
@@ -677,30 +697,88 @@ mod tests {
 
     #[test]
     fn control_config_validation_rejects_nonsense() {
-        assert!(ControlConfig::default().validate().is_ok());
-        for bad in [
-            ControlConfig {
-                window_s: 0.0,
-                ..ControlConfig::default()
-            },
-            ControlConfig {
-                boot_s: -1.0,
-                ..ControlConfig::default()
-            },
-            ControlConfig {
-                min_active: 0,
-                ..ControlConfig::default()
-            },
-            ControlConfig {
-                max_step: 0,
-                ..ControlConfig::default()
-            },
-            ControlConfig {
-                idle_power_w: f64::NAN,
-                ..ControlConfig::default()
-            },
+        let horizon_s = 0.1;
+        assert!(ControlConfig::default().validate(horizon_s).is_ok());
+        // (the key its reason must name, the bad config)
+        for (key, bad) in [
+            (
+                "window_s",
+                ControlConfig {
+                    window_s: 0.0,
+                    ..ControlConfig::default()
+                },
+            ),
+            (
+                "window_s",
+                ControlConfig {
+                    window_s: horizon_s / MAX_CONTROL_WINDOWS / 1.01,
+                    ..ControlConfig::default()
+                },
+            ),
+            (
+                "boot_s",
+                ControlConfig {
+                    boot_s: -1.0,
+                    ..ControlConfig::default()
+                },
+            ),
+            (
+                "min_active",
+                ControlConfig {
+                    min_active: 0,
+                    ..ControlConfig::default()
+                },
+            ),
+            (
+                "max_step",
+                ControlConfig {
+                    max_step: 0,
+                    ..ControlConfig::default()
+                },
+            ),
+            (
+                "idle_power_w",
+                ControlConfig {
+                    idle_power_w: f64::NAN,
+                    ..ControlConfig::default()
+                },
+            ),
         ] {
-            assert!(bad.validate().is_err(), "{bad:?}");
+            let err = bad.validate(horizon_s).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("control.config.{key}")),
+                "{bad:?}: {err}"
+            );
+        }
+        let near_cap = ControlConfig {
+            window_s: 1.001 * horizon_s / MAX_CONTROL_WINDOWS,
+            ..ControlConfig::default()
+        };
+        assert!(near_cap.validate(horizon_s).is_ok());
+    }
+
+    #[test]
+    fn window_counts_past_the_cap_are_refused_before_the_loop() {
+        // 1e-300 s windows never advance the window edge (the run would
+        // hang); 1e-9 s windows would take 5e7 windows here.
+        let s = FleetScenario {
+            horizon_s: 0.05,
+            ..diurnal_scenario()
+        };
+        for window_s in [1e-300, 1e-9] {
+            let cfg = ControlConfig { window_s, ..cfg() };
+            let t0 = std::time::Instant::now();
+            let plain = s.simulate_controlled(&cfg, &mut Hold).unwrap_err();
+            let traced = s
+                .simulate_controlled_traced(&cfg, &mut Hold, &TraceConfig::default())
+                .unwrap_err();
+            assert!(t0.elapsed() < std::time::Duration::from_secs(1));
+            for err in [plain.to_string(), traced.to_string()] {
+                assert!(
+                    err.contains("control.config.window_s") && err.contains("MAX_CONTROL_WINDOWS"),
+                    "{window_s}: {err}"
+                );
+            }
         }
     }
 }

@@ -250,7 +250,7 @@ impl FleetScenario {
             return fail(format!("classes[{i}] ({}) has no conv layers", c.name));
         }
         if let Err(reason) = self.faults.validate(self.instances.len()) {
-            return fail(format!("fault timeline: {reason}"));
+            return fail(reason);
         }
         Ok(())
     }

@@ -84,31 +84,36 @@ impl FaultEvent {
         instance: usize,
         action: FaultAction,
     ) -> core::result::Result<FaultEvent, String> {
-        if !at_s.is_finite() || at_s < 0.0 {
-            return Err(format!(
-                "fault event time must be finite and ≥ 0, got {at_s}"
-            ));
-        }
-        match action {
-            FaultAction::Degrade(h) => {
-                if let Err(err) = h.validate() {
-                    return Err(format!("fault event health invalid: {err}"));
-                }
-            }
-            FaultAction::Recalibrate { duration_s } => {
-                if !(duration_s > 0.0) || !duration_s.is_finite() {
-                    return Err(format!(
-                        "fault event recalibration window must be positive, got {duration_s}"
-                    ));
-                }
-            }
-            FaultAction::Fail => {}
-        }
-        Ok(FaultEvent {
+        let event = FaultEvent {
             at_s,
             instance,
             action,
-        })
+        };
+        event.check().map_err(|e| format!("fault event {e}"))?;
+        Ok(event)
+    }
+
+    /// The checks that need no fleet size. The reason starts with the
+    /// failing key, relative to the event (`at_s`, `action.…`).
+    fn check(&self) -> core::result::Result<(), String> {
+        if !self.at_s.is_finite() || self.at_s < 0.0 {
+            return Err(format!("at_s must be finite and ≥ 0, got {}", self.at_s));
+        }
+        match self.action {
+            FaultAction::Degrade(h) => h
+                .validate()
+                .map_err(|err| format!("action.degrade is invalid: {err}")),
+            FaultAction::Recalibrate { duration_s } => {
+                if !(duration_s > 0.0) || !duration_s.is_finite() {
+                    return Err(format!(
+                        "action.recalibrate.duration_s must be finite and positive, \
+                         got {duration_s}"
+                    ));
+                }
+                Ok(())
+            }
+            FaultAction::Fail => Ok(()),
+        }
     }
 }
 
@@ -148,9 +153,11 @@ impl FaultTimeline {
         events: Vec<FaultEvent>,
         n_instances: usize,
     ) -> core::result::Result<FaultTimeline, String> {
-        let timeline = FaultTimeline::from_events(events);
-        timeline.validate(n_instances)?;
-        Ok(timeline)
+        // Checked before the sort, so `events[k]` in a reason is the
+        // caller's index.
+        let unsorted = FaultTimeline { events };
+        unsorted.validate(n_instances)?;
+        Ok(FaultTimeline::from_events(unsorted.events))
     }
 
     /// The events in chronological order.
@@ -195,35 +202,21 @@ impl FaultTimeline {
     ///
     /// # Errors
     ///
-    /// Returns a reason string for out-of-range instance indices,
-    /// non-finite/negative times, non-positive recalibration windows,
-    /// or invalid health snapshots.
+    /// Returns a reason naming the key path of the first bad event —
+    /// `faults.events[k].instance` out of range, `.at_s` negative or
+    /// non-finite, `.action` a non-positive recalibration window or an
+    /// invalid health snapshot — where `k` indexes [`events`](Self::events).
     pub fn validate(&self, n_instances: usize) -> core::result::Result<(), String> {
         for (k, e) in self.events.iter().enumerate() {
             if e.instance >= n_instances {
                 return Err(format!(
-                    "fault event {k} targets instance {} of a {n_instances}-instance fleet",
+                    "faults.events[{k}].instance {} is out of range for a \
+                     {n_instances}-instance fleet",
                     e.instance
                 ));
             }
-            if !e.at_s.is_finite() || e.at_s < 0.0 {
-                return Err(format!("fault event {k} time must be ≥ 0, got {}", e.at_s));
-            }
-            match e.action {
-                FaultAction::Degrade(h) => {
-                    if let Err(err) = h.validate() {
-                        return Err(format!("fault event {k} health invalid: {err}"));
-                    }
-                }
-                FaultAction::Recalibrate { duration_s } => {
-                    if !(duration_s > 0.0) || !duration_s.is_finite() {
-                        return Err(format!(
-                            "fault event {k} recalibration window must be positive, got {duration_s}"
-                        ));
-                    }
-                }
-                FaultAction::Fail => {}
-            }
+            e.check()
+                .map_err(|err| format!("faults.events[{k}].{err}"))?;
         }
         Ok(())
     }

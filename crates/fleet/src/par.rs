@@ -4,57 +4,18 @@
 //! module provides the one parallel primitive the fleet needs — an ordered
 //! parallel map over `std::thread::scope` — and builds seed/shard
 //! replication on top of it. Swapping rayon in later is a local change
-//! (`par_map` ≈ `into_par_iter().map().collect()`).
+//! (`par_map_slice` ≈ `par_iter().map().collect()`).
 
 use crate::engine::{merge, FleetScenario};
 use crate::metrics::FleetReport;
 use crate::telemetry::NullSink;
 use crate::Result;
 
-/// Ordered parallel map: applies `f` to every item on a pool of
-/// `threads` OS threads (capped by the item count), preserving input
-/// order in the output.
-pub fn par_map<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let n = items.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-
-    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    {
-        // Static round-robin sharding (no stealing): item i is owned by
-        // worker i % threads. Good enough for seed replication, where
-        // per-item cost is roughly uniform.
-        let mut shards: Vec<Vec<(T, &mut Option<U>)>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, (item, slot)) in items.into_iter().zip(slots.iter_mut()).enumerate() {
-            shards[i % threads].push((item, slot));
-        }
-        std::thread::scope(|scope| {
-            for shard in shards {
-                scope.spawn(|| {
-                    for (item, slot) in shard {
-                        *slot = Some(f(item));
-                    }
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("worker filled every slot"))
-        .collect()
-}
-
-/// Ordered parallel map over a slice of `Copy` items: like [`par_map`]
-/// but the caller keeps ownership of `items`, so an iterated search can
-/// refill one warm buffer per batch instead of building (and giving away)
-/// a fresh `Vec` every time.
+/// Ordered parallel map over a slice of `Copy` items: applies `f` to
+/// every item on a pool of `threads` OS threads (capped by the item
+/// count), preserving input order in the output. The caller keeps
+/// ownership of `items`, so an iterated search can refill one warm
+/// buffer per batch instead of building a fresh `Vec` every time.
 pub fn par_map_slice<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Copy + Send,
@@ -69,8 +30,9 @@ where
 
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
     {
-        // Same static round-robin sharding as `par_map`: item i is owned
-        // by worker i % threads.
+        // Static round-robin sharding (no stealing): item i is owned by
+        // worker i % threads. Good enough for seed replication and grid
+        // blocks, where per-item cost is roughly uniform.
         let mut shards: Vec<Vec<(T, &mut Option<U>)>> = (0..threads).map(|_| Vec::new()).collect();
         for (i, (&item, slot)) in items.iter().zip(slots.iter_mut()).enumerate() {
             shards[i % threads].push((item, slot));
@@ -125,13 +87,14 @@ mod tests {
 
     #[test]
     fn par_map_preserves_order() {
-        let out = par_map((0..100).collect::<Vec<i64>>(), 8, |x| x * x);
+        let items: Vec<i64> = (0..100).collect();
+        let out = par_map_slice(&items, 8, |x| x * x);
         assert_eq!(out, (0..100).map(|x| x * x).collect::<Vec<_>>());
     }
 
     #[test]
     fn par_map_single_thread_fallback() {
-        let out = par_map(vec![1, 2, 3], 1, |x| x + 1);
+        let out = par_map_slice(&[1, 2, 3], 1, |x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 

@@ -415,8 +415,7 @@ impl ScenarioSpec {
         }
         match &self.faults {
             FaultSpec::Events(events) => {
-                FaultTimeline::try_from_events(events.clone(), fleet)
-                    .map_err(|e| invalid(format!("faults.events: {e}")))?;
+                FaultTimeline::try_from_events(events.clone(), fleet).map_err(invalid)?;
                 // The file's per-instance order is the replay order for
                 // same-instant events; require it monotone so what you
                 // read is what runs. Keyed by instance, so the check
@@ -446,7 +445,7 @@ impl ScenarioSpec {
             }
         }
         if let Some(control) = &self.control {
-            control.config.validate()?;
+            control.config.validate(self.horizon_s)?;
             match &control.policy {
                 PolicySpec::Hold => Ok(()),
                 PolicySpec::Reactive(p) => p.validate(),
@@ -492,8 +491,7 @@ impl ScenarioSpec {
             .collect();
         let faults = match &self.faults {
             FaultSpec::Events(events) => {
-                FaultTimeline::try_from_events(events.clone(), instances.len())
-                    .map_err(|e| invalid(format!("fault timeline: {e}")))?
+                FaultTimeline::try_from_events(events.clone(), instances.len()).map_err(invalid)?
             }
             FaultSpec::Chaos {
                 kind,
@@ -1218,6 +1216,15 @@ mod tests {
                 good.replace("\"fail\"", "\"explode\""),
                 "faults.events[0].action",
             ),
+            // and so do values the validators refuse
+            (
+                good.replace("\"boot_s\": 0.004", "\"boot_s\": -1.0"),
+                "control.config.boot_s",
+            ),
+            (
+                good.replace("\"instance\": 1", "\"instance\": 9"),
+                "faults.events[1].instance",
+            ),
         ] {
             assert_ne!(edit, good, "{path}: edit did not apply");
             let err = ScenarioSpec::parse(&edit).unwrap_err().to_string();
@@ -1288,7 +1295,7 @@ mod tests {
         assert!(ok.validate().is_ok());
         // (case, the field its reason must name, the edit that breaks it)
         type Edit = fn(&mut ScenarioSpec);
-        let cases: [(&str, &str, Edit); 16] = [
+        let cases: [(&str, &str, Edit); 18] = [
             ("empty name", "name", |s| s.name.clear()),
             ("bad name", "name", |s| s.name = "no spaces".to_owned()),
             ("empty classes", "class", |s| s.classes.clear()),
@@ -1324,6 +1331,28 @@ mod tests {
                     InstanceSpec::defaults(MAX_INSTANCES),
                     InstanceSpec::defaults(1),
                 ];
+            }),
+            (
+                "window edge never advances",
+                "control.config.window_s",
+                |s| {
+                    s.control = Some(ControlSpec {
+                        policy: PolicySpec::Hold,
+                        config: ControlConfig {
+                            window_s: 1e-300,
+                            ..ControlConfig::default()
+                        },
+                    });
+                },
+            ),
+            ("5e7 control windows", "control.config.window_s", |s| {
+                s.control = Some(ControlSpec {
+                    policy: PolicySpec::Hold,
+                    config: ControlConfig {
+                        window_s: 1e-9,
+                        ..ControlConfig::default()
+                    },
+                });
             }),
         ];
         for (label, field, edit) in cases {

@@ -19,8 +19,9 @@
 //! * [`workload`] — deterministic synthetic workload generators.
 //! * [`stats`] — MAC/weight/activation accounting per layer and per network.
 //! * [`metrics`] — task-level agreement metrics (argmax, top-k, cosine).
-//! * [`train`] — a minimal trainable conv-net (manual backprop + SGD) for
-//!   measuring task accuracy of analog photonic inference.
+//! * [`train`] — a minimal trainable conv-net (the [`reference`](mod@reference)
+//!   kernels, manual backprop + SGD) for measuring task accuracy of analog
+//!   photonic inference, and the compiled accuracy ladder it reproduces.
 //! * [`winograd`] — Winograd F(2×2, 3×3) convolution: a third independent
 //!   implementation cross-checking the ground truth.
 //!
@@ -39,6 +40,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod geometry;
 pub mod layer;

@@ -162,10 +162,9 @@ impl Network {
     ///
     /// See [`Network::shape_trace`].
     pub fn output_shape(&self) -> Result<FeatureShape> {
-        Ok(*self
-            .shape_trace()?
-            .last()
-            .expect("trace always contains the input shape"))
+        self.layers
+            .iter()
+            .try_fold(self.input, |shape, layer| layer.output_shape(shape))
     }
 
     /// Runs the reference forward pass.
@@ -229,8 +228,7 @@ impl Network {
                 }
                 Layer::FullyConnected { outputs, .. } => {
                     let inputs = current.len();
-                    let g = ConvGeometry::new(1, 1, 0, 1, inputs, *outputs)
-                        .expect("fc dims are nonzero by builder validation");
+                    let g = ConvGeometry::new(1, 1, 0, 1, inputs, *outputs)?;
                     let wl = Workload::gaussian(&g, layer_seed);
                     let w = wl.kernels.reshape(&[*outputs, inputs])?;
                     let flat = current.reshape(&[inputs])?;

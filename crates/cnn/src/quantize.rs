@@ -144,8 +144,10 @@ fn encode_with(value: f32, step: f32, max: f32) -> i32 {
 /// Measures the worst-case and RMS quantization error of `q` over `t`.
 #[must_use]
 pub fn quantization_error(q: &Quantizer, t: &Tensor) -> (f32, f32) {
-    let quant = q.quantize_tensor(t);
-    let diff = t.sub(&quant).expect("same shape by construction");
+    let mut diff = t.clone();
+    for v in diff.as_mut_slice() {
+        *v -= q.quantize(*v);
+    }
     let max = diff.max_abs();
     let rms =
         (diff.as_slice().iter().map(|v| v * v).sum::<f32>() / diff.len().max(1) as f32).sqrt();

@@ -13,6 +13,7 @@
 
 use crate::geometry::ConvGeometry;
 use crate::quantize::Quantizer;
+use crate::reference;
 use crate::tensor::Tensor;
 use crate::{CnnError, Result};
 use rand::rngs::StdRng;
@@ -48,12 +49,9 @@ pub fn orientation_dataset(n_samples: usize, side: usize, seed: u64) -> Dataset 
 /// The fixed tiny architecture: conv(1→k, 3×3, pad 1) → ReLU → avgpool 2×2
 /// → FC(→classes).
 ///
-/// Every pass runs fused slice kernels over one reusable scratch: no
-/// per-image tensors, and the conv skips its zero-padding taps instead of
-/// multiplying them. Each output keeps the f32 operation order of the
-/// [`crate::reference`] composition `conv2d_direct → relu → avgpool(2, 2) →
-/// fully_connected` (and of its hand-written backward pass), so weights,
-/// logits and losses are bit-identical to it; the unit tests pin that.
+/// Every pass is the [`crate::reference`] composition `conv2d_direct → relu
+/// → avgpool(2, 2) → fully_connected`, and [`TinyConvNet::sgd_step`] is its
+/// hand-written backward pass.
 #[derive(Debug, Clone)]
 pub struct TinyConvNet {
     /// Conv geometry (fixed stride 1, pad 1, single input channel).
@@ -66,159 +64,13 @@ pub struct TinyConvNet {
     pooled_side: usize,
 }
 
-/// Buffers one fused pass works in, sized once per net and reused across
-/// images and SGD steps.
-struct Scratch {
-    /// Conv output `(k, side, side)`; overwritten by its gradient in
-    /// [`TinyConvNet::backward`].
-    conv: Vec<f32>,
+/// The activations one forward pass keeps for its backward pass.
+struct Forward {
+    /// ReLU of the conv output `(k, side, side)`.
+    relu: Tensor,
     /// Pooled activations `(k, side/2, side/2)`, the FC input.
-    pooled: Vec<f32>,
-    /// Logits; softmax probabilities and then their gradient in `sgd`.
+    pooled: Tensor,
     logits: Vec<f32>,
-    /// Gradient of the loss with respect to `pooled`.
-    dpooled: Vec<f32>,
-    /// A quantized copy of the input image (proxy-ladder evaluation).
-    image: Vec<f32>,
-}
-
-/// Stride-1, pad-1 3×3 convolution of one `n×n` channel `x` by the
-/// `(k, 3, 3)` stack `kernels` into `out` (`(k, n, n)`).
-///
-/// Each output accumulates its taps in `(ky, kx)` order from +0, as
-/// `reference::conv2d_direct` does, but only the taps inside the image:
-/// the top and bottom output rows meet two input rows, and [`conv_row`]
-/// skips the padding column at each row end. Skipping is exact: the
-/// padding taps add `0·w = ±0`, and an accumulator that starts at +0
-/// never becomes −0, so adding ±0 never changes it.
-fn conv3x3_pad1(x: &[f32], n: usize, kernels: &[f32], out: &mut [f32]) {
-    let row = |y: usize| &x[y * n..(y + 1) * n];
-    for (w, plane) in kernels.chunks_exact(9).zip(out.chunks_exact_mut(n * n)) {
-        for (oy, out_row) in plane.chunks_exact_mut(n).enumerate() {
-            if oy == 0 {
-                conv_row(out_row, [row(0), row(1)], &w[3..]);
-            } else if oy + 1 == n {
-                conv_row(out_row, [row(n - 2), row(n - 1)], &w[..6]);
-            } else {
-                conv_row(out_row, [row(oy - 1), row(oy), row(oy + 1)], w);
-            }
-        }
-    }
-}
-
-/// One output row of [`conv3x3_pad1`] from the `R` input rows it meets
-/// and their `3R` kernel taps `w`: `out[ox] = Σ rows[r][ox+kx−1] · w[3r+kx]`
-/// in `(r, kx)` order over the in-row taps.
-#[inline]
-fn conv_row<const R: usize>(out: &mut [f32], rows: [&[f32]; R], w: &[f32]) {
-    let n = out.len();
-    let rows = rows.map(|x| &x[..n]);
-    let w = &w[..3 * R];
-    let mut acc = 0.0f32;
-    for r in 0..R {
-        acc += rows[r][0] * w[3 * r + 1];
-        acc += rows[r][1] * w[3 * r + 2];
-    }
-    out[0] = acc;
-    for ox in 1..n - 1 {
-        let mut acc = 0.0f32;
-        for r in 0..R {
-            let x = rows[r];
-            acc += x[ox - 1] * w[3 * r];
-            acc += x[ox] * w[3 * r + 1];
-            acc += x[ox + 1] * w[3 * r + 2];
-        }
-        out[ox] = acc;
-    }
-    let mut acc = 0.0f32;
-    for r in 0..R {
-        acc += rows[r][n - 2] * w[3 * r];
-        acc += rows[r][n - 1] * w[3 * r + 1];
-    }
-    out[n - 1] = acc;
-}
-
-/// The gradient of one 3×3 kernel of a stride-1, pad-1 conv from the
-/// gradient `dconv` of its `n×n` output plane and the input `x`:
-/// `g[ky·3 + kx] = Σ dconv[oy, ox] · x[oy+ky−1, ox+kx−1]`, each summed over
-/// its in-image positions in row-major order, as the bounds-tested loop
-/// of the reference backward pass does, but with no bounds tests.
-fn conv3x3_pad1_kernel_grad(x: &[f32], n: usize, dconv: &[f32]) -> [f32; 9] {
-    let row = |y: usize| &x[y * n..(y + 1) * n];
-    let mut g = [0.0f32; 9];
-    for (oy, d) in dconv.chunks_exact(n).enumerate() {
-        if oy == 0 {
-            grad_row(&mut g[3..], d, [row(0), row(1)]);
-        } else if oy + 1 == n {
-            grad_row(&mut g[..6], d, [row(n - 2), row(n - 1)]);
-        } else {
-            grad_row(&mut g, d, [row(oy - 1), row(oy), row(oy + 1)]);
-        }
-    }
-    g
-}
-
-/// Adds one output row's share `Σ d[ox] · rows[r][ox+kx−1]` to the `3R`
-/// tap gradients `g` of the `R` input rows it meets, each in ascending
-/// `ox` over its in-row positions. The `3R` sums are independent, so they
-/// advance together.
-#[inline]
-fn grad_row<const R: usize>(g: &mut [f32], d: &[f32], rows: [&[f32]; R]) {
-    let n = d.len();
-    let rows = rows.map(|x| &x[..n]);
-    let mut acc = [[0.0f32; 3]; R];
-    for r in 0..R {
-        acc[r].copy_from_slice(&g[3 * r..3 * r + 3]);
-    }
-    for r in 0..R {
-        acc[r][1] += d[0] * rows[r][0];
-        acc[r][2] += d[0] * rows[r][1];
-    }
-    for ox in 1..n - 1 {
-        for r in 0..R {
-            acc[r][0] += d[ox] * rows[r][ox - 1];
-            acc[r][1] += d[ox] * rows[r][ox];
-            acc[r][2] += d[ox] * rows[r][ox + 1];
-        }
-    }
-    for r in 0..R {
-        acc[r][0] += d[n - 1] * rows[r][n - 2];
-        acc[r][1] += d[n - 1] * rows[r][n - 1];
-    }
-    for r in 0..R {
-        g[3 * r..3 * r + 3].copy_from_slice(&acc[r]);
-    }
-}
-
-/// ReLU → 2×2 average pool of `conv` (`(k, n, n)`) into `pooled`
-/// (`(k, n/2, n/2)`), summing each window row-major as
-/// `reference::avgpool` does.
-fn relu_avgpool2(conv: &[f32], n: usize, pooled: &mut [f32]) {
-    let ps = n / 2;
-    for (plane, out) in conv
-        .chunks_exact(n * n)
-        .zip(pooled.chunks_exact_mut(ps * ps))
-    {
-        for (py, out_row) in out.chunks_exact_mut(ps).enumerate() {
-            let (top, bottom) = plane[2 * py * n..(2 * py + 2) * n].split_at(n);
-            for (px, o) in out_row.iter_mut().enumerate() {
-                let mut sum = 0.0f32;
-                sum += top[2 * px].max(0.0);
-                sum += top[2 * px + 1].max(0.0);
-                sum += bottom[2 * px].max(0.0);
-                sum += bottom[2 * px + 1].max(0.0);
-                *o = sum / 4.0;
-            }
-        }
-    }
-}
-
-/// `logits = fc · flat`, one row dot product per class, summed as
-/// `reference::fully_connected` does.
-fn fully_connected(fc: &[f32], flat: &[f32], logits: &mut [f32]) {
-    for (l, row) in logits.iter_mut().zip(fc.chunks_exact(flat.len())) {
-        *l = row.iter().zip(flat).map(|(&a, &b)| a * b).sum();
-    }
 }
 
 impl TinyConvNet {
@@ -264,55 +116,42 @@ impl TinyConvNet {
         self.classes
     }
 
-    /// Fresh scratch for this net's passes, after checking that the public
-    /// weight fields still have the shapes the kernels index by.
-    fn scratch(&self) -> Result<Scratch> {
-        let fc_shape = [self.classes, self.fc_inputs()];
+    /// `Ok` if the public weight fields still have the shapes the passes
+    /// index by. A wrong `fc` row count would otherwise yield logits of
+    /// the wrong length, and a label that passes the class check could
+    /// then index past them.
+    fn check_weights(&self) -> Result<()> {
+        let fc_inputs = self.geometry.kernels() * self.pooled_side * self.pooled_side;
         expect_shape(&self.kernels, &self.geometry.kernel_shape())?;
-        expect_shape(&self.fc, &fc_shape)?;
-        let n = self.geometry.input_side();
-        Ok(Scratch {
-            conv: vec![0.0; self.geometry.kernels() * n * n],
-            pooled: vec![0.0; self.fc_inputs()],
-            logits: vec![0.0; self.classes],
-            dpooled: vec![0.0; self.fc_inputs()],
-            image: Vec::with_capacity(n * n),
+        expect_shape(&self.fc, &[self.classes, fc_inputs])
+    }
+
+    /// Conv, then the ReLU → pool → FC head.
+    fn forward(&self, input: &Tensor) -> Result<Forward> {
+        self.check_weights()?;
+        let conv_out = reference::conv2d_direct(&self.geometry, input, &self.kernels)?;
+        self.head(&conv_out)
+    }
+
+    /// ReLU → pool → FC over a conv output of the checked shape.
+    fn head(&self, conv_out: &Tensor) -> Result<Forward> {
+        let relu = reference::relu(conv_out);
+        let pooled = reference::avgpool(&relu, 2, 2)?;
+        let logits = reference::fully_connected(&self.fc, &pooled)?.into_vec();
+        Ok(Forward {
+            relu,
+            pooled,
+            logits,
         })
-    }
-
-    fn fc_inputs(&self) -> usize {
-        self.geometry.kernels() * self.pooled_side * self.pooled_side
-    }
-
-    /// The pixels of a `(1, side, side)` input image.
-    fn pixels<'a>(&self, input: &'a Tensor) -> Result<&'a [f32]> {
-        expect_shape(input, &self.geometry.input_shape())?;
-        Ok(input.as_slice())
-    }
-
-    /// Conv, then the ReLU → pool → FC head; leaves the conv output,
-    /// pooled activations and logits in `s`.
-    fn forward(&self, pixels: &[f32], s: &mut Scratch) {
-        let n = self.geometry.input_side();
-        conv3x3_pad1(pixels, n, self.kernels.as_slice(), &mut s.conv);
-        self.head(s);
-    }
-
-    /// ReLU → pool → FC over the conv output already in `s.conv`.
-    fn head(&self, s: &mut Scratch) {
-        relu_avgpool2(&s.conv, self.geometry.input_side(), &mut s.pooled);
-        fully_connected(self.fc.as_slice(), &s.pooled, &mut s.logits);
     }
 
     /// Class logits for one image.
     ///
     /// # Errors
     ///
-    /// Returns shape errors for mismatched inputs.
+    /// Returns shape errors for mismatched inputs or weights.
     pub fn logits(&self, input: &Tensor) -> Result<Vec<f32>> {
-        let mut s = self.scratch()?;
-        self.forward(self.pixels(input)?, &mut s);
-        Ok(s.logits)
+        Ok(self.forward(input)?.logits)
     }
 
     /// Classifies the *post-conv* path: takes an externally produced conv
@@ -320,26 +159,23 @@ impl TinyConvNet {
     ///
     /// # Errors
     ///
-    /// Returns shape errors for mismatched feature maps.
+    /// Returns shape errors for mismatched feature maps or weights.
     pub fn logits_from_conv_output(&self, conv_out: &Tensor) -> Result<Vec<f32>> {
         expect_shape(conv_out, &self.geometry.output_shape())?;
-        let mut s = self.scratch()?;
-        s.conv.copy_from_slice(conv_out.as_slice());
-        self.head(&mut s);
-        Ok(s.logits)
+        self.check_weights()?;
+        Ok(self.head(conv_out)?.logits)
     }
 
     /// Fraction of the dataset classified correctly.
     ///
     /// # Errors
     ///
-    /// Returns shape errors for mismatched inputs.
+    /// Returns shape errors for mismatched inputs or weights.
     pub fn accuracy(&self, data: &Dataset) -> Result<f64> {
-        let mut s = self.scratch()?;
+        self.check_weights()?;
         let mut correct = 0usize;
         for (img, label) in data {
-            self.forward(self.pixels(img)?, &mut s);
-            if crate::metrics::argmax(&s.logits).unwrap_or(0) == *label {
+            if crate::metrics::argmax(&self.logits(img)?).unwrap_or(0) == *label {
                 correct += 1;
             }
         }
@@ -350,84 +186,53 @@ impl TinyConvNet {
     ///
     /// # Errors
     ///
-    /// Returns shape errors for mismatched inputs and
+    /// Returns shape errors for mismatched inputs or weights and
     /// [`CnnError::IndexOutOfBounds`] for a label that is not a class.
     pub fn sgd_step(&mut self, input: &Tensor, label: usize, lr: f32) -> Result<f32> {
-        let mut s = self.scratch()?;
-        self.sgd(input, label, lr, &mut s)
-    }
-
-    /// Trains for `epochs` passes over `data`, returning the mean loss of
-    /// the final epoch.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors for mismatched inputs and
-    /// [`CnnError::IndexOutOfBounds`] for a label that is not a class.
-    pub fn train(&mut self, data: &Dataset, epochs: usize, lr: f32) -> Result<f32> {
-        let mut s = self.scratch()?;
-        let mut last = 0.0f32;
-        for _ in 0..epochs {
-            let mut total = 0.0f32;
-            for (img, label) in data {
-                total += self.sgd(img, *label, lr, &mut s)?;
-            }
-            last = total / data.len().max(1) as f32;
-        }
-        Ok(last)
-    }
-
-    /// [`TinyConvNet::sgd_step`] in caller-owned scratch.
-    fn sgd(&mut self, input: &Tensor, label: usize, lr: f32, s: &mut Scratch) -> Result<f32> {
         if label >= self.classes {
             return Err(CnnError::IndexOutOfBounds {
                 index: format!("label {label}"),
                 shape: format!("[{}]", self.classes),
             });
         }
-        let pixels = self.pixels(input)?;
-        self.forward(pixels, s);
-        softmax_in_place(&mut s.logits);
-        let loss = -s.logits[label].max(1e-12).ln();
+        let Forward {
+            relu,
+            pooled,
+            logits,
+        } = self.forward(input)?;
+        let probs = softmax(&logits);
+        let loss = -probs[label].max(1e-12).ln();
         // dL/dlogits = probs − onehot
-        s.logits[label] -= 1.0;
-        self.backward(pixels, lr, s);
-        Ok(loss)
-    }
+        let mut dlogits = probs;
+        dlogits[label] -= 1.0;
 
-    /// Backpropagates the logit gradient in `s.logits` through the head
-    /// and the conv, updating the FC weights and then the kernels.
-    fn backward(&mut self, pixels: &[f32], lr: f32, s: &mut Scratch) {
-        // FC: dpooled = Wᵀ dlogits, read before each weight is stepped by
-        // dW[c, j] = dlogits[c] · pooled[j].
-        s.dpooled.fill(0.0);
+        // FC: dflat = Wᵀ dlogits, read before each weight is stepped by
+        // dW[c, j] = dlogits[c] · flat[j].
+        let flat = pooled.as_slice();
+        let mut dflat = vec![0.0f32; flat.len()];
         for (row, &dl) in self
             .fc
             .as_mut_slice()
-            .chunks_exact_mut(s.pooled.len())
-            .zip(&s.logits)
+            .chunks_exact_mut(flat.len())
+            .zip(&dlogits)
         {
-            let step = lr * dl;
-            for ((w, d), &x) in row.iter_mut().zip(&mut s.dpooled).zip(&s.pooled) {
+            for ((w, d), &x) in row.iter_mut().zip(&mut dflat).zip(flat) {
                 *d += *w * dl;
-                *w -= step * x;
+                *w -= lr * dl * x;
             }
         }
 
         // avgpool backward (each pooled grad spreads /4 into its window)
-        // through the ReLU mask, in place of the conv output it masks by.
+        // through the ReLU mask.
+        let k = self.geometry.kernels();
         let n = self.geometry.input_side();
         let ps = self.pooled_side;
-        for (plane, dp) in s
-            .conv
-            .chunks_exact_mut(n * n)
-            .zip(s.dpooled.chunks_exact(ps * ps))
-        {
-            for (y, row) in plane.chunks_exact_mut(n).enumerate() {
-                for (pair, &g) in row.chunks_exact_mut(2).zip(&dp[y / 2 * ps..]) {
-                    let g = g / 4.0;
-                    for v in pair {
-                        *v = if *v > 0.0 { g } else { 0.0 };
+        let mut dconv = Tensor::zeros(&[k, n, n]);
+        for kk in 0..k {
+            for y in 0..n {
+                for x in 0..n {
+                    if relu.at3(kk, y, x) > 0.0 {
+                        *dconv.at3_mut(kk, y, x) = dflat[(kk * ps + y / 2) * ps + x / 2] / 4.0;
                     }
                 }
             }
@@ -435,16 +240,42 @@ impl TinyConvNet {
 
         // conv weights: dw[k, ky, kx] = Σ dconv[k, oy, ox] · x[oy+ky−1, ox+kx−1]
         // over the in-image positions, row-major.
-        for (w, dconv) in self
-            .kernels
-            .as_mut_slice()
-            .chunks_exact_mut(9)
-            .zip(s.conv.chunks_exact(n * n))
-        {
-            for (w, grad) in w.iter_mut().zip(conv3x3_pad1_kernel_grad(pixels, n, dconv)) {
+        let in_image = |o: usize, t: usize| (o + t).checked_sub(1).filter(|&i| i < n);
+        for (kk, w) in self.kernels.as_mut_slice().chunks_exact_mut(9).enumerate() {
+            for (tap, w) in w.iter_mut().enumerate() {
+                let (ky, kx) = (tap / 3, tap % 3);
+                let mut grad = 0.0f32;
+                for oy in 0..n {
+                    let Some(y) = in_image(oy, ky) else { continue };
+                    for ox in 0..n {
+                        let Some(x) = in_image(ox, kx) else { continue };
+                        grad += dconv.at3(kk, oy, ox) * input.at3(0, y, x);
+                    }
+                }
                 *w -= lr * grad;
             }
         }
+        Ok(loss)
+    }
+
+    /// Trains for `epochs` passes over `data`, returning the mean loss of
+    /// the final epoch.
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors for mismatched inputs or weights and
+    /// [`CnnError::IndexOutOfBounds`] for a label that is not a class.
+    pub fn train(&mut self, data: &Dataset, epochs: usize, lr: f32) -> Result<f32> {
+        self.check_weights()?;
+        let mut last = 0.0f32;
+        for _ in 0..epochs {
+            let mut total = 0.0f32;
+            for (img, label) in data {
+                total += self.sgd_step(img, *label, lr)?;
+            }
+            last = total / data.len().max(1) as f32;
+        }
+        Ok(last)
     }
 }
 
@@ -551,54 +382,30 @@ const fn top1_of(hits: u32) -> f64 {
     hits as f64 / PROXY_TEST_IMAGES as f64
 }
 
-/// One bit width of the functional photonic simulator's converter
-/// geometry (`pcnna_core::functional`), as the proxy ladder evaluates it:
-/// inputs are offset-encoded into the DAC's fixed `[0, 1]` full scale
-/// (`x' = (x/xs + 1)/2`), ring weights carry `bits` of precision over the
-/// kernel full scale, and each bank's ADC full scale is sized for the
-/// worst-case accumulation `Σ|w|·xs` — not the typical signal.
-struct PhotonicDatapath {
-    bits: u8,
-    dac: Quantizer,
-    /// The ring weights, quantized.
-    kernels: Vec<f32>,
-    /// `Σ|w|` per bank of quantized weights; times an image's `xs` it is
-    /// that bank's ADC full scale.
-    bank_abs_sums: Vec<f32>,
-}
-
-impl PhotonicDatapath {
-    fn new(net: &TinyConvNet, bits: u8) -> Self {
-        let mut kernels = net.kernels.as_slice().to_vec();
-        Quantizer::new(bits, net.kernels.max_abs().max(1e-9)).quantize_slice(&mut kernels);
-        let bank_abs_sums = kernels
-            .chunks_exact(9)
-            .map(|bank| bank.iter().map(|w| w.abs()).sum())
-            .collect();
-        PhotonicDatapath {
-            bits,
-            dac: Quantizer::new(bits, 1.0),
-            kernels,
-            bank_abs_sums,
-        }
+/// One image through the conv at `bits` of the functional photonic
+/// simulator's converter geometry (`pcnna_core::functional`): the input is
+/// offset-encoded into the DAC's fixed `[0, 1]` full scale
+/// (`x' = (x/xs + 1)/2`, `xs = max|x|`), ring weights carry `bits` of
+/// precision over the kernel full scale, and each bank's ADC full scale is
+/// sized for the worst-case accumulation `Σ|w|·xs` — not the typical
+/// signal.
+fn photonic_conv(net: &TinyConvNet, img: &Tensor, bits: u8) -> Result<Tensor> {
+    let xs = img.max_abs().max(1e-9);
+    let dac = Quantizer::new(bits, 1.0);
+    let img_q = img.map(|v| (2.0 * dac.quantize((v / xs + 1.0) / 2.0) - 1.0) * xs);
+    let kernels_q =
+        Quantizer::new(bits, net.kernels.max_abs().max(1e-9)).quantize_tensor(&net.kernels);
+    let mut conv = reference::conv2d_direct(&net.geometry, &img_q, &kernels_q)?;
+    let plane = conv.len() / net.geometry.kernels();
+    for (out, bank) in conv
+        .as_mut_slice()
+        .chunks_exact_mut(plane)
+        .zip(kernels_q.as_slice().chunks_exact(9))
+    {
+        let abs_sum: f32 = bank.iter().map(|w| w.abs()).sum();
+        Quantizer::new(bits, (abs_sum * xs).max(1e-9)).quantize_slice(out);
     }
-
-    /// Runs one image through the quantized conv, leaving the quantized
-    /// feature map in `s.conv`; `xs` is the image's full scale,
-    /// `max|x|` floored at 1e-9.
-    fn conv(&self, net: &TinyConvNet, pixels: &[f32], xs: f32, s: &mut Scratch) {
-        s.image.clear();
-        s.image.extend(pixels.iter().map(|&v| (v / xs + 1.0) / 2.0));
-        self.dac.quantize_slice(&mut s.image);
-        for v in &mut s.image {
-            *v = (2.0 * *v - 1.0) * xs;
-        }
-        let n = net.geometry.input_side();
-        conv3x3_pad1(&s.image, n, &self.kernels, &mut s.conv);
-        for (plane, &abs_sum) in s.conv.chunks_exact_mut(n * n).zip(&self.bank_abs_sums) {
-            Quantizer::new(self.bits, (abs_sum * xs).max(1e-9)).quantize_slice(plane);
-        }
-    }
+    Ok(conv)
 }
 
 /// How many of `data` the net classifies correctly through the quantized
@@ -607,18 +414,11 @@ fn quantized_correct(
     net: &TinyConvNet,
     data: &Dataset,
 ) -> Result<[usize; PROXY_MAX_BITS as usize]> {
-    let mut s = net.scratch()?;
-    let images = data
-        .iter()
-        .map(|(img, label)| Ok((net.pixels(img)?, img.max_abs().max(1e-9), *label)))
-        .collect::<Result<Vec<_>>>()?;
     let mut correct = [0usize; PROXY_MAX_BITS as usize];
     for (bits, hits) in (1..=PROXY_MAX_BITS).zip(&mut correct) {
-        let path = PhotonicDatapath::new(net, bits);
-        for &(pixels, xs, label) in &images {
-            path.conv(net, pixels, xs, &mut s);
-            net.head(&mut s);
-            if crate::metrics::argmax(&s.logits).unwrap_or(0) == label {
+        for (img, label) in data {
+            let logits = net.logits_from_conv_output(&photonic_conv(net, img, bits)?)?;
+            if crate::metrics::argmax(&logits).unwrap_or(0) == *label {
                 *hits += 1;
             }
         }
@@ -633,13 +433,7 @@ fn quantized_correct(
 /// process and on every thread.
 ///
 /// The 3 200 SGD steps and 2 600 evaluated images run [`TinyConvNet`]'s
-/// fused kernels in one reused scratch, allocating nothing per image.
-/// What a bit width shares across images (the quantized kernels and each
-/// bank's `Σ|w|`) is derived once per width, and each image's full scale
-/// once for all widths: 12 derivations instead of 2 400. Every f32
-/// operation keeps the order of the per-image [`crate::reference`] tensor
-/// composition these kernels replaced, so the ladder is bit-identical to
-/// the one it measured; the tests pin both.
+/// [`crate::reference`] composition.
 ///
 /// # Errors
 ///
@@ -698,27 +492,18 @@ pub const fn pristine_top1() -> f64 {
 /// Numerically stable softmax.
 #[must_use]
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
-    let mut probs = logits.to_vec();
-    softmax_in_place(&mut probs);
+    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut probs: Vec<f32> = logits.iter().map(|&v| (v - max).exp()).collect();
+    let sum: f32 = probs.iter().sum();
+    for p in &mut probs {
+        *p /= sum.max(1e-12);
+    }
     probs
-}
-
-/// [`softmax`] overwriting its input.
-fn softmax_in_place(values: &mut [f32]) {
-    let max = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    for v in values.iter_mut() {
-        *v = (*v - max).exp();
-    }
-    let sum: f32 = values.iter().sum();
-    for v in values {
-        *v /= sum.max(1e-12);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
 
     #[test]
     fn dataset_is_balanced_and_deterministic() {
@@ -845,182 +630,6 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The tensor composition the fused forward pass replaces, kept as its
-    /// oracle: `(relu_out, pooled, logits)`.
-    fn oracle_forward(net: &TinyConvNet, input: &Tensor) -> (Tensor, Tensor, Vec<f32>) {
-        let conv_out = reference::conv2d_direct(&net.geometry, input, &net.kernels).unwrap();
-        let relu_out = reference::relu(&conv_out);
-        let pooled = reference::avgpool(&relu_out, 2, 2).unwrap();
-        let flat = pooled.clone().reshape(&[pooled.len()]).unwrap();
-        let logits = reference::fully_connected(&net.fc, &flat).unwrap();
-        (relu_out, pooled, logits.into_vec())
-    }
-
-    /// The hand-written backward pass the fused one replaces, over
-    /// [`oracle_forward`]: one SGD step, returning the loss.
-    fn oracle_sgd_step(net: &mut TinyConvNet, input: &Tensor, label: usize, lr: f32) -> f32 {
-        let (relu_out, pooled, logits) = oracle_forward(net, input);
-        let probs = softmax(&logits);
-        let loss = -probs[label].max(1e-12).ln();
-        let mut dlogits = probs;
-        dlogits[label] -= 1.0;
-
-        let flat = pooled.as_slice();
-        let fc_inputs = flat.len();
-        let mut dflat = vec![0.0f32; fc_inputs];
-        let w = net.fc.as_mut_slice();
-        for (c, &dl) in dlogits.iter().enumerate() {
-            for j in 0..fc_inputs {
-                dflat[j] += w[c * fc_inputs + j] * dl;
-                w[c * fc_inputs + j] -= lr * dl * flat[j];
-            }
-        }
-
-        let k = net.geometry.kernels();
-        let side = net.geometry.output_side();
-        let ps = net.pooled_side;
-        let mut dconv = Tensor::zeros(&[k, side, side]);
-        for kk in 0..k {
-            for py in 0..ps {
-                for px in 0..ps {
-                    let g = dflat[(kk * ps + py) * ps + px] / 4.0;
-                    for wy in 0..2 {
-                        for wx in 0..2 {
-                            let (y, x) = (py * 2 + wy, px * 2 + wx);
-                            if relu_out.at3(kk, y, x) > 0.0 {
-                                *dconv.at3_mut(kk, y, x) = g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let n = net.geometry.input_side();
-        let kw = net.kernels.as_mut_slice();
-        for kk in 0..k {
-            for ky in 0..3 {
-                for kx in 0..3 {
-                    let mut grad = 0.0f32;
-                    for oy in 0..side {
-                        for ox in 0..side {
-                            let y = oy as isize + ky as isize - 1;
-                            let x = ox as isize + kx as isize - 1;
-                            if y < 0 || x < 0 || y as usize >= n || x as usize >= n {
-                                continue;
-                            }
-                            grad += dconv.at3(kk, oy, ox) * input.at3(0, y as usize, x as usize);
-                        }
-                    }
-                    kw[(kk * 3 + ky) * 3 + kx] -= lr * grad;
-                }
-            }
-        }
-        loss
-    }
-
-    /// The per-image tensor version of [`PhotonicDatapath::conv`], kept as
-    /// its oracle.
-    fn oracle_photonic_conv(net: &TinyConvNet, img: &Tensor, bits: u8) -> Tensor {
-        let xs = img.max_abs().max(1e-9);
-        let ws = net.kernels.max_abs().max(1e-9);
-        let dac = Quantizer::new(bits, 1.0);
-        let img_q = img.map(|v| {
-            let encoded = (v / xs + 1.0) / 2.0;
-            (2.0 * dac.quantize(encoded) - 1.0) * xs
-        });
-        let kernels_q = Quantizer::new(bits, ws).quantize_tensor(&net.kernels);
-        let mut conv = reference::conv2d_direct(&net.geometry, &img_q, &kernels_q).unwrap();
-        let side = net.geometry.output_side();
-        for kk in 0..net.geometry.kernels() {
-            let sum_abs: f32 = kernels_q.as_slice()[kk * 9..(kk + 1) * 9]
-                .iter()
-                .map(|w| w.abs())
-                .sum();
-            let adc = Quantizer::new(bits, (sum_abs * xs).max(1e-9));
-            for y in 0..side {
-                for x in 0..side {
-                    *conv.at3_mut(kk, y, x) = adc.quantize(conv.at3(kk, y, x));
-                }
-            }
-        }
-        conv
-    }
-
-    /// `(side, k, classes, seed)` nets the kernel/oracle tests run over,
-    /// from the smallest legal image up to the proxy net's shape.
-    const SHAPES: [(usize, usize, usize, u64); 5] = [
-        (4, 1, 2, 0),
-        (6, 5, 3, 21),
-        (8, 3, 2, 5),
-        (10, 2, 4, 13),
-        (12, 6, 4, 7),
-    ];
-
-    #[test]
-    fn fused_kernels_are_bit_identical_to_the_tensor_oracle() {
-        for (side, k, classes, seed) in SHAPES {
-            let data: Dataset = small_signal_dataset(24, side, seed + 1)
-                .into_iter()
-                .map(|(img, label)| (img, label % classes))
-                .collect();
-            let shape = format!("shape {side}/{k}/{classes}/{seed}");
-            let mut stepped = TinyConvNet::new(side, k, classes, seed).unwrap();
-            let mut trained = stepped.clone();
-            let mut oracle = stepped.clone();
-            for (img, _) in &data {
-                let want = oracle_forward(&oracle, img).2;
-                assert_eq!(bits(&stepped.logits(img).unwrap()), bits(&want), "{shape}");
-            }
-            for _ in 0..3 {
-                for (img, label) in &data {
-                    let fused = stepped.sgd_step(img, *label, 0.05).unwrap();
-                    let want = oracle_sgd_step(&mut oracle, img, *label, 0.05);
-                    assert_eq!(fused.to_bits(), want.to_bits(), "loss, {shape}");
-                }
-            }
-            trained.train(&data, 3, 0.05).unwrap();
-            for net in [&stepped, &trained] {
-                assert_eq!(
-                    bits(net.kernels.as_slice()),
-                    bits(oracle.kernels.as_slice()),
-                    "{shape}"
-                );
-                assert_eq!(
-                    bits(net.fc.as_slice()),
-                    bits(oracle.fc.as_slice()),
-                    "{shape}"
-                );
-                for (img, _) in &data {
-                    let want = oracle_forward(&oracle, img).2;
-                    assert_eq!(bits(&net.logits(img).unwrap()), bits(&want), "{shape}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn photonic_datapath_is_bit_identical_to_the_tensor_oracle() {
-        for (side, k, classes, seed) in SHAPES {
-            let mut net = TinyConvNet::new(side, k, classes, seed).unwrap();
-            let data: Dataset = small_signal_dataset(8, side, seed + 2)
-                .into_iter()
-                .map(|(img, label)| (img, label % classes))
-                .collect();
-            net.train(&data, 2, 0.05).unwrap();
-            let mut s = net.scratch().unwrap();
-            for bits_wide in 1..=PROXY_MAX_BITS {
-                let path = PhotonicDatapath::new(&net, bits_wide);
-                for (img, _) in &data {
-                    let xs = img.max_abs().max(1e-9);
-                    path.conv(&net, img.as_slice(), xs, &mut s);
-                    let want = oracle_photonic_conv(&net, img, bits_wide);
-                    assert_eq!(bits(&s.conv), bits(want.as_slice()), "{bits_wide} bits");
-                }
-            }
-        }
-    }
-
     #[test]
     fn proxy_ladder_is_pinned_bit_for_bit() {
         // The compiled table against its oracle: retrain the proxy and
@@ -1056,6 +665,13 @@ mod tests {
         ));
         net.fc = Tensor::zeros(&[3, 5]);
         assert!(net.logits(&img).is_err());
+        // The right FC width but one class short: the logits would be 2
+        // long, so label 2 passes the class check, and only the weight
+        // shape check keeps the loss from indexing past them.
+        net.fc = Tensor::zeros(&[2, 32]);
+        assert!(net.sgd_step(&img, 2, 0.1).is_err());
+        assert!(net.logits(&img).is_err());
+        assert!(net.train(&vec![(img.clone(), 2)], 1, 0.1).is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub fn supports(g: &ConvGeometry) -> bool {
 }
 
 /// `G·g·Gᵀ`: transforms one 3×3 kernel tap into the 4×4 Winograd domain.
-fn transform_kernel(g: &[f32; 9]) -> [f32; 16] {
+fn transform_kernel(g: &[f32]) -> [f32; 16] {
     // G = [[1,0,0],[1/2,1/2,1/2],[1/2,-1/2,1/2],[0,0,1]]
     let mut tmp = [0.0f32; 12]; // G·g : 4x3
     for col in 0..3 {
@@ -127,17 +127,11 @@ pub fn conv2d_winograd(g: &ConvGeometry, input: &Tensor, kernels: &Tensor) -> Re
     );
 
     // Pre-transform every kernel plane.
-    let kdata = kernels.as_slice();
-    let mut u = vec![[0.0f32; 16]; k * nc];
-    for kk in 0..k {
-        for c in 0..nc {
-            let base = (kk * nc + c) * 9;
-            let plane: [f32; 9] = kdata[base..base + 9]
-                .try_into()
-                .expect("9 taps per 3x3 plane");
-            u[kk * nc + c] = transform_kernel(&plane);
-        }
-    }
+    let u: Vec<[f32; 16]> = kernels
+        .as_slice()
+        .chunks_exact(9)
+        .map(transform_kernel)
+        .collect();
 
     let tiles = o.div_ceil(2);
     let mut out = Tensor::zeros(&[k, o, o]);

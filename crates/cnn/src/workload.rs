@@ -57,26 +57,27 @@ impl Workload {
 
 /// Tensor of i.i.d. normal samples (Box-Muller; deterministic given the rng).
 fn gaussian_tensor(shape: &[usize], mean: f32, std: f32, rng: &mut StdRng) -> Tensor {
-    let len: usize = shape.iter().product();
-    let mut data = Vec::with_capacity(len);
-    while data.len() < len {
+    let mut t = Tensor::zeros(shape);
+    for pair in t.as_mut_slice().chunks_mut(2) {
         let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
         let u2: f32 = rng.gen_range(0.0..1.0);
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * core::f32::consts::PI * u2;
-        data.push(mean + std * r * theta.cos());
-        if data.len() < len {
-            data.push(mean + std * r * theta.sin());
+        pair[0] = mean + std * r * theta.cos();
+        if let Some(v) = pair.get_mut(1) {
+            *v = mean + std * r * theta.sin();
         }
     }
-    Tensor::from_vec(shape, data).expect("generated data matches shape by construction")
+    t
 }
 
 /// Tensor of i.i.d. uniform samples in `[lo, hi)`.
 fn uniform_tensor(shape: &[usize], lo: f32, hi: f32, rng: &mut StdRng) -> Tensor {
-    let len: usize = shape.iter().product();
-    let data = (0..len).map(|_| rng.gen_range(lo..hi)).collect();
-    Tensor::from_vec(shape, data).expect("generated data matches shape by construction")
+    let mut t = Tensor::zeros(shape);
+    for v in t.as_mut_slice() {
+        *v = rng.gen_range(lo..hi);
+    }
+    t
 }
 
 /// Smooth random blobs plus one hard vertical edge per channel, normalised

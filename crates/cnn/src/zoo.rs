@@ -16,6 +16,28 @@ use crate::geometry::ConvGeometry;
 use crate::layer::{PoolKind, PoolLayer};
 use crate::network::{Network, NetworkBuilder};
 
+// The zoo's layer tables are literals and a unit test below builds each
+// one, so these three checked constructors cannot fail on them. They hold
+// the only `expect`s the fixed shapes need.
+
+/// A zoo conv geometry from its literal `(n, m, p, s, nc, k)`.
+#[allow(clippy::expect_used)] // literal shapes, built by the zoo tests
+fn conv(n: usize, m: usize, p: usize, s: usize, nc: usize, k: usize) -> ConvGeometry {
+    ConvGeometry::new(n, m, p, s, nc, k).expect("zoo geometry is valid")
+}
+
+/// A zoo pooling layer from its literal window and stride.
+#[allow(clippy::expect_used)] // literal shapes, built by the zoo tests
+fn pool(kind: PoolKind, window: usize, stride: usize) -> PoolLayer {
+    PoolLayer::new(kind, window, stride).expect("zoo pool is valid")
+}
+
+/// A zoo network, shape-checked.
+#[allow(clippy::expect_used)] // literal shapes, built by the zoo tests
+fn build(net: NetworkBuilder) -> Network {
+    net.build().expect("zoo shapes chain by construction")
+}
+
 /// Names and geometries of AlexNet's five convolution layers as the paper
 /// parameterises them (dense, 224×224 input, pad 2 on conv1).
 ///
@@ -29,26 +51,11 @@ use crate::network::{Network, NetworkBuilder};
 #[must_use]
 pub fn alexnet_conv_layers() -> Vec<(&'static str, ConvGeometry)> {
     vec![
-        (
-            "conv1",
-            ConvGeometry::new(224, 11, 2, 4, 3, 96).expect("static geometry is valid"),
-        ),
-        (
-            "conv2",
-            ConvGeometry::new(27, 5, 2, 1, 96, 256).expect("static geometry is valid"),
-        ),
-        (
-            "conv3",
-            ConvGeometry::new(13, 3, 1, 1, 256, 384).expect("static geometry is valid"),
-        ),
-        (
-            "conv4",
-            ConvGeometry::new(13, 3, 1, 1, 384, 384).expect("static geometry is valid"),
-        ),
-        (
-            "conv5",
-            ConvGeometry::new(13, 3, 1, 1, 384, 256).expect("static geometry is valid"),
-        ),
+        ("conv1", conv(224, 11, 2, 4, 3, 96)),
+        ("conv2", conv(27, 5, 2, 1, 96, 256)),
+        ("conv3", conv(13, 3, 1, 1, 256, 384)),
+        ("conv4", conv(13, 3, 1, 1, 384, 384)),
+        ("conv5", conv(13, 3, 1, 1, 384, 256)),
     ]
 }
 
@@ -56,60 +63,51 @@ pub fn alexnet_conv_layers() -> Vec<(&'static str, ConvGeometry)> {
 #[must_use]
 pub fn alexnet() -> Network {
     let convs = alexnet_conv_layers();
-    NetworkBuilder::new("alexnet", 3, 224)
-        .conv(convs[0].0, convs[0].1)
-        .relu()
-        .lrn()
-        .pool(PoolLayer::new(PoolKind::Max, 3, 2).expect("static pool is valid"))
-        .conv(convs[1].0, convs[1].1)
-        .relu()
-        .lrn()
-        .pool(PoolLayer::new(PoolKind::Max, 3, 2).expect("static pool is valid"))
-        .conv(convs[2].0, convs[2].1)
-        .relu()
-        .conv(convs[3].0, convs[3].1)
-        .relu()
-        .conv(convs[4].0, convs[4].1)
-        .relu()
-        .pool(PoolLayer::new(PoolKind::Max, 3, 2).expect("static pool is valid"))
-        .flatten()
-        .fully_connected("fc6", 4096)
-        .relu()
-        .fully_connected("fc7", 4096)
-        .relu()
-        .fully_connected("fc8", 1000)
-        .build()
-        .expect("alexnet shapes chain by construction")
+    build(
+        NetworkBuilder::new("alexnet", 3, 224)
+            .conv(convs[0].0, convs[0].1)
+            .relu()
+            .lrn()
+            .pool(pool(PoolKind::Max, 3, 2))
+            .conv(convs[1].0, convs[1].1)
+            .relu()
+            .lrn()
+            .pool(pool(PoolKind::Max, 3, 2))
+            .conv(convs[2].0, convs[2].1)
+            .relu()
+            .conv(convs[3].0, convs[3].1)
+            .relu()
+            .conv(convs[4].0, convs[4].1)
+            .relu()
+            .pool(pool(PoolKind::Max, 3, 2))
+            .flatten()
+            .fully_connected("fc6", 4096)
+            .relu()
+            .fully_connected("fc7", 4096)
+            .relu()
+            .fully_connected("fc8", 1000),
+    )
 }
 
 /// LeNet-5 on 28×28 single-channel inputs (padded conv1) — small enough for
 /// end-to-end functional photonic simulation in unit tests.
 #[must_use]
 pub fn lenet5() -> Network {
-    NetworkBuilder::new("lenet5", 1, 28)
-        .conv(
-            "c1",
-            ConvGeometry::new(28, 5, 2, 1, 1, 6).expect("static geometry is valid"),
-        )
-        .relu()
-        .pool(PoolLayer::new(PoolKind::Average, 2, 2).expect("static pool is valid"))
-        .conv(
-            "c3",
-            ConvGeometry::new(14, 5, 0, 1, 6, 16).expect("static geometry is valid"),
-        )
-        .relu()
-        .pool(PoolLayer::new(PoolKind::Average, 2, 2).expect("static pool is valid"))
-        .conv(
-            "c5",
-            ConvGeometry::new(5, 5, 0, 1, 16, 120).expect("static geometry is valid"),
-        )
-        .relu()
-        .flatten()
-        .fully_connected("f6", 84)
-        .relu()
-        .fully_connected("output", 10)
-        .build()
-        .expect("lenet5 shapes chain by construction")
+    build(
+        NetworkBuilder::new("lenet5", 1, 28)
+            .conv("c1", conv(28, 5, 2, 1, 1, 6))
+            .relu()
+            .pool(pool(PoolKind::Average, 2, 2))
+            .conv("c3", conv(14, 5, 0, 1, 6, 16))
+            .relu()
+            .pool(pool(PoolKind::Average, 2, 2))
+            .conv("c5", conv(5, 5, 0, 1, 16, 120))
+            .relu()
+            .flatten()
+            .fully_connected("f6", 84)
+            .relu()
+            .fully_connected("output", 10),
+    )
 }
 
 /// The thirteen convolution layers of VGG-16 (224×224×3 input).
@@ -132,12 +130,7 @@ pub fn vgg16_conv_layers() -> Vec<(&'static str, ConvGeometry)> {
         ("conv5_3", 14, 512, 512),
     ];
     spec.iter()
-        .map(|&(name, n, nc, k)| {
-            (
-                name,
-                ConvGeometry::new(n, 3, 1, 1, nc, k).expect("static geometry is valid"),
-            )
-        })
+        .map(|&(name, n, nc, k)| (name, conv(n, 3, 1, 1, nc, k)))
         .collect()
 }
 
@@ -145,47 +138,46 @@ pub fn vgg16_conv_layers() -> Vec<(&'static str, ConvGeometry)> {
 #[must_use]
 pub fn vgg16() -> Network {
     let c = vgg16_conv_layers();
-    let pool = || PoolLayer::new(PoolKind::Max, 2, 2).expect("static pool is valid");
-    NetworkBuilder::new("vgg16", 3, 224)
-        .conv(c[0].0, c[0].1)
-        .relu()
-        .conv(c[1].0, c[1].1)
-        .relu()
-        .pool(pool())
-        .conv(c[2].0, c[2].1)
-        .relu()
-        .conv(c[3].0, c[3].1)
-        .relu()
-        .pool(pool())
-        .conv(c[4].0, c[4].1)
-        .relu()
-        .conv(c[5].0, c[5].1)
-        .relu()
-        .conv(c[6].0, c[6].1)
-        .relu()
-        .pool(pool())
-        .conv(c[7].0, c[7].1)
-        .relu()
-        .conv(c[8].0, c[8].1)
-        .relu()
-        .conv(c[9].0, c[9].1)
-        .relu()
-        .pool(pool())
-        .conv(c[10].0, c[10].1)
-        .relu()
-        .conv(c[11].0, c[11].1)
-        .relu()
-        .conv(c[12].0, c[12].1)
-        .relu()
-        .pool(pool())
-        .flatten()
-        .fully_connected("fc6", 4096)
-        .relu()
-        .fully_connected("fc7", 4096)
-        .relu()
-        .fully_connected("fc8", 1000)
-        .build()
-        .expect("vgg16 shapes chain by construction")
+    build(
+        NetworkBuilder::new("vgg16", 3, 224)
+            .conv(c[0].0, c[0].1)
+            .relu()
+            .conv(c[1].0, c[1].1)
+            .relu()
+            .pool(pool(PoolKind::Max, 2, 2))
+            .conv(c[2].0, c[2].1)
+            .relu()
+            .conv(c[3].0, c[3].1)
+            .relu()
+            .pool(pool(PoolKind::Max, 2, 2))
+            .conv(c[4].0, c[4].1)
+            .relu()
+            .conv(c[5].0, c[5].1)
+            .relu()
+            .conv(c[6].0, c[6].1)
+            .relu()
+            .pool(pool(PoolKind::Max, 2, 2))
+            .conv(c[7].0, c[7].1)
+            .relu()
+            .conv(c[8].0, c[8].1)
+            .relu()
+            .conv(c[9].0, c[9].1)
+            .relu()
+            .pool(pool(PoolKind::Max, 2, 2))
+            .conv(c[10].0, c[10].1)
+            .relu()
+            .conv(c[11].0, c[11].1)
+            .relu()
+            .conv(c[12].0, c[12].1)
+            .relu()
+            .pool(pool(PoolKind::Max, 2, 2))
+            .flatten()
+            .fully_connected("fc6", 4096)
+            .relu()
+            .fully_connected("fc7", 4096)
+            .relu()
+            .fully_connected("fc8", 1000),
+    )
 }
 
 /// The convolution layers of GoogLeNet's stem and the first inception
@@ -195,42 +187,15 @@ pub fn vgg16() -> Network {
 #[must_use]
 pub fn googlenet_stem_conv_layers() -> Vec<(&'static str, ConvGeometry)> {
     vec![
-        (
-            "conv1/7x7_s2",
-            ConvGeometry::new(224, 7, 3, 2, 3, 64).expect("static geometry is valid"),
-        ),
-        (
-            "conv2/3x3_reduce",
-            ConvGeometry::new(56, 1, 0, 1, 64, 64).expect("static geometry is valid"),
-        ),
-        (
-            "conv2/3x3",
-            ConvGeometry::new(56, 3, 1, 1, 64, 192).expect("static geometry is valid"),
-        ),
-        (
-            "3a/1x1",
-            ConvGeometry::new(28, 1, 0, 1, 192, 64).expect("static geometry is valid"),
-        ),
-        (
-            "3a/3x3_reduce",
-            ConvGeometry::new(28, 1, 0, 1, 192, 96).expect("static geometry is valid"),
-        ),
-        (
-            "3a/3x3",
-            ConvGeometry::new(28, 3, 1, 1, 96, 128).expect("static geometry is valid"),
-        ),
-        (
-            "3a/5x5_reduce",
-            ConvGeometry::new(28, 1, 0, 1, 192, 16).expect("static geometry is valid"),
-        ),
-        (
-            "3a/5x5",
-            ConvGeometry::new(28, 5, 2, 1, 16, 32).expect("static geometry is valid"),
-        ),
-        (
-            "3a/pool_proj",
-            ConvGeometry::new(28, 1, 0, 1, 192, 32).expect("static geometry is valid"),
-        ),
+        ("conv1/7x7_s2", conv(224, 7, 3, 2, 3, 64)),
+        ("conv2/3x3_reduce", conv(56, 1, 0, 1, 64, 64)),
+        ("conv2/3x3", conv(56, 3, 1, 1, 64, 192)),
+        ("3a/1x1", conv(28, 1, 0, 1, 192, 64)),
+        ("3a/3x3_reduce", conv(28, 1, 0, 1, 192, 96)),
+        ("3a/3x3", conv(28, 3, 1, 1, 96, 128)),
+        ("3a/5x5_reduce", conv(28, 1, 0, 1, 192, 16)),
+        ("3a/5x5", conv(28, 5, 2, 1, 16, 32)),
+        ("3a/pool_proj", conv(28, 1, 0, 1, 192, 32)),
     ]
 }
 
@@ -239,10 +204,7 @@ pub fn googlenet_stem_conv_layers() -> Vec<(&'static str, ConvGeometry)> {
 /// included as conv layers.
 #[must_use]
 pub fn resnet18_conv_layers() -> Vec<(&'static str, ConvGeometry)> {
-    let mut layers: Vec<(&'static str, ConvGeometry)> = vec![(
-        "conv1",
-        ConvGeometry::new(224, 7, 3, 2, 3, 64).expect("static geometry is valid"),
-    )];
+    let mut layers: Vec<(&'static str, ConvGeometry)> = vec![("conv1", conv(224, 7, 3, 2, 3, 64))];
     // (name, input side, input channels, kernels, stride) for each 3x3 conv
     let blocks: [(&'static str, usize, usize, usize, usize); 16] = [
         ("layer1.0.conv1", 56, 64, 64, 1),
@@ -263,24 +225,12 @@ pub fn resnet18_conv_layers() -> Vec<(&'static str, ConvGeometry)> {
         ("layer4.1.conv2", 7, 512, 512, 1),
     ];
     for &(name, n, nc, k, s) in &blocks {
-        layers.push((
-            name,
-            ConvGeometry::new(n, 3, 1, s, nc, k).expect("static geometry is valid"),
-        ));
+        layers.push((name, conv(n, 3, 1, s, nc, k)));
     }
     // Projection shortcuts (1x1, stride 2) at each stage transition.
-    layers.push((
-        "layer2.0.downsample",
-        ConvGeometry::new(56, 1, 0, 2, 64, 128).expect("static geometry is valid"),
-    ));
-    layers.push((
-        "layer3.0.downsample",
-        ConvGeometry::new(28, 1, 0, 2, 128, 256).expect("static geometry is valid"),
-    ));
-    layers.push((
-        "layer4.0.downsample",
-        ConvGeometry::new(14, 1, 0, 2, 256, 512).expect("static geometry is valid"),
-    ));
+    layers.push(("layer2.0.downsample", conv(56, 1, 0, 2, 64, 128)));
+    layers.push(("layer3.0.downsample", conv(28, 1, 0, 2, 128, 256)));
+    layers.push(("layer4.0.downsample", conv(14, 1, 0, 2, 256, 512)));
     layers
 }
 
@@ -288,29 +238,20 @@ pub fn resnet18_conv_layers() -> Vec<(&'static str, ConvGeometry)> {
 /// for full photonic functional simulation with noise.
 #[must_use]
 pub fn cifar_small() -> Network {
-    NetworkBuilder::new("cifar_small", 3, 32)
-        .conv(
-            "c1",
-            ConvGeometry::new(32, 3, 1, 1, 3, 8).expect("static geometry is valid"),
-        )
-        .relu()
-        .pool(PoolLayer::new(PoolKind::Max, 2, 2).expect("static pool is valid"))
-        .conv(
-            "c2",
-            ConvGeometry::new(16, 3, 1, 1, 8, 16).expect("static geometry is valid"),
-        )
-        .relu()
-        .pool(PoolLayer::new(PoolKind::Max, 2, 2).expect("static pool is valid"))
-        .conv(
-            "c3",
-            ConvGeometry::new(8, 3, 1, 1, 16, 16).expect("static geometry is valid"),
-        )
-        .relu()
-        .pool(PoolLayer::new(PoolKind::Max, 2, 2).expect("static pool is valid"))
-        .flatten()
-        .fully_connected("fc", 10)
-        .build()
-        .expect("cifar_small shapes chain by construction")
+    build(
+        NetworkBuilder::new("cifar_small", 3, 32)
+            .conv("c1", conv(32, 3, 1, 1, 3, 8))
+            .relu()
+            .pool(pool(PoolKind::Max, 2, 2))
+            .conv("c2", conv(16, 3, 1, 1, 8, 16))
+            .relu()
+            .pool(pool(PoolKind::Max, 2, 2))
+            .conv("c3", conv(8, 3, 1, 1, 16, 16))
+            .relu()
+            .pool(pool(PoolKind::Max, 2, 2))
+            .flatten()
+            .fully_connected("fc", 10),
+    )
 }
 
 #[cfg(test)]

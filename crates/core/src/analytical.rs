@@ -162,6 +162,7 @@ impl AnalyticalModel {
                     ("adc", self.adc_time_per_location(g)),
                     ("dram", self.dram_time_per_location(g)),
                 ];
+                #[allow(clippy::expect_used)] // `stages` is a five-element array
                 let (name, time) = stages
                     .into_iter()
                     .max_by_key(|&(_, t)| t)

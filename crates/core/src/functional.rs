@@ -66,10 +66,8 @@ pub struct AccuracyReport {
 }
 
 impl AccuracyReport {
-    fn from_tensors(photonic: &Tensor, reference: &Tensor) -> Self {
-        let rmse = photonic
-            .rmse(reference)
-            .expect("same shape by construction");
+    fn from_tensors(photonic: &Tensor, reference: &Tensor) -> Result<Self> {
+        let rmse = photonic.rmse(reference)?;
         let ref_rms = (reference.as_slice().iter().map(|v| v * v).sum::<f32>()
             / reference.len().max(1) as f32)
             .sqrt();
@@ -78,15 +76,12 @@ impl AccuracyReport {
         } else {
             f32::INFINITY
         };
-        AccuracyReport {
-            max_abs_error: photonic
-                .sub(reference)
-                .expect("same shape by construction")
-                .max_abs(),
+        Ok(AccuracyReport {
+            max_abs_error: photonic.sub(reference)?.max_abs(),
             rmse,
             reference_rms: ref_rms,
             snr_db,
-        }
+        })
     }
 }
 
@@ -215,7 +210,7 @@ impl PhotonicConvExecutor {
             }
         }
 
-        let accuracy = AccuracyReport::from_tensors(&output, &reference);
+        let accuracy = AccuracyReport::from_tensors(&output, &reference)?;
         Ok(PhotonicConvResult {
             output,
             reference,
@@ -351,7 +346,7 @@ mod tests {
     fn accuracy_report_math() {
         let a = Tensor::from_vec(&[2], vec![1.0, 2.0]).unwrap();
         let b = Tensor::from_vec(&[2], vec![1.0, 2.0]).unwrap();
-        let rep = AccuracyReport::from_tensors(&a, &b);
+        let rep = AccuracyReport::from_tensors(&a, &b).unwrap();
         assert_eq!(rep.max_abs_error, 0.0);
         assert!(rep.snr_db.is_infinite());
     }

@@ -57,6 +57,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 // `if !(x > 0.0)` in parameter validation is deliberate: unlike `x <= 0.0`
 // it also rejects NaN, which must never enter a physical model.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]

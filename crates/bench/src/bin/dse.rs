@@ -4,8 +4,10 @@
 //! the loop with a fleet co-design ranking — run with
 //! `cargo run --release --bin dse` (add `--smoke` for the CI-sized grid).
 //!
-//! Emits `BENCH_dse.json` (throughput + frontier counters) so the perf
-//! trajectory of the explorer itself is tracked across commits.
+//! Emits `BENCH_dse.json`: the search counters, frontier sizes and the
+//! co-design ranking, free of wall-clock figures and thread counts, so the
+//! smoke record is a golden copy CI diffs byte for byte. Timings and
+//! throughput go to stdout only.
 
 use pcnna_bench::report::write_artifact;
 use pcnna_dse::prelude::*;
@@ -68,7 +70,9 @@ fn main() {
     };
     println!(
         "design space: {} points × 2 networks ({} threads, {} mode)",
-        space.cardinality(),
+        space
+            .cardinality()
+            .expect("the smoke and default grids are small"),
         threads,
         if smoke { "smoke" } else { "full" }
     );
@@ -97,12 +101,13 @@ fn main() {
         total_stats.evaluated += out.stats.evaluated;
         total_stats.valid += out.stats.valid;
         total_stats.invalid += out.stats.invalid;
+        total_stats.cache_hits += out.stats.cache_hits;
         network_lines.push(json::obj([
             ("name", json::str(evaluator.workload())),
             ("evaluated", json::int(out.stats.evaluated)),
             ("valid", json::int(out.stats.valid)),
+            ("cache_hits", json::int(out.stats.cache_hits)),
             ("frontier", json::uint(out.frontier.len())),
-            ("elapsed_s", json::num(dt)),
         ]));
         if evaluator.workload() == "alexnet" {
             alexnet_frontier = Some(out.frontier);
@@ -198,12 +203,10 @@ fn main() {
     let record = json::obj([
         ("bench", json::str("dse")),
         ("mode", json::str(if smoke { "smoke" } else { "full" })),
-        ("threads", json::uint(threads)),
-        ("elapsed_s", json::num(elapsed)),
         ("configs_evaluated", json::int(total_stats.evaluated)),
         ("valid", json::int(total_stats.valid)),
         ("invalid", json::int(total_stats.invalid)),
-        ("evals_per_s", json::num(evals_per_s)),
+        ("cache_hits", json::int(total_stats.cache_hits)),
         ("networks", Json::Arr(network_lines)),
         ("evolution_frontier", json::uint(a.frontier.len())),
         ("deterministic", Json::Bool(deterministic)),

@@ -4,10 +4,10 @@
 //! photonic-link models. A caller that prices candidates one at a time
 //! and may repeat them memoizes the verdicts here, keyed by
 //! [`Candidate::fingerprint`]. (The searches need no memo: they dedup by
-//! fingerprint and read tabled parts, see [`crate::search`].) A cached
-//! verdict is returned **bit identical** — [`DesignPoint`] is `Copy` and
-//! is stored exactly as the evaluator produced it — and infeasible
-//! candidates are cached too (as `None`), so a design is never
+//! canonical knob choice and read tabled parts, see [`crate::search`].)
+//! A cached verdict is returned **bit identical** — [`DesignPoint`] is
+//! `Copy` and is stored exactly as the evaluator produced it — and
+//! infeasible candidates are cached too (as `None`), so a design is never
 //! re-evaluated no matter how often it is offered.
 
 use crate::objectives::{DesignPoint, Evaluator};

@@ -22,12 +22,14 @@
 //!   pruning.
 //! * [`cache`] — the fingerprint-keyed [`EvalCache`] for callers that
 //!   price candidates one at a time; repeat designs return bit-identical
-//!   verdicts without re-running the models.
+//!   verdicts without re-running the models. The searches do not use it.
 //! * [`search`] — exhaustive [`grid_sweep`] and the seeded [`evolve`]
-//!   evolutionary search. Both read the parts from tables built once per
-//!   knob projection, dedup proposals by fingerprint, and may spread the
-//!   pricing across threads via `pcnna_fleet::par::par_map_slice`; the
-//!   grid sweep streams the grid in fixed-size blocks.
+//!   evolutionary search. Both dedup proposals by canonical knob choice
+//!   before pricing them, read the parts from tables built once per knob
+//!   projection, may spread the pricing across threads via
+//!   `pcnna_fleet::par::par_map_slice`, and assemble and fingerprint only
+//!   the designs their frontier admits; the grid sweep streams the grid
+//!   in fixed-size blocks.
 //! * [`codesign`] — [`co_design`]: fields the top frontier designs as
 //!   serving fleets (uniform and mixed), replays traffic through the
 //!   `pcnna-fleet` engine, and ranks them by SLO attainment per watt.
@@ -71,6 +73,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 // `if !(x > 0.0)` in parameter validation is deliberate: unlike `x <= 0.0`
 // it also rejects NaN, which must never enter the models (same policy as
 // pcnna-core).
@@ -87,7 +90,7 @@ pub use cache::EvalCache;
 pub use codesign::{co_design, CodesignConfig, CodesignRow};
 pub use objectives::{DesignPoint, Evaluator};
 pub use pareto::{FrontierEntry, ParetoFrontier};
-pub use search::{evolve, grid_sweep, EvolutionConfig, SearchOutcome, SearchStats};
+pub use search::{evolve, grid_sweep, EvolutionConfig, SearchOutcome, SearchStats, MAX_POPULATION};
 pub use space::{Candidate, DesignSpace, KnobChoice};
 
 /// Errors produced by the design-space explorer.

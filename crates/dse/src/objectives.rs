@@ -48,12 +48,14 @@
 //! association order of the single-pass evaluator, so every
 //! [`DesignPoint`] is bit-identical to it.
 //!
-//! [`Evaluator::evaluate_detailed_with`] builds the parts fresh from the
+//! [`Evaluator::evaluate_detailed`] builds the parts fresh from the
 //! candidate and combines them; the searches read the parts from
 //! `PartTables`, filled lazily once per knob projection, and combine the
 //! same way. Debug builds assert every tabled verdict equals the fresh
 //! one, which is how this map is checked: a part that read a knob its
-//! projection omits would disagree on some grid point.
+//! projection omits would disagree on some grid point. A table holds one
+//! slot per projection, so [`DesignSpace::validate`] refuses a space
+//! whose table would exceed [`MAX_PART_SLOTS`].
 
 use crate::space::{Candidate, DesignSpace, KnobChoice, N_KNOBS};
 use crate::{DseError, Result};
@@ -66,6 +68,20 @@ use pcnna_core::power::{PowerAssumptions, PowerModel};
 use pcnna_photonics::constants::SPEED_OF_LIGHT;
 use pcnna_photonics::link::BroadcastWeightLink;
 use std::sync::OnceLock;
+
+/// The most slots any one part table may hold: 1 820× the largest table
+/// of perfbench's 24 576-point grid (576 electronic slots). An unfilled
+/// slot takes at most 56 bytes, so a table's up-front allocation stays
+/// within 56 MiB however long the knob lists a caller passes.
+pub const MAX_PART_SLOTS: usize = 1 << 20;
+
+/// Each part table and the knobs, as [`KnobChoice`] positions, that index
+/// it (the dependency map's third column).
+pub(crate) const PART_TABLE_KNOBS: [(&str, &[usize]); 3] = [
+    ("electronic", &[0, 1, 3, 4]),
+    ("spectral", &[3, 4, 5, 6]),
+    ("link SNR", &[3, 5, 6]),
+];
 
 /// Power ratio of adjacent-channel crosstalk: the two nearest WDM
 /// neighbours leak through a ring's Lorentzian drop response evaluated one
@@ -227,19 +243,6 @@ impl Evaluator {
 
     /// Evaluates a candidate, reporting *why* it is infeasible.
     ///
-    /// # Errors
-    ///
-    /// Returns the underlying config/resource/photonic failure, or
-    /// [`DseError::NonFiniteObjective`] if a model produces a non-finite
-    /// objective value.
-    pub fn evaluate_detailed(&self, candidate: &Candidate) -> Result<DesignPoint> {
-        self.evaluate_detailed_with(candidate, candidate.fingerprint())
-    }
-
-    /// [`evaluate_detailed`](Self::evaluate_detailed) with a
-    /// caller-computed fingerprint, so search loops that already keyed
-    /// their dedup set by the fingerprint do not hash the candidate twice.
-    ///
     /// Builds the three [parts](self#the-dependency-map) fresh from the
     /// candidate and combines them — the same arithmetic the searches run
     /// on tabled parts, so a hand-built candidate and a grid point are
@@ -247,19 +250,16 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// As [`evaluate_detailed`](Self::evaluate_detailed). The electronic
-    /// part's failure wins over the link's, which wins over a non-finite
-    /// objective.
-    pub fn evaluate_detailed_with(
-        &self,
-        candidate: &Candidate,
-        fingerprint: u64,
-    ) -> Result<DesignPoint> {
-        // Score every candidate under the same link/knob coupling,
-        // whether it came from `DesignSpace::assemble` (already
-        // harmonized — this is idempotent) or was built by hand. The
-        // verdict keeps the *caller's* fingerprint so it stays consistent
-        // with the dedup key the search computed before evaluating.
+    /// Returns the underlying config/resource/photonic failure, or
+    /// [`DseError::NonFiniteObjective`] if a model produces a non-finite
+    /// objective value. The electronic part's failure wins over the
+    /// link's, which wins over a non-finite objective.
+    pub fn evaluate_detailed(&self, candidate: &Candidate) -> Result<DesignPoint> {
+        // The verdict carries the caller's fingerprint; every candidate is
+        // scored under the same link/knob coupling, whether it came from
+        // `DesignSpace::assemble` (already harmonized — this is
+        // idempotent) or was built by hand.
+        let fingerprint = candidate.fingerprint();
         let candidate = candidate.harmonized();
         let electronic = self.electronic_part(&candidate.config)?;
         let spectral = self.spectral_part(&candidate)?;
@@ -326,22 +326,11 @@ impl Evaluator {
     }
 
     /// Evaluates a candidate; `None` means infeasible (the search filters
-    /// it out and counts it).
+    /// it out and counts it). This is the fresh path the searches' tabled
+    /// verdicts are checked against.
     #[must_use]
     pub fn evaluate(&self, candidate: &Candidate) -> Option<DesignPoint> {
         self.evaluate_detailed(candidate).ok()
-    }
-
-    /// [`evaluate`](Self::evaluate) with a caller-computed fingerprint
-    /// (the fresh path the searches' tabled verdicts are checked
-    /// against).
-    #[must_use]
-    pub fn evaluate_with_fingerprint(
-        &self,
-        candidate: &Candidate,
-        fingerprint: u64,
-    ) -> Option<DesignPoint> {
-        self.evaluate_detailed_with(candidate, fingerprint).ok()
     }
 }
 
@@ -471,22 +460,27 @@ impl<'a> PartTables<'a> {
         }
     }
 
-    /// The verdict of `choice`, whose assembled candidate has
-    /// `fingerprint`: the three tabled parts, combined. Debug builds check
-    /// it against the fresh path.
-    pub(crate) fn verdict(&self, choice: KnobChoice, fingerprint: u64) -> Option<DesignPoint> {
-        let point = self.combined(choice, fingerprint);
+    /// The verdict of `choice`: the three tabled parts, combined. Its
+    /// `fingerprint` is left 0 — the search stamps it only on points its
+    /// frontier admits. Debug builds check the verdict against the fresh
+    /// path.
+    pub(crate) fn verdict(&self, choice: KnobChoice) -> Option<DesignPoint> {
+        let point = self.combined(choice);
         #[cfg(debug_assertions)]
         assert_eq!(
             point,
             self.evaluator
-                .evaluate_with_fingerprint(&self.space.assemble(choice), fingerprint),
+                .evaluate(&self.space.assemble(choice))
+                .map(|fresh| DesignPoint {
+                    fingerprint: 0,
+                    ..fresh
+                }),
             "tabled verdict of {choice:?} differs from the fresh path"
         );
         point
     }
 
-    fn combined(&self, choice: KnobChoice, fingerprint: u64) -> Option<DesignPoint> {
+    fn combined(&self, choice: KnobChoice) -> Option<DesignPoint> {
         let [d, a, b, c, l, s, r] = choice.0;
         let [_, na, _, nc, nl, ns, nr] = self.sizes;
         let canonical = |knobs: [usize; N_KNOBS]| self.space.assemble(KnobChoice(knobs));
@@ -504,14 +498,7 @@ impl<'a> PartTables<'a> {
                 self.evaluator.spectral_part(&candidate).ok()
             })
             .as_ref()?;
-        combine(
-            fingerprint,
-            electronic,
-            spectral,
-            snr_db,
-            self.space.adc_bits[b],
-        )
-        .ok()
+        combine(0, electronic, spectral, snr_db, self.space.adc_bits[b]).ok()
     }
 }
 

@@ -1,13 +1,14 @@
 //! Incremental Pareto frontier with dominance pruning.
 //!
 //! The frontier holds (candidate, point) pairs such that **no kept point
-//! weakly dominates another**. [`ParetoFrontier::insert`] is the only way
-//! in: a newcomer that is weakly dominated by any resident (including an
-//! exact duplicate) is rejected as a no-op; otherwise every resident the
-//! newcomer dominates is evicted and the newcomer is appended. Insertion
-//! order is therefore deterministic given a deterministic evaluation
-//! stream, which is what makes seeded searches reproduce bit-identical
-//! frontiers.
+//! weakly dominates another**. [`ParetoFrontier::insert`] (with its
+//! crate-internal twin `insert_with`, which builds the entry only on
+//! admission) is the only way in: a newcomer that is weakly dominated by
+//! any resident (including an exact duplicate) is rejected as a no-op;
+//! otherwise every resident the newcomer dominates is evicted and the
+//! newcomer is appended. Insertion order is therefore deterministic given
+//! a deterministic evaluation stream, which is what makes seeded searches
+//! reproduce bit-identical frontiers.
 
 use crate::objectives::DesignPoint;
 use crate::space::Candidate;
@@ -38,6 +39,18 @@ impl ParetoFrontier {
     /// (possibly evicting residents it dominates), `false` if an existing
     /// entry weakly dominates it — in which case the frontier is unchanged.
     pub fn insert(&mut self, candidate: Candidate, point: DesignPoint) -> bool {
+        self.insert_with(point, |point| FrontierEntry { candidate, point })
+    }
+
+    /// [`insert`](Self::insert) for a point whose entry is costly to
+    /// build: `entry` runs only if `point` is admitted, and must keep its
+    /// objectives. The searches use it to assemble and fingerprint only
+    /// the designs they keep, with one offer per point.
+    pub(crate) fn insert_with(
+        &mut self,
+        point: DesignPoint,
+        entry: impl FnOnce(DesignPoint) -> FrontierEntry,
+    ) -> bool {
         if !point.is_finite() {
             return false;
         }
@@ -49,7 +62,7 @@ impl ParetoFrontier {
             return false;
         }
         self.entries.retain(|e| !point.dominates(&e.point));
-        self.entries.push(FrontierEntry { candidate, point });
+        self.entries.push(entry(point));
         true
     }
 

@@ -15,6 +15,7 @@
 //! integrates more receiver noise, which is exactly the latency ↔ SNR
 //! tension the explorer is meant to surface).
 
+use crate::objectives::{MAX_PART_SLOTS, PART_TABLE_KNOBS};
 use crate::{DseError, Result};
 use pcnna_core::config::{AllocationPolicy, PcnnaConfig};
 use pcnna_core::feasibility::SpectralBudget;
@@ -22,9 +23,22 @@ use pcnna_electronics::adc::AdcModel;
 use pcnna_electronics::clock::ClockDomain;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Number of knobs in a [`DesignSpace`].
 pub const N_KNOBS: usize = 7;
+
+/// The [`DesignSpace`] field name of each knob, in [`KnobChoice`] order.
+pub(crate) const KNOB_NAMES: [&str; N_KNOBS] = [
+    "n_input_dacs",
+    "n_adcs",
+    "adc_bits",
+    "fast_clock_ghz",
+    "allocations",
+    "channel_spacing_ghz",
+    "ring_radius_um",
+];
 
 /// One value index per knob, in [`DesignSpace`] field order:
 /// `[n_input_dacs, n_adcs, adc_bits, fast_clock_ghz, allocations,
@@ -71,12 +85,12 @@ impl Candidate {
     /// A stable 64-bit key for memoization: word-wise FNV-1a over every
     /// semantic field of both halves (floats by IEEE bit pattern, enums by
     /// discriminant). Two candidates collide only if every field agrees,
-    /// which is precisely the "same design" equivalence the searches'
-    /// dedup set and the evaluation cache need. It costs about 250 ns
-    /// per candidate (230–270 ns measured over the 24 576-point perfbench
-    /// design grid, release build, shared 2-core x86-64 host): the
-    /// largest per-point cost of a tabled grid sweep, though far below
-    /// the ~7 µs of the `Debug`-rendering hash it replaced.
+    /// which is precisely the "same design" equivalence the evaluation
+    /// cache and co-design's fleet labels need. It costs about 250 ns per
+    /// candidate (230–310 ns measured over the 24 576-point perfbench
+    /// design grid, release build, shared 2-core x86-64 host), so the
+    /// searches dedup by canonical knob choice instead and fingerprint
+    /// only the designs their frontier admits (see [`crate::search`]).
     ///
     /// Every struct is destructured without `..`, so adding a field to a
     /// config type without teaching the fingerprint about it is a compile
@@ -363,11 +377,14 @@ impl DesignSpace {
     }
 
     /// Validates the space: every knob list non-empty, every numeric value
-    /// positive and finite, and the base design point itself valid.
+    /// positive and finite, the base design point itself valid, no part
+    /// table over [`MAX_PART_SLOTS`],
+    /// and a grid whose point count fits in a `u64`. The searches call it
+    /// before they allocate anything.
     ///
     /// # Errors
     ///
-    /// Returns [`DseError::InvalidSpace`] naming the offending knob.
+    /// Returns [`DseError::InvalidSpace`] naming the offending knobs.
     pub fn validate(&self) -> Result<()> {
         let fail = |reason: String| Err(DseError::InvalidSpace { reason });
         if self.n_input_dacs.is_empty()
@@ -396,6 +413,31 @@ impl DesignSpace {
             }
         }
         self.base_config.validate().map_err(DseError::Core)?;
+        let sizes = self.knob_sizes();
+        let named = |knobs: &[usize]| {
+            let names: Vec<String> = knobs
+                .iter()
+                .map(|&k| format!("{} ({})", KNOB_NAMES[k], sizes[k]))
+                .collect();
+            names.join(" × ")
+        };
+        for (part, knobs) in PART_TABLE_KNOBS {
+            let slots = knobs
+                .iter()
+                .try_fold(1usize, |acc, &k| acc.checked_mul(sizes[k]));
+            if slots.is_none_or(|n| n > MAX_PART_SLOTS) {
+                return fail(format!(
+                    "the {part} part table over {} exceeds MAX_PART_SLOTS ({MAX_PART_SLOTS})",
+                    named(knobs)
+                ));
+            }
+        }
+        if self.cardinality().is_none() {
+            return fail(format!(
+                "the grid over {} has more than u64::MAX points",
+                named(&[0, 1, 2, 3, 4, 5, 6])
+            ));
+        }
         Ok(())
     }
 
@@ -413,10 +455,14 @@ impl DesignSpace {
         ]
     }
 
-    /// Total number of grid points (product of the knob list lengths).
+    /// Total number of grid points (product of the knob list lengths), or
+    /// `None` when it overflows a `u64` (such a space fails
+    /// [`validate`](Self::validate)).
     #[must_use]
-    pub fn cardinality(&self) -> u64 {
-        self.knob_sizes().iter().map(|&n| n as u64).product()
+    pub fn cardinality(&self) -> Option<u64> {
+        self.knob_sizes()
+            .iter()
+            .try_fold(1u64, |acc, &n| acc.checked_mul(n as u64))
     }
 
     /// Builds the candidate a choice describes, through `with_*` builders
@@ -426,15 +472,22 @@ impl DesignSpace {
     ///
     /// Panics if an index in `choice` is out of range for its knob list —
     /// choices must come from this space's `grid_choices` /
-    /// `sample_choice` / `mutate_choice`.
+    /// `sample_choice` / `mutate_choice` — or if the chosen clock is not
+    /// positive, which [`validate`](Self::validate) refuses.
     #[must_use]
     pub fn assemble(&self, choice: KnobChoice) -> Candidate {
         let [di, ai, bi, ci, li, si, ri] = choice.0;
-        let clock_hz = self.fast_clock_ghz[ci] * 1e9;
         let budget = self
             .base_budget
-            .with_channel_spacing_hz(self.channel_spacing_ghz[si] * 1e9)
-            .with_ring_radius_m(self.ring_radius_um[ri] * 1e-6);
+            .with_channel_spacing_hz(hz(self.channel_spacing_ghz[si]))
+            .with_ring_radius_m(metres(self.ring_radius_um[ri]));
+        // `ClockDomain::new` rejects only frequencies that are not
+        // positive; `validate` refuses every GHz value that is not, a
+        // positive value stays positive once scaled, and the searches
+        // validate before they assemble.
+        #[allow(clippy::expect_used)]
+        let clock = ClockDomain::new("fast", hz(self.fast_clock_ghz[ci]))
+            .expect("validated positive frequency");
         let config = self
             .base_config
             .with_input_dacs(self.n_input_dacs[di])
@@ -443,9 +496,7 @@ impl DesignSpace {
                 bits: self.adc_bits[bi],
                 ..self.base_config.adc
             })
-            .with_fast_clock(
-                ClockDomain::new("fast", clock_hz).expect("validated positive frequency"),
-            )
+            .with_fast_clock(clock)
             .with_allocation(self.allocations[li]);
         Candidate { config, budget }.harmonized()
     }
@@ -458,11 +509,13 @@ impl DesignSpace {
     }
 
     /// [`grid_choices`](Self::grid_choices) as a stream, for sweeps that
-    /// must not hold the whole grid.
+    /// must not hold the whole grid. Every index a choice holds is at
+    /// least its [canonical](CanonicalChoices) index, so the odometer
+    /// reaches a design's canonical choice before any repeat of it.
     pub(crate) fn grid_iter(&self) -> impl Iterator<Item = KnobChoice> {
         let sizes = self.knob_sizes();
         let mut idx = [0usize; N_KNOBS];
-        (0..self.cardinality()).map(move |_| {
+        (0..self.cardinality().unwrap_or(u64::MAX)).map(move |_| {
             let choice = KnobChoice(idx);
             for k in (0..N_KNOBS).rev() {
                 idx[k] += 1;
@@ -500,6 +553,62 @@ impl DesignSpace {
     }
 }
 
+/// The frequency [`DesignSpace::assemble`] builds from a GHz knob value
+/// (the clock and the channel spacing).
+fn hz(ghz: f64) -> f64 {
+    ghz * 1e9
+}
+
+/// The length [`DesignSpace::assemble`] builds from a µm knob value (the
+/// ring radius).
+fn metres(um: f64) -> f64 {
+    um * 1e-6
+}
+
+/// Each knob index of a space mapped to the first index of that knob
+/// whose assembled value is equal: ints and enums compared as they are,
+/// floats by the bit pattern of the scaled value `assemble` builds.
+/// `assemble` applies plain `with_*` setters and the harmonizer only
+/// copies knob values, so two choices build the same candidate exactly
+/// when their canonical choices are equal — an exact, collision-free
+/// dedup key that needs neither `assemble` nor a fingerprint.
+#[derive(Debug)]
+pub(crate) struct CanonicalChoices([Vec<usize>; N_KNOBS]);
+
+impl CanonicalChoices {
+    pub(crate) fn new(space: &DesignSpace) -> Self {
+        let bits = |values: &[f64], scale: fn(f64) -> f64| {
+            first_equal(values.iter().map(|&v| scale(v).to_bits()))
+        };
+        CanonicalChoices([
+            first_equal(space.n_input_dacs.iter()),
+            first_equal(space.n_adcs.iter()),
+            first_equal(space.adc_bits.iter()),
+            bits(&space.fast_clock_ghz, hz),
+            first_equal(space.allocations.iter()),
+            bits(&space.channel_spacing_ghz, hz),
+            bits(&space.ring_radius_um, metres),
+        ])
+    }
+
+    /// The canonical choice of the design `choice` builds.
+    pub(crate) fn of(&self, choice: KnobChoice) -> KnobChoice {
+        let mut idx = choice.0;
+        for (i, first) in idx.iter_mut().zip(&self.0) {
+            *i = first[*i];
+        }
+        KnobChoice(idx)
+    }
+}
+
+/// Each position's first position holding an equal key.
+fn first_equal<K: Eq + Hash>(keys: impl Iterator<Item = K>) -> Vec<usize> {
+    let mut first = HashMap::new();
+    keys.enumerate()
+        .map(|(i, key)| *first.entry(key).or_insert(i))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,10 +618,10 @@ mod tests {
     fn default_space_validates_and_counts() {
         let s = DesignSpace::default();
         assert!(s.validate().is_ok());
-        assert_eq!(s.cardinality(), 6 * 4 * 3 * 3 * 2 * 3 * 3);
-        assert_eq!(s.grid_choices().len() as u64, s.cardinality());
+        assert_eq!(s.cardinality(), Some(6 * 4 * 3 * 3 * 2 * 3 * 3));
+        assert_eq!(Some(s.grid_choices().len() as u64), s.cardinality());
         assert!(DesignSpace::smoke().validate().is_ok());
-        assert_eq!(DesignSpace::smoke().cardinality(), 48);
+        assert_eq!(DesignSpace::smoke().cardinality(), Some(48));
     }
 
     #[test]
@@ -556,17 +665,72 @@ mod tests {
     fn fingerprints_separate_full_default_grid() {
         // The full 3 888-point grid includes correlated knob pairs (the
         // harmonizer mirrors the budget spacing into the link), which a
-        // weak word-wise hash demonstrably collided on — sweep them all.
-        let s = DesignSpace::default();
-        let mut fps: Vec<u64> = s
-            .grid_choices()
-            .into_iter()
-            .map(|c| s.assemble(c).fingerprint())
-            .collect();
-        let before = fps.len();
+        // weak word-wise hash demonstrably collided on — sweep them all,
+        // and perfbench's denser 24 576-point design-sweep grid too: the
+        // frontier's fingerprints label co-design fleets.
+        let perfbench = DesignSpace {
+            n_input_dacs: vec![4, 8, 10, 12, 16, 24, 32, 64],
+            n_adcs: vec![8, 16, 24, 32, 48, 64],
+            adc_bits: vec![6, 7, 8, 10],
+            fast_clock_ghz: vec![2.5, 5.0, 7.5, 10.0],
+            channel_spacing_ghz: vec![25.0, 50.0, 75.0, 100.0],
+            ring_radius_um: vec![5.0, 7.5, 10.0, 20.0],
+            ..DesignSpace::default()
+        };
+        for s in [DesignSpace::default(), perfbench] {
+            let mut fps: Vec<u64> = s
+                .grid_choices()
+                .into_iter()
+                .map(|c| s.assemble(c).fingerprint())
+                .collect();
+            let before = fps.len();
+            assert_eq!(Some(before as u64), s.cardinality());
+            fps.sort_unstable();
+            fps.dedup();
+            assert_eq!(
+                fps.len(),
+                before,
+                "fingerprint collision in a {before}-point grid"
+            );
+        }
+    }
+
+    #[test]
+    fn canonical_choices_name_each_distinct_design_once() {
+        // Repeats of an int, of the allocation enum, and of a float that
+        // differs as typed but not once `assemble` scales it to metres.
+        let radius = 15.26f64;
+        let radius_up = f64::from_bits(radius.to_bits() + 1);
+        assert!(radius_up != radius && metres(radius_up) == metres(radius));
+        let s = DesignSpace {
+            n_input_dacs: vec![4, 10, 4],
+            allocations: vec![
+                AllocationPolicy::Filtered,
+                AllocationPolicy::FilteredChannelSequential,
+                AllocationPolicy::Filtered,
+            ],
+            ring_radius_um: vec![radius, 10.0, radius_up],
+            ..DesignSpace::smoke()
+        };
+        let canonical = CanonicalChoices::new(&s);
+        let mut designs = std::collections::HashMap::new();
+        for c in s.grid_choices() {
+            let of = canonical.of(c);
+            assert!(of.0.iter().zip(&c.0).all(|(o, i)| o <= i));
+            let candidate = s.assemble(c);
+            assert_eq!(candidate, s.assemble(of));
+            assert_eq!(
+                *designs.entry(of).or_insert(candidate.fingerprint()),
+                candidate.fingerprint()
+            );
+        }
+        // 2 DAC counts × 2 ADC × 2 bits × 1 clock × 2 policies × 2
+        // spacings × 2 radii
+        assert_eq!(designs.len(), 64);
+        let mut fps: Vec<u64> = designs.into_values().collect();
         fps.sort_unstable();
         fps.dedup();
-        assert_eq!(fps.len(), before, "fingerprint collision in default grid");
+        assert_eq!(fps.len(), 64);
     }
 
     #[test]
@@ -610,23 +774,75 @@ mod tests {
 
     #[test]
     fn invalid_spaces_are_rejected() {
-        assert!(DesignSpace {
-            n_adcs: vec![],
-            ..DesignSpace::default()
+        let ints = |n: usize| (1..=n).collect::<Vec<usize>>();
+        let floats = |n: usize| (1..=n).map(|i| i as f64).collect::<Vec<f64>>();
+        for (space, names) in [
+            (
+                DesignSpace {
+                    n_adcs: vec![],
+                    ..DesignSpace::default()
+                },
+                &[][..],
+            ),
+            (
+                DesignSpace {
+                    fast_clock_ghz: vec![0.0],
+                    ..DesignSpace::default()
+                },
+                &["fast_clock_ghz"],
+            ),
+            (
+                DesignSpace {
+                    n_input_dacs: vec![0],
+                    ..DesignSpace::default()
+                },
+                &[],
+            ),
+            // 1 024 values on five knobs: a 2^30-slot electronic table,
+            // which `grid_sweep` once tried to allocate.
+            (
+                DesignSpace {
+                    n_input_dacs: ints(1024),
+                    n_adcs: ints(1024),
+                    fast_clock_ghz: floats(1024),
+                    channel_spacing_ghz: floats(1024),
+                    ring_radius_um: floats(1024),
+                    ..DesignSpace::default()
+                },
+                &[
+                    "electronic",
+                    "n_input_dacs (1024)",
+                    "n_adcs (1024)",
+                    "fast_clock_ghz (1024)",
+                ],
+            ),
+            // Every part table at exactly MAX_PART_SLOTS, but 2^64 points.
+            (
+                DesignSpace {
+                    n_input_dacs: ints(1024),
+                    n_adcs: ints(1024),
+                    adc_bits: vec![8; 1 << 24],
+                    fast_clock_ghz: vec![5.0],
+                    allocations: vec![AllocationPolicy::Filtered],
+                    channel_spacing_ghz: floats(1024),
+                    ring_radius_um: floats(1024),
+                    ..DesignSpace::default()
+                },
+                &["u64::MAX points", "adc_bits (16777216)"],
+            ),
+        ] {
+            // The searches validate before they allocate anything.
+            let ev = crate::Evaluator::lenet5();
+            let t = std::time::Instant::now();
+            assert!(crate::grid_sweep(&space, &ev, 1).is_err());
+            assert!(crate::evolve(&space, &ev, &crate::EvolutionConfig::default()).is_err());
+            let Err(DseError::InvalidSpace { reason }) = space.validate() else {
+                panic!("{:?} passed validation", space.knob_sizes());
+            };
+            assert!(t.elapsed().as_secs_f64() < 0.25, "{reason}");
+            for name in names {
+                assert!(reason.contains(name), "{reason:?} names no {name}");
+            }
         }
-        .validate()
-        .is_err());
-        assert!(DesignSpace {
-            fast_clock_ghz: vec![0.0],
-            ..DesignSpace::default()
-        }
-        .validate()
-        .is_err());
-        assert!(DesignSpace {
-            n_input_dacs: vec![0],
-            ..DesignSpace::default()
-        }
-        .validate()
-        .is_err());
     }
 }

@@ -23,7 +23,7 @@ fn fold_fresh(space: &DesignSpace, ev: &Evaluator) -> SearchOutcome {
             continue;
         }
         stats.evaluated += 1;
-        match ev.evaluate_with_fingerprint(&candidate, fp) {
+        match ev.evaluate(&candidate) {
             Some(point) => {
                 stats.valid += 1;
                 frontier.insert(candidate, point);
@@ -40,6 +40,7 @@ fn assert_sweep_matches_fresh(space: &DesignSpace, ev: &Evaluator) {
     let oracle = fold_fresh(space, ev);
     for threads in [1, 4] {
         let out = grid_sweep(space, ev, threads).unwrap();
+        assert_stamped(&out.frontier);
         assert_eq!(
             out.stats,
             oracle.stats,
@@ -52,6 +53,13 @@ fn assert_sweep_matches_fresh(space: &DesignSpace, ev: &Evaluator) {
             "{} at {threads} threads",
             ev.workload()
         );
+    }
+}
+
+/// Asserts every frontier entry carries its candidate's fingerprint.
+fn assert_stamped(frontier: &ParetoFrontier) {
+    for e in frontier.entries() {
+        assert_eq!(e.point.fingerprint, e.candidate.fingerprint());
     }
 }
 
@@ -275,11 +283,9 @@ proptest! {
             ..EvolutionConfig::default()
         };
         let out = evolve(&space, &ev, &cfg).unwrap();
+        assert_stamped(&out.frontier);
         for e in out.frontier.entries() {
-            prop_assert_eq!(
-                ev.evaluate_with_fingerprint(&e.candidate, e.point.fingerprint),
-                Some(e.point)
-            );
+            prop_assert_eq!(ev.evaluate(&e.candidate), Some(e.point));
         }
     }
 

@@ -1,23 +1,19 @@
-//! Functional-accuracy harness (extension experiment E1): runs the conv
-//! layers of the CIFAR-small network through the photonic device models
-//! under four conditions and prints the SNR table EXPERIMENTS.md records.
+//! Joint (latency, accuracy) QoS bench: heat-wave and laser-aging chaos
+//! under **loosened** serviceability limits (drift budget 1.0 K, laser
+//! floor 0.1), so drifted instances keep serving instead of failing over
+//! — and what they serve is quoted below the strict class's accuracy
+//! floor. Each leg runs with accuracy routing off and on; the bench
+//! asserts that routing off serves a nonzero count below floor and that
+//! routing on strictly reduces it, that every report is bit-identical
+//! across (shards, threads) ∈ {1, 4} × {1, 8} plus a re-run, and writes
+//! the wall-clock-free `BENCH_accuracy.json` artifact:
+//! `cargo run --release --bin accuracy [-- --seed <n>]`.
 //!
-//! `--serving` instead runs the joint (latency, accuracy) QoS bench:
-//! heat-wave and laser-aging chaos under **loosened** serviceability
-//! limits (drift budget 1.0 K, laser floor 0.1), so drifted instances
-//! keep serving instead of failing over — and what they serve is
-//! quoted below the strict class's accuracy floor. Each leg runs with
-//! accuracy routing off and on; the bench asserts that routing off
-//! serves a nonzero count below floor and that routing on strictly
-//! reduces it, that every report is bit-identical across
-//! (shards, threads) ∈ {1, 4} × {1, 8} plus a re-run, and writes the
-//! wall-clock-free `BENCH_accuracy.json` artifact.
+//! The photonic convolution's SNR table (experiment E1) is in
+//! EXPERIMENTS.md "Analog precision".
 
 use pcnna_bench::report::{assert_books, write_artifact};
-use pcnna_cnn::workload::Workload;
-use pcnna_cnn::zoo;
 use pcnna_core::config::PcnnaConfig;
-use pcnna_core::functional::{FunctionalOptions, PhotonicConvExecutor};
 use pcnna_fleet::prelude::*;
 use pcnna_fleet::scenario::json::{self, Json};
 
@@ -162,12 +158,10 @@ fn run_serving(seed: u64) {
 }
 
 fn main() {
-    let mut serving = false;
     let mut seed = 7u64;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--serving" => serving = true,
             "--seed" => {
                 seed = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--seed needs an integer");
@@ -175,68 +169,10 @@ fn main() {
                 });
             }
             other => {
-                eprintln!("unknown flag {other:?} (known: --serving, --seed <n>)");
+                eprintln!("unknown flag {other:?} (known: --seed <n>)");
                 std::process::exit(2);
             }
         }
     }
-    if serving {
-        run_serving(seed);
-        return;
-    }
-    let exec = PhotonicConvExecutor::new(PcnnaConfig::default()).expect("default config is valid");
-    let net = zoo::cifar_small();
-
-    let conditions: [(&str, FunctionalOptions); 4] = [
-        (
-            "analog only",
-            FunctionalOptions {
-                noise: false,
-                adc_quantization: false,
-                dac_quantization: false,
-                seed: 0,
-            },
-        ),
-        ("quantized I/O", FunctionalOptions::default()),
-        (
-            "quantized + noise",
-            FunctionalOptions {
-                noise: true,
-                seed: 42,
-                ..FunctionalOptions::default()
-            },
-        ),
-        (
-            "noise only",
-            FunctionalOptions {
-                noise: true,
-                seed: 42,
-                adc_quantization: false,
-                dac_quantization: false,
-            },
-        ),
-    ];
-
-    println!("E1 — photonic convolution accuracy vs the digital reference");
-    println!("network: {} (conv layers)", net.name());
-    println!();
-    print!("{:<22}", "condition");
-    for conv in net.conv_layers() {
-        print!(" {:>12}", conv.name);
-    }
-    println!();
-    for (label, opts) in &conditions {
-        print!("{label:<22}");
-        for (i, conv) in net.conv_layers().enumerate() {
-            let wl = Workload::uniform(&conv.geometry, 300 + i as u64);
-            let run = exec
-                .run_layer(&conv.geometry, &wl.input, &wl.kernels, opts)
-                .expect("layer fits the photonic link");
-            print!(" {:>9.1} dB", run.accuracy.snr_db);
-        }
-        println!();
-    }
-    println!();
-    println!("rows: device non-idealities only / + 16b DAC & 10b ADC quantization /");
-    println!("      + shot, thermal, RIN noise at 1 mW per carrier / noise without quantization");
+    run_serving(seed);
 }

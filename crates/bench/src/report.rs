@@ -1,4 +1,4 @@
-//! Shared report plumbing for the fleet bench binaries.
+//! Shared report plumbing for the bench binaries.
 //!
 //! The `scenarios`, `control`, and `trace` bins all emit deterministic
 //! JSON artifacts under the same contract — no wall-clock fields,
@@ -9,8 +9,9 @@
 //! the contract so the bins cannot drift apart: the bookkeeping
 //! invariant ([`assert_books`]), the shared serving mix
 //! ([`serving_classes`], [`chaos_config`]), and artifact writing
-//! ([`write_artifact`]).
-
+//! ([`write_artifact`]). The `paper` bin's Markdown record is laid out
+//! through the section and table writers here, and its tests read the
+//! printed tables back.
 use pcnna_fleet::prelude::{
     ArrivalProcess, ChaosConfig, ChaosKind, ClassSpec, FaultSpec, FleetReport, InstanceSpec,
     NetworkClass, Policy, ScenarioSpec,
@@ -126,6 +127,43 @@ pub fn write_artifact(path: &str, payload: &str) {
     }
 }
 
+/// Starts a `## title` section with its lead paragraph.
+pub(crate) fn section(out: &mut String, title: &str, lead: &str) {
+    out.push_str(&format!("## {title}\n\n{lead}\n\n"));
+}
+
+/// Appends a Markdown table and a blank line. The header and every row
+/// list their cells separated by `|`; the first column is left-aligned,
+/// the rest right-aligned.
+pub(crate) fn table(out: &mut String, head: &str, rows: impl IntoIterator<Item = String>) {
+    let line = |cells: &str| format!("| {} |\n", cells.replace('|', " | "));
+    out.push_str(&line(head));
+    let rule = vec!["--:"; head.split('|').count() - 1];
+    out.push_str(&line(&format!(":--|{}", rule.join("|"))));
+    for row in rows {
+        out.push_str(&line(&row));
+    }
+    out.push('\n');
+}
+
+/// The header cells and the body rows of the first table after the line
+/// `heading` in `md`, each row split into trimmed cells — the inverse of
+/// [`table`].
+#[cfg(test)]
+pub(crate) fn table_rows(md: &str, heading: &str) -> (Vec<String>, Vec<Vec<String>>) {
+    let cells = |line: &str| -> Vec<String> {
+        let inner = line.trim().trim_start_matches('|').trim_end_matches('|');
+        inner.split('|').map(|c| c.trim().to_owned()).collect()
+    };
+    let mut lines = md
+        .lines()
+        .skip_while(|l| *l != heading)
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'));
+    let head = lines.next().map(cells).unwrap_or_default();
+    (head, lines.skip(1).map(cells).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,5 +226,50 @@ mod tests {
     fn chaos_config_scales_recalibration_with_mode() {
         assert!(chaos_config(true, 7).recalibration_s < chaos_config(false, 7).recalibration_s);
         assert_eq!(chaos_config(true, 9).seed, 9);
+    }
+
+    #[test]
+    fn tables_are_well_formed_markdown() {
+        let mut out = String::new();
+        table(&mut out, "a|b", ["x|1".to_owned()]);
+        assert_eq!(out, "| a | b |\n| :-- | --: |\n| x | 1 |\n\n");
+        let (head, rows) = table_rows(&format!("## t\n\n{out}"), "## t");
+        assert_eq!(
+            (head, rows),
+            (
+                vec!["a".into(), "b".into()],
+                vec![vec!["x".into(), "1".into()]]
+            )
+        );
+    }
+
+    /// Fig. 5 prints eq. (4)'s 5.2 billion and eq. (5)'s 35 thousand
+    /// conv1 rings, and conv4's 3 456 channel-sequential rings (§V-A).
+    #[test]
+    fn fig5_render_contains_headline_numbers() {
+        let (head, rows) = table_rows(&crate::paper::record().markdown, "## Fig. 5");
+        assert_eq!(
+            head[..4],
+            ["layer", "not filtered", "filtered", "channel-sequential"]
+        );
+        let layers: Vec<&str> = rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(layers, ["conv1", "conv2", "conv3", "conv4", "conv5"]);
+        assert_eq!(rows[0][1..3], ["5,245,599,744", "34,848"]);
+        assert_eq!(rows[3][3], "3,456");
+    }
+
+    /// Fig. 6 prints one timing row per layer and a totals row under the
+    /// PCNNA(O+E) and PCNNA(O) columns.
+    #[test]
+    fn timing_render_has_totals() {
+        let (head, rows) = table_rows(&crate::paper::record().markdown, "## Fig. 6");
+        assert_eq!(head[2..6], ["Eyeriss", "YodaNN", "PCNNA(O+E)", "PCNNA(O)"]);
+        assert_eq!(rows.len(), 6);
+        let total = &rows[5];
+        assert_eq!(
+            total[..6],
+            ["total", "", "45.24 ms", "10.40 ms", "21.59 us", "852.20 ns"]
+        );
+        assert_eq!(total[8..], ["2095×", "53086×"]);
     }
 }

@@ -11,7 +11,7 @@
 //!   a max-of-pipelined-stages model ([`BottleneckModel::MaxOfStages`]) that
 //!   also prices the SRAM access, the optical pass(es), the ADC batch, and
 //!   the DRAM stream — exposing where the paper's assumption holds and
-//!   where it does not (see EXPERIMENTS.md).
+//!   where it does not (see EXPERIMENTS.md "Max-of-stages bottleneck model").
 
 use crate::config::{BottleneckModel, PcnnaConfig};
 use crate::mapping::{AreaModel, RingAllocation};
@@ -340,7 +340,7 @@ mod tests {
     fn dram_binds_conv4_under_max_of_stages() {
         // The reproduction finding: at 12.8 GB/s, streaming 1152 new
         // 16-bit values per location takes 180 ns — 9× the paper's DAC
-        // bottleneck. See EXPERIMENTS.md.
+        // bottleneck. See EXPERIMENTS.md "Max-of-stages bottleneck model".
         let fuller = AnalyticalModel::new(
             PcnnaConfig::default().with_bottleneck(BottleneckModel::MaxOfStages),
         )

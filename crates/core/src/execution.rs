@@ -207,7 +207,7 @@ mod tests {
         // ~22 µs of compute plus ~100 µs of output writebacks → thousands
         // of frames/s for the conv stack alone. (Writeback, not the DAC,
         // dominates network-level latency at 12.8 GB/s — a reproduction
-        // finding; see EXPERIMENTS.md.)
+        // finding; see EXPERIMENTS.md "Writeback dominates latency".)
         let m = ExecutionModel::new(PcnnaConfig::default()).unwrap();
         let run = m.run(&zoo::alexnet_conv_layers()).unwrap();
         let fps = run.frames_per_second();

@@ -5,18 +5,18 @@
 //! `Nkernel` carriers. Two physical budgets bound how many carriers one
 //! broadcast bus can actually carry:
 //!
-//! 1. **The C band** (~4.4 THz): at 50 GHz spacing, ≈ 89 channels.
+//! 1. **The C band** (~4.4 THz): at 50 GHz spacing, 88 channels.
 //! 2. **The microring free spectral range**: a ring resonates periodically
 //!    every `FSR = λ²/(n_g·L)`; carriers further apart than one FSR alias
 //!    onto the same ring. A 10 µm-radius ring (n_g ≈ 4.2) has an FSR of
-//!    ≈ 9 nm ≈ 1.13 THz → ≈ 23 channels at 50 GHz.
+//!    ≈ 9.1 nm ≈ 1.14 THz → 22 channels at 50 GHz.
 //!
 //! AlexNet conv1 needs 363 carriers — 4× the C band and 16× one FSR. The
 //! feasible design *spectrally partitions* the receptive field: the layer's
 //! carriers are served in `ceil(Nkernel / usable)` sequential spectral
 //! passes, each an extra fast-clock cycle, multiplying eq. (7)'s optical
-//! time. This module quantifies that correction per layer (reported in
-//! EXPERIMENTS.md as a reproduction finding the paper omits).
+//! time. This module quantifies that correction per layer, a reproduction
+//! finding the paper omits (see EXPERIMENTS.md "Spectral feasibility").
 
 use crate::config::PcnnaConfig;
 use crate::mapping::{AreaModel, RingAllocation};
@@ -228,30 +228,6 @@ impl FeasibilityModel {
     }
 }
 
-/// Renders a feasibility table.
-#[must_use]
-pub fn render_feasibility(rows: &[LayerFeasibility]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<10} {:>9} {:>8} {:>7} {:>7} {:>7} {:>12} {:>14}\n",
-        "layer", "carriers", "usable", "C-band", "FSR", "passes", "paper-opt", "corrected-opt"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<10} {:>9} {:>8} {:>7} {:>7} {:>7} {:>12} {:>14}\n",
-            r.name,
-            r.wavelengths_required,
-            r.usable_channels,
-            r.c_band_channels,
-            r.fsr_channels,
-            r.spectral_passes,
-            r.paper_optical_time.to_string(),
-            r.corrected_optical_time.to_string(),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,15 +333,6 @@ mod tests {
         assert_eq!(b.group_index, 4.0);
         // tighter spacing buys more carriers than the default 50 GHz
         assert!(b.usable_channels() > SpectralBudget::default().usable_channels());
-    }
-
-    #[test]
-    fn render_includes_all_layers() {
-        let m = model();
-        let s = render_feasibility(&m.network(&zoo::alexnet_conv_layers()));
-        for l in ["conv1", "conv5", "passes"] {
-            assert!(s.contains(l));
-        }
     }
 
     #[test]

@@ -38,7 +38,6 @@
 //!   batches without re-running the analytical model (reproduction
 //!   extension).
 //! * [`accel`] — the high-level [`accel::Pcnna`] API tying it all together.
-//! * [`report`] — human-readable text reports.
 //!
 //! # Quickstart
 //!
@@ -71,7 +70,6 @@ pub mod feasibility;
 pub mod functional;
 pub mod mapping;
 pub mod power;
-pub mod report;
 pub mod scheduler;
 pub mod serving;
 pub mod simulator;

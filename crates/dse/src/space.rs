@@ -377,7 +377,8 @@ impl DesignSpace {
     }
 
     /// Validates the space: every knob list non-empty, every numeric value
-    /// positive and finite, the base design point itself valid, no part
+    /// positive and finite once scaled to Hz or metres, the base design
+    /// point itself valid, no part
     /// table over [`MAX_PART_SLOTS`],
     /// and a grid whose point count fits in a `u64`. The searches call it
     /// before they allocate anything.
@@ -403,13 +404,26 @@ impl DesignSpace {
         if self.adc_bits.contains(&0) {
             return fail("ADC resolutions must be nonzero".to_owned());
         }
-        for (label, values) in [
-            ("fast_clock_ghz", &self.fast_clock_ghz),
-            ("channel_spacing_ghz", &self.channel_spacing_ghz),
-            ("ring_radius_um", &self.ring_radius_um),
+        // Checked after scaling: 1e-320 µm underflows to a 0 m radius and
+        // 1e300 GHz overflows to an infinite clock.
+        for (label, values, scale, unit) in [
+            (
+                "fast_clock_ghz",
+                &self.fast_clock_ghz,
+                hz as fn(f64) -> f64,
+                "Hz",
+            ),
+            ("channel_spacing_ghz", &self.channel_spacing_ghz, hz, "Hz"),
+            ("ring_radius_um", &self.ring_radius_um, metres, "m"),
         ] {
-            if values.iter().any(|v| !(v.is_finite() && *v > 0.0)) {
-                return fail(format!("{label} values must be finite and positive"));
+            if let Some(v) = values
+                .iter()
+                .find(|&&v| !(scale(v).is_finite() && scale(v) > 0.0))
+            {
+                return fail(format!(
+                    "{label} values must be finite and positive in {unit}, got {v:e} ({:e} {unit})",
+                    scale(*v)
+                ));
             }
         }
         self.base_config.validate().map_err(DseError::Core)?;
@@ -473,7 +487,7 @@ impl DesignSpace {
     /// Panics if an index in `choice` is out of range for its knob list —
     /// choices must come from this space's `grid_choices` /
     /// `sample_choice` / `mutate_choice` — or if the chosen clock is not
-    /// positive, which [`validate`](Self::validate) refuses.
+    /// positive in Hz, which [`validate`](Self::validate) refuses.
     #[must_use]
     pub fn assemble(&self, choice: KnobChoice) -> Candidate {
         let [di, ai, bi, ci, li, si, ri] = choice.0;
@@ -482,8 +496,8 @@ impl DesignSpace {
             .with_channel_spacing_hz(hz(self.channel_spacing_ghz[si]))
             .with_ring_radius_m(metres(self.ring_radius_um[ri]));
         // `ClockDomain::new` rejects only frequencies that are not
-        // positive; `validate` refuses every GHz value that is not, a
-        // positive value stays positive once scaled, and the searches
+        // positive; `validate` refuses every GHz value whose scaled
+        // frequency is not finite and positive, and the searches
         // validate before they assemble.
         #[allow(clippy::expect_used)]
         let clock = ClockDomain::new("fast", hz(self.fast_clock_ghz[ci]))
@@ -790,6 +804,22 @@ mod tests {
                     ..DesignSpace::default()
                 },
                 &["fast_clock_ghz"],
+            ),
+            // Finite and positive as written, but not once scaled: a
+            // 0 m ring and an infinite clock.
+            (
+                DesignSpace {
+                    ring_radius_um: vec![10.0, 1e-320],
+                    ..DesignSpace::default()
+                },
+                &["ring_radius_um", "1e-320"],
+            ),
+            (
+                DesignSpace {
+                    fast_clock_ghz: vec![1e300],
+                    ..DesignSpace::default()
+                },
+                &["fast_clock_ghz", "inf Hz"],
             ),
             (
                 DesignSpace {

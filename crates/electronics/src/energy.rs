@@ -2,8 +2,8 @@
 //!
 //! The paper argues photonics wins on power as well as speed but reports no
 //! energy numbers; this ledger lets the core crate quantify the electronic
-//! side (converters, SRAM, DRAM) next to the photonic budget so
-//! EXPERIMENTS.md can report energy per layer as a stretch result.
+//! side (converters, SRAM, DRAM) next to the photonic budget; the energy
+//! per layer is in EXPERIMENTS.md "Power reality check".
 
 /// Itemised electrical energy, joules.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -70,9 +70,10 @@
 //! ```
 //!
 //! See the `examples/` directory for runnable scenarios: `quickstart`,
-//! `alexnet_analysis` (Fig. 5 + Fig. 6), `photonic_inference` (functional
-//! device-level CNN execution), `design_space`, `noise_study` and
-//! `fleet_serving` (multi-accelerator serving with SLO tables).
+//! `photonic_inference` (functional device-level CNN execution),
+//! `design_space`, `noise_study` and `fleet_serving` (multi-accelerator
+//! serving with SLO tables). Table I and Figs. 2–6 are in `EXPERIMENTS.md`,
+//! written by `cargo run --release -p pcnna-bench --bin paper`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

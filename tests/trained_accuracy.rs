@@ -1,6 +1,6 @@
 //! End-to-end task accuracy: a trained CNN's classification performance
 //! must survive the analog photonic substrate (experiment E1's task-level
-//! form; see EXPERIMENTS.md).
+//! form; see EXPERIMENTS.md "Analog precision").
 
 use pcnna::cnn::metrics::argmax;
 use pcnna::cnn::train::{orientation_dataset, TinyConvNet};

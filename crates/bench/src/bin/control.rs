@@ -1,6 +1,10 @@
 //! Closed-loop control bench: SLO-attainment-per-watt with and without
 //! the fleet control plane, across diurnal/MMPP arrivals and the four
 //! chaos scenarios — run with `cargo run --release --bin control`.
+//! The workload, the control-loop config and the reactive policy come
+//! from `pcnna_bench::report::control_spec`; the MMPP twin swaps its
+//! arrivals and each chaos row its fault section (the chaos-matrix
+//! reference of `matrix_spec`).
 //!
 //! Flags: `--smoke` shrinks the fleet/horizon to CI size, `--seed <n>`
 //! overrides the scenario seed, and `--check` turns the improvement
@@ -18,8 +22,7 @@
 //! driver runs the whole-fleet single cell — see the `control` module
 //! docs for the consistency model).
 
-use pcnna_bench::report::{assert_books, chaos_config, serving_classes, write_artifact};
-use pcnna_core::PcnnaConfig;
+use pcnna_bench::report::{assert_books, control_spec, matrix_spec, write_artifact};
 use pcnna_fleet::prelude::*;
 use pcnna_fleet::scenario::json::{self, Json};
 use std::time::Instant;
@@ -56,33 +59,7 @@ fn parse_args() -> Args {
     args
 }
 
-/// The served mix: the scenarios-bin fleet with a 10:1 diurnal swing
-/// (and an MMPP twin), sized so the peak needs most of the fleet while
-/// the trough leaves most of it idle — the regime autoscaling exists
-/// for.
-fn base_scenario(smoke: bool, seed: u64) -> FleetScenario {
-    let (fleet, peak_rps, horizon_s, period_s) = if smoke {
-        (6, 60_000.0, 0.08, 0.08)
-    } else {
-        (8, 90_000.0, 0.4, 0.2)
-    };
-    FleetScenario {
-        classes: serving_classes(),
-        arrival: ArrivalProcess::Diurnal {
-            base_rps: 0.1 * peak_rps,
-            peak_rps,
-            period_s,
-        },
-        policy: Policy::NetworkAffinity,
-        instances: vec![PcnnaConfig::default(); fleet],
-        max_batch: 32,
-        queue_capacity: 100_000,
-        horizon_s,
-        seed,
-        ..FleetScenario::default()
-    }
-}
-
+/// The MMPP twin of the diurnal arrivals: the same peak, in bursts.
 fn mmpp_arrival(smoke: bool) -> ArrivalProcess {
     let peak_rps = if smoke { 60_000.0 } else { 90_000.0 };
     ArrivalProcess::Mmpp {
@@ -90,17 +67,6 @@ fn mmpp_arrival(smoke: bool) -> ArrivalProcess {
         high_rps: peak_rps,
         dwell_low_s: if smoke { 0.02 } else { 0.06 },
         dwell_high_s: if smoke { 0.01 } else { 0.03 },
-    }
-}
-
-fn control_config() -> ControlConfig {
-    ControlConfig {
-        window_s: 0.002,
-        boot_s: 0.004,
-        min_active: 1,
-        initial_active: usize::MAX,
-        max_step: 4,
-        idle_power_w: 2.0,
     }
 }
 
@@ -200,8 +166,15 @@ fn controlled_row(
 /// One full measurement pass: every row, in a fixed order, as the
 /// final JSON payload. Runs twice for the byte-identity assert.
 fn measure(args: &Args) -> (String, Vec<Row>) {
-    let base = base_scenario(args.smoke, args.seed);
-    let cfg = control_config();
+    let spec = control_spec(args.smoke, args.seed);
+    let CompiledScenario {
+        scenario: base,
+        control,
+    } = spec.compile().expect("the control spec is valid");
+    let ControlSpec {
+        policy: reactive,
+        config: cfg,
+    } = control.expect("the control spec closes the loop");
 
     // Controller-on-shards=1 oracle: a non-acting controller at full
     // provision must reproduce the open-loop engine bit for bit.
@@ -225,7 +198,7 @@ fn measure(args: &Args) -> (String, Vec<Row>) {
             name,
             scenario,
             &cfg,
-            &mut ReactivePolicy::new(),
+            reactive.build().as_mut(),
         ));
         rows.push(controlled_row(
             name,
@@ -237,17 +210,19 @@ fn measure(args: &Args) -> (String, Vec<Row>) {
 
     // Chaos × control: the four named degradation scenarios on the
     // diurnal workload, uncontrolled vs reactive.
-    let chaos_cfg = chaos_config(args.smoke, args.seed);
     let mut chaos_rows = Vec::new();
     for kind in ChaosKind::ALL {
-        let scenario = FleetScenario {
-            faults: chaos_timeline(kind, &base.instances, base.horizon_s, &chaos_cfg),
-            ..base.clone()
-        };
+        let scenario = ScenarioSpec {
+            faults: matrix_spec(kind, args.smoke, args.seed).faults,
+            ..spec.clone()
+        }
+        .compile()
+        .expect("the control spec with a chaos reference is valid")
+        .scenario;
         chaos_rows.push((kind.name(), open_loop_row("diurnal", &scenario, &cfg)));
         chaos_rows.push((
             kind.name(),
-            controlled_row("diurnal", &scenario, &cfg, &mut ReactivePolicy::new()),
+            controlled_row("diurnal", &scenario, &cfg, reactive.build().as_mut()),
         ));
     }
 

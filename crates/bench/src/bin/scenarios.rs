@@ -21,15 +21,15 @@
 //! carry **no wall-clock measurements**, so two runs of the same
 //! invocation — *at any `--shards` value* — produce byte-identical
 //! files (the acceptance check `diff`s them across shard counts and
-//! re-runs). In smoke mode at the default seed, each matrix leg is
-//! additionally re-run from its committed `scenarios/<name>.json` file
-//! and the resulting record asserted byte-identical to the hard-coded
-//! generator's — the DSL-equivalence proof of ISSUE 8.
+//! re-runs).
+//!
+//! The baseline and every leg compile the scenario specs of
+//! `pcnna_bench::report` (`serving_spec`, `matrix_spec`), the same specs
+//! `--emit-files` renders. The tier-1 test
+//! `report::tests::committed_scenario_files_are_canonical` pins the
+//! committed files to them byte for byte.
 
-use pcnna_bench::report::{
-    assert_books, chaos_config, matrix_spec, serving_classes, write_artifact,
-};
-use pcnna_core::PcnnaConfig;
+use pcnna_bench::report::{assert_books, matrix_spec, serving_spec, write_artifact};
 use pcnna_fleet::prelude::*;
 use pcnna_fleet::scenario::json::{self, Json};
 use std::time::Instant;
@@ -124,28 +124,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// The serving workload every scenario runs against: a mixed
-/// AlexNet/LeNet fleet under tight SLOs, loaded to where degradation
-/// visibly moves the needle without saturating the healthy baseline.
-fn base_scenario(smoke: bool, seed: u64) -> FleetScenario {
-    let (fleet, rate_rps, horizon_s) = if smoke {
-        (4, 45_000.0, 0.05)
-    } else {
-        (6, 90_000.0, 0.5)
-    };
-    FleetScenario {
-        classes: serving_classes(),
-        arrival: ArrivalProcess::Poisson { rate_rps },
-        policy: Policy::NetworkAffinity,
-        instances: vec![PcnnaConfig::default(); fleet],
-        max_batch: 32,
-        queue_capacity: 100_000,
-        horizon_s,
-        seed,
-        ..FleetScenario::default()
-    }
 }
 
 /// One deterministic JSON record of a chaos run (no wall-clock fields).
@@ -450,8 +428,10 @@ fn main() {
         return;
     }
     let t0 = Instant::now();
-    let base = base_scenario(args.smoke, args.seed);
-    let chaos_cfg = chaos_config(args.smoke, args.seed);
+    let base = serving_spec(args.smoke, args.seed)
+        .compile()
+        .expect("the serving spec is valid")
+        .scenario;
     let kinds: Vec<ChaosKind> = match args.only {
         Some(k) => vec![k],
         None => ChaosKind::ALL.to_vec(),
@@ -490,16 +470,12 @@ fn main() {
         "mJ/req"
     );
 
-    // The committed scenario files encode the smoke matrix at seed 7;
-    // under that invocation each leg is re-run from its file and must
-    // byte-match the hard-coded generator's record.
-    let check_files = args.smoke && args.seed == 7;
     let mut records = Vec::new();
     for kind in kinds {
-        let scenario = FleetScenario {
-            faults: chaos_timeline(kind, &base.instances, base.horizon_s, &chaos_cfg),
-            ..base.clone()
-        };
+        let scenario = matrix_spec(kind, args.smoke, args.seed)
+            .compile()
+            .expect("the matrix spec is valid")
+            .scenario;
         let report = run_checked(&scenario, args.shards, kind.name());
         // Cross-run determinism: a fresh simulation of the same seed
         // (the oracle comparison already happened inside `run_checked`).
@@ -527,46 +503,7 @@ fn main() {
             1e3 * report.energy_per_request_j,
         );
         assert_books(&report, kind.name());
-        let record = record_for(kind.name(), &report, &baseline);
-        if check_files {
-            let path = format!(
-                "{}/../../scenarios/{}.json",
-                env!("CARGO_MANIFEST_DIR"),
-                kind.name()
-            );
-            let spec = ScenarioSpec::load(&path).expect("committed scenario file");
-            assert_eq!(
-                spec,
-                matrix_spec(kind, true, 7),
-                "{}: committed file drifted from the canonical spec (regenerate \
-                 with --emit-files scenarios)",
-                kind.name()
-            );
-            let compiled = spec.compile().expect("committed scenario file compiles");
-            assert_eq!(
-                compiled.scenario,
-                scenario,
-                "{}: scenario file must compile to the hard-coded scenario",
-                kind.name()
-            );
-            let file_report = run_checked(
-                &compiled.scenario,
-                args.shards,
-                &format!("{} file", spec.name),
-            );
-            let file_record = record_for(&spec.name, &file_report, &baseline);
-            assert_eq!(
-                file_record.render(),
-                record.render(),
-                "{}: scenario-file record must byte-match the generator's",
-                kind.name()
-            );
-            println!(
-                "  {:<22} ↳ scenario file replays to a byte-identical record",
-                ""
-            );
-        }
-        records.push(record);
+        records.push(record_for(kind.name(), &report, &baseline));
     }
     println!();
 

@@ -1,7 +1,10 @@
-//! Telemetry rendering bench: traces a chaos scenario through the
-//! sharded engine and a controlled run through the control loop, and
-//! proves the determinism contract in-process — run with
-//! `cargo run --release --bin trace`.
+//! Telemetry rendering bench: traces a chaos-matrix leg through the
+//! sharded engine and the control bench's diurnal workload through the
+//! control loop, and proves the determinism contract in-process — run
+//! with `cargo run --release --bin trace`. Both workloads compile the
+//! scenario specs of `pcnna_bench::report` (`matrix_spec`,
+//! `control_spec`, whose control section supplies the loop config and
+//! the reactive policy).
 //!
 //! Flags: `--smoke` shrinks the fleet/horizon to CI size,
 //! `--scenario <name>` picks the chaos kind (default `heat-wave`),
@@ -22,8 +25,7 @@
 //! run's trace and window timeline, with **no wall-clock fields** — CI
 //! re-runs the bin and `diff`s the artifact.
 
-use pcnna_bench::report::{assert_books, chaos_config, serving_classes, write_artifact};
-use pcnna_core::PcnnaConfig;
+use pcnna_bench::report::{assert_books, control_spec, matrix_spec, write_artifact};
 use pcnna_fleet::prelude::*;
 use std::time::Instant;
 
@@ -86,58 +88,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// The scenarios-bin workload with the requested chaos timeline.
-fn chaos_scenario(args: &Args) -> FleetScenario {
-    let (fleet, rate_rps, horizon_s) = if args.smoke {
-        (4, 45_000.0, 0.05)
-    } else {
-        (6, 90_000.0, 0.5)
-    };
-    let instances = vec![PcnnaConfig::default(); fleet];
-    let faults = chaos_timeline(
-        args.kind,
-        &instances,
-        horizon_s,
-        &chaos_config(args.smoke, args.seed),
-    );
-    FleetScenario {
-        classes: serving_classes(),
-        arrival: ArrivalProcess::Poisson { rate_rps },
-        policy: Policy::NetworkAffinity,
-        instances,
-        max_batch: 32,
-        queue_capacity: 100_000,
-        horizon_s,
-        seed: args.seed,
-        faults,
-        ..FleetScenario::default()
-    }
-}
-
-/// The control-bin workload: same mix under a 10:1 diurnal swing.
-fn control_scenario(args: &Args) -> FleetScenario {
-    let (fleet, peak_rps, horizon_s, period_s) = if args.smoke {
-        (6, 60_000.0, 0.08, 0.08)
-    } else {
-        (8, 90_000.0, 0.4, 0.2)
-    };
-    FleetScenario {
-        classes: serving_classes(),
-        arrival: ArrivalProcess::Diurnal {
-            base_rps: 0.1 * peak_rps,
-            peak_rps,
-            period_s,
-        },
-        policy: Policy::NetworkAffinity,
-        instances: vec![PcnnaConfig::default(); fleet],
-        max_batch: 32,
-        queue_capacity: 100_000,
-        horizon_s,
-        seed: args.seed,
-        ..FleetScenario::default()
-    }
-}
-
 fn main() {
     let args = parse_args();
     let t0 = Instant::now();
@@ -155,7 +105,10 @@ fn main() {
 
     // Sharded chaos trace: byte-identical across (shards, threads) and
     // invisible to the report.
-    let scenario = chaos_scenario(&args);
+    let scenario = matrix_spec(args.kind, args.smoke, args.seed)
+        .compile()
+        .expect("the matrix spec is valid")
+        .scenario;
     let plain = scenario.simulate_sharded(1, 1).expect("scenario is valid");
     let mut rendered: Option<String> = None;
     for (shards, threads) in [(1, 1), (4, 2), (8, 8)] {
@@ -190,22 +143,20 @@ fn main() {
 
     // Controlled-run telemetry: trace + window timeline, re-run
     // byte-identical.
-    let cfg = ControlConfig {
-        window_s: 0.002,
-        boot_s: 0.004,
-        min_active: 1,
-        initial_active: usize::MAX,
-        max_step: 4,
-        idle_power_w: 2.0,
-    };
-    let ctl = control_scenario(&args);
+    let CompiledScenario {
+        scenario: ctl,
+        control,
+    } = control_spec(args.smoke, args.seed)
+        .compile()
+        .expect("the control spec is valid");
+    let control = control.expect("the control spec closes the loop");
     let (controlled, telemetry) = ctl
-        .simulate_controlled_traced(&cfg, &mut ReactivePolicy::new(), &tcfg)
+        .simulate_controlled_traced(&control.config, control.policy.build().as_mut(), &tcfg)
         .expect("scenario is valid");
     assert_books(&controlled.report, "controlled/traced");
     let control_jsonl = telemetry.render_jsonl();
     let (_, telemetry_again) = ctl
-        .simulate_controlled_traced(&cfg, &mut ReactivePolicy::new(), &tcfg)
+        .simulate_controlled_traced(&control.config, control.policy.build().as_mut(), &tcfg)
         .expect("scenario is valid");
     assert_eq!(
         control_jsonl,

@@ -10,7 +10,6 @@
 //! | `trace` | `BENCH_trace.jsonl` — heat-wave telemetry |
 //! | `accuracy` | `BENCH_accuracy.json` — joint latency/accuracy serving |
 //! | `dse` | `BENCH_dse.json` — design-space exploration |
-//! | `fleet` | fleet serving tables |
 //!
 //! The models and the serving simulator are timed by the `perf` bin
 //! (`BENCH_perf.json`, gated in CI) and by the repository benchmark under

@@ -7,14 +7,14 @@
 //! floats render shortest-roundtrip and escaping and `null` are decided
 //! in that one codec. This module is the single home for the rest of
 //! the contract so the bins cannot drift apart: the bookkeeping
-//! invariant ([`assert_books`]), the shared serving mix
-//! ([`serving_classes`], [`chaos_config`]), and artifact writing
-//! ([`write_artifact`]). The `paper` bin's Markdown record is laid out
+//! invariant ([`assert_books`]), the serving workloads as scenario
+//! specs the bins compile ([`serving_spec`], [`matrix_spec`],
+//! [`control_spec`]), and artifact writing ([`write_artifact`]). The `paper` bin's Markdown record is laid out
 //! through the section and table writers here, and its tests read the
 //! printed tables back.
 use pcnna_fleet::prelude::{
-    ArrivalProcess, ChaosConfig, ChaosKind, ClassSpec, FaultSpec, FleetReport, InstanceSpec,
-    NetworkClass, Policy, ScenarioSpec,
+    ArrivalProcess, ChaosKind, ClassSpec, ControlConfig, ControlSpec, DegradationLimits, FaultSpec,
+    FleetReport, InstanceSpec, Policy, PolicySpec, ReactivePolicy, ScenarioSpec,
 };
 
 /// Asserts the fleet ledger balances: every offered request was
@@ -40,64 +40,27 @@ pub fn assert_books(report: &FleetReport, label: &str) {
     );
 }
 
-/// The serving mix every fleet bench runs: a latency-tight AlexNet
-/// class against a cheap, heavily weighted LeNet class — enough
-/// contrast that scheduling and degradation visibly move per-class
-/// numbers.
+/// The fault-free serving workload of the chaos matrix: a
+/// latency-tight AlexNet class against a cheap, heavily weighted LeNet
+/// class on a default-config fleet, loaded to where degradation visibly
+/// moves per-class numbers without saturating the healthy baseline.
+/// The `scenarios` bin runs it as the matrix baseline.
 #[must_use]
-pub fn serving_classes() -> Vec<NetworkClass> {
-    vec![
-        NetworkClass::alexnet(0.004, 1.0),
-        NetworkClass::lenet5(0.001, 3.0),
-    ]
-}
-
-/// The chaos generator settings the bench bins share: a recalibration
-/// window sized to the mode's horizon and the run's seed, everything
-/// else at defaults.
-#[must_use]
-pub fn chaos_config(smoke: bool, seed: u64) -> ChaosConfig {
-    ChaosConfig {
-        recalibration_s: if smoke { 2e-3 } else { 10e-3 },
-        seed,
-        ..ChaosConfig::default()
-    }
-}
-
-/// [`serving_classes`] as scenario-file class specs — the DSL form of
-/// the same mix, used by the committed `scenarios/*.json` files.
-#[must_use]
-pub fn serving_class_specs() -> Vec<ClassSpec> {
-    vec![
-        ClassSpec {
-            network: "alexnet".to_owned(),
-            slo_s: 0.004,
-            weight: 1.0,
-            min_accuracy: 0.0,
-        },
-        ClassSpec {
-            network: "lenet5".to_owned(),
-            slo_s: 0.001,
-            weight: 3.0,
-            min_accuracy: 0.0,
-        },
-    ]
-}
-
-/// The scenario-file form of one chaos-matrix leg: compiles to exactly
-/// the `FleetScenario` the scenarios bin hard-codes for `(kind, smoke,
-/// seed)` — the equivalence the bin asserts in-run before anything
-/// depends on the DSL.
-#[must_use]
-pub fn matrix_spec(kind: ChaosKind, smoke: bool, seed: u64) -> ScenarioSpec {
+pub fn serving_spec(smoke: bool, seed: u64) -> ScenarioSpec {
     let (fleet, rate_rps, horizon_s) = if smoke {
         (4, 45_000.0, 0.05)
     } else {
         (6, 90_000.0, 0.5)
     };
+    let class = |network: &str, slo_s, weight| ClassSpec {
+        network: network.to_owned(),
+        slo_s,
+        weight,
+        min_accuracy: 0.0,
+    };
     ScenarioSpec {
-        name: kind.name().to_owned(),
-        classes: serving_class_specs(),
+        name: "serving".to_owned(),
+        classes: vec![class("alexnet", 0.004, 1.0), class("lenet5", 0.001, 3.0)],
         arrival: ArrivalProcess::Poisson { rate_rps },
         policy: Policy::NetworkAffinity,
         instances: vec![InstanceSpec::defaults(fleet)],
@@ -107,13 +70,57 @@ pub fn matrix_spec(kind: ChaosKind, smoke: bool, seed: u64) -> ScenarioSpec {
         accuracy_routing: false,
         horizon_s,
         seed,
-        limits: pcnna_photonics::degradation::DegradationLimits::default(),
+        limits: DegradationLimits::default(),
+        faults: FaultSpec::default(),
+        control: None,
+    }
+}
+
+/// One chaos-matrix leg: [`serving_spec`] under the named chaos
+/// generator, with a recalibration window sized to the mode's horizon.
+/// The smoke legs at seed 7 are the committed `scenarios/*.json` files.
+#[must_use]
+pub fn matrix_spec(kind: ChaosKind, smoke: bool, seed: u64) -> ScenarioSpec {
+    ScenarioSpec {
+        name: kind.name().to_owned(),
         faults: FaultSpec::Chaos {
             kind,
-            recalibration_s: chaos_config(smoke, seed).recalibration_s,
+            recalibration_s: if smoke { 2e-3 } else { 10e-3 },
             seed,
         },
-        control: None,
+        ..serving_spec(smoke, seed)
+    }
+}
+
+/// The closed-loop workload of the `control` and `trace` bins: the
+/// serving mix on a larger fleet under a 10:1 diurnal swing, sized so
+/// the peak needs most of the fleet while the trough leaves most of it
+/// idle — the regime autoscaling exists for. Its control section holds
+/// the 2 ms-window loop both bins run and a reactive policy.
+#[must_use]
+pub fn control_spec(smoke: bool, seed: u64) -> ScenarioSpec {
+    let (fleet, peak_rps, horizon_s, period_s) = if smoke {
+        (6, 60_000.0, 0.08, 0.08)
+    } else {
+        (8, 90_000.0, 0.4, 0.2)
+    };
+    ScenarioSpec {
+        name: "diurnal".to_owned(),
+        arrival: ArrivalProcess::Diurnal {
+            base_rps: 0.1 * peak_rps,
+            peak_rps,
+            period_s,
+        },
+        instances: vec![InstanceSpec::defaults(fleet)],
+        horizon_s,
+        control: Some(ControlSpec {
+            policy: PolicySpec::Reactive(ReactivePolicy::new()),
+            config: ControlConfig {
+                window_s: 0.002,
+                ..ControlConfig::default()
+            },
+        }),
+        ..serving_spec(smoke, seed)
     }
 }
 
@@ -169,14 +176,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serving_classes_mix_is_stable() {
-        let classes = serving_classes();
-        assert_eq!(classes.len(), 2);
-        assert_eq!(classes[0].name, "alexnet");
-        assert_eq!(classes[1].name, "lenet5");
-    }
-
-    #[test]
     fn matrix_specs_are_valid_and_mode_scaled() {
         for kind in ChaosKind::ALL {
             let smoke = matrix_spec(kind, true, 7);
@@ -186,7 +185,34 @@ mod tests {
             assert!(full.validate().is_ok(), "{kind:?} full spec invalid");
             assert_eq!(full.n_instances(), 6);
             assert!(full.horizon_s > smoke.horizon_s);
+            // the recalibration window scales with the mode, and the
+            // generator runs on the scenario's seed
+            let recal = |spec: &ScenarioSpec| match spec.faults {
+                FaultSpec::Chaos {
+                    recalibration_s,
+                    seed,
+                    ..
+                } => (recalibration_s, seed),
+                FaultSpec::Events(_) => panic!("{kind:?} is a chaos reference"),
+            };
+            assert!(recal(&full).0 > recal(&smoke).0);
+            assert_eq!(recal(&matrix_spec(kind, true, 9)), (2e-3, 9));
         }
+        assert_eq!(serving_spec(true, 7).faults, FaultSpec::default());
+    }
+
+    #[test]
+    fn control_specs_compile_with_their_control_section() {
+        for smoke in [true, false] {
+            let spec = control_spec(smoke, 9);
+            let compiled = spec.compile().expect("control spec compiles");
+            assert_eq!(compiled.scenario.seed, 9);
+            assert!(compiled.scenario.faults.is_empty());
+            let control = compiled.control.expect("control section");
+            assert_eq!(control.policy.kind(), "reactive");
+            assert_eq!(control.config.window_s, 0.002);
+        }
+        assert!(control_spec(false, 7).n_instances() > control_spec(true, 7).n_instances());
     }
 
     #[test]
@@ -220,12 +246,6 @@ mod tests {
                 "{path} drifted from the generator"
             );
         }
-    }
-
-    #[test]
-    fn chaos_config_scales_recalibration_with_mode() {
-        assert!(chaos_config(true, 7).recalibration_s < chaos_config(false, 7).recalibration_s);
-        assert_eq!(chaos_config(true, 9).seed, 9);
     }
 
     #[test]

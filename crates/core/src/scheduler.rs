@@ -15,7 +15,6 @@
 
 use crate::config::ScanOrder;
 use pcnna_cnn::geometry::ConvGeometry;
-use std::collections::HashSet;
 
 /// One kernel location: the output coordinate it produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,7 +101,8 @@ impl LocationSchedule {
     }
 
     /// Linear addresses (`(c·n + y)·n + x`) of the *real* (non-padding)
-    /// input elements in the receptive field of `loc`.
+    /// input elements in the receptive field of `loc`, in increasing
+    /// order.
     #[must_use]
     pub fn required_inputs(&self, loc: Location) -> Vec<u64> {
         let g = &self.geometry;
@@ -139,12 +139,21 @@ impl LocationSchedule {
     #[must_use]
     pub fn update_counts(&self) -> Vec<u64> {
         let mut counts = Vec::with_capacity(self.order.len());
-        let mut previous: HashSet<u64> = HashSet::new();
+        let mut previous: Vec<u64> = Vec::new();
         for &loc in &self.order {
             let required = self.required_inputs(loc);
-            let new = required.iter().filter(|a| !previous.contains(a)).count() as u64;
+            // Both windows are sorted: walk them together and count the
+            // addresses `previous` lacks.
+            let mut rest = previous.iter().peekable();
+            let mut new = 0u64;
+            for &a in &required {
+                while rest.next_if(|&&p| p < a).is_some() {}
+                if rest.next_if_eq(&&a).is_none() {
+                    new += 1;
+                }
+            }
             counts.push(new);
-            previous = required.into_iter().collect();
+            previous = required;
         }
         counts
     }
@@ -175,6 +184,7 @@ impl LocationSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn g(n: usize, m: usize, p: usize, s: usize, nc: usize) -> ConvGeometry {
         ConvGeometry::new(n, m, p, s, nc, 4).unwrap()

@@ -145,13 +145,12 @@ impl PipelineSimulator {
         let mut traffic = DramTraffic::default();
         let mut energy = EnergyLedger::default();
         let mut total_input_loads = 0u64;
-        let mut previous: Vec<u64> = Vec::new();
 
-        for &loc in schedule.locations() {
+        // Newly required values relative to the previous window, as the
+        // schedule defines them.
+        let new_counts = schedule.update_counts();
+        for (&loc, new_count) in schedule.locations().iter().zip(new_counts) {
             let required = schedule.required_inputs(loc);
-            // Newly required values relative to the previous window.
-            let prev_set: std::collections::HashSet<u64> = previous.iter().copied().collect();
-            let new_count = required.iter().filter(|a| !prev_set.contains(a)).count() as u64;
             total_input_loads += new_count;
 
             // Serve the new values: cache hits are free refills (the value
@@ -188,8 +187,6 @@ impl PipelineSimulator {
             energy.adc_j += self.adcs.convert_energy_j(k);
             traffic.output_writes += k * bytes_per_value;
             energy.dram_j += self.config.dram.transfer_energy_j(k * bytes_per_value);
-
-            previous = required;
         }
 
         // Weight traffic: rings' set points read from DRAM once.
@@ -298,6 +295,20 @@ mod tests {
             .unwrap();
         assert!(serp.total_input_loads < raster.total_input_loads);
         assert!(serp.total_time <= raster.total_time);
+    }
+
+    /// The simulator's input loads are the schedule's: "newly loaded" has
+    /// one definition, `LocationSchedule::update_counts`.
+    #[test]
+    fn input_loads_match_the_schedule_on_alexnet() {
+        for scan in [ScanOrder::RowMajor, ScanOrder::Serpentine] {
+            let sim = PipelineSimulator::new(PcnnaConfig::default().with_scan(scan)).unwrap();
+            for (name, g) in pcnna_cnn::zoo::alexnet_conv_layers() {
+                let r = sim.simulate_layer(name, &g).unwrap();
+                let stats = LocationSchedule::new(g, scan).stats();
+                assert_eq!(r.total_input_loads, stats.total_loads, "{name} {scan:?}");
+            }
+        }
     }
 
     #[test]

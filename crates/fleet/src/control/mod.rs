@@ -111,8 +111,8 @@ impl ControlConfig {
     /// Returns [`FleetError::InvalidScenario`] naming the
     /// `control.config` key: a non-positive or non-finite window, more
     /// than [`MAX_CONTROL_WINDOWS`] windows in the horizon, a negative
-    /// or non-finite boot time or idle power, a zero floor, or a zero
-    /// step.
+    /// or non-finite boot time or idle power, a boot that would end past
+    /// the largest finite time, a zero floor, or a zero step.
     pub fn validate(&self, horizon_s: f64) -> Result<()> {
         let fail = |reason: String| Err(FleetError::InvalidScenario { reason });
         if !(self.window_s > 0.0) || !self.window_s.is_finite() {
@@ -132,6 +132,14 @@ impl ControlConfig {
         if !(self.boot_s >= 0.0) || !self.boot_s.is_finite() {
             return fail(format!(
                 "control.config.boot_s must be finite and non-negative, got {}",
+                self.boot_s
+            ));
+        }
+        // A boot starts at a window edge, at most `horizon_s + window_s`.
+        if !(horizon_s + self.window_s + self.boot_s).is_finite() {
+            return fail(format!(
+                "control.config.boot_s {:e} after horizon_s {horizon_s:e} ends past the \
+                 largest finite time",
                 self.boot_s
             ));
         }
@@ -306,6 +314,8 @@ impl FleetScenario {
         let mut trace = FleetTrace::from_sinks(vec![sink]);
         // one cell ledger plus one slot per class folded at assembly
         trace.profile.merge_folds = 1 + self.classes.len() as u64;
+        // `controlled_run` returns a series whenever it is given a capacity.
+        #[allow(clippy::expect_used)]
         let timeline = timeline.expect("recorder was requested");
         Ok((report, ControlTelemetry { trace, timeline }))
     }
@@ -755,6 +765,16 @@ mod tests {
             ..ControlConfig::default()
         };
         assert!(near_cap.validate(horizon_s).is_ok());
+        let endless_boot = ControlConfig {
+            window_s: f64::MAX / 200.0,
+            boot_s: f64::MAX,
+            ..ControlConfig::default()
+        };
+        let err = endless_boot
+            .validate(f64::MAX / 2.0)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("control.config.boot_s"), "{err}");
     }
 
     #[test]

@@ -96,6 +96,9 @@ impl InflightArena {
             slot.requests.clear();
             handle
         } else {
+            // A cell runs at most one batch per instance, and instance
+            // indices already travel through the wheel as `u32`.
+            #[allow(clippy::expect_used)]
             let handle =
                 u32::try_from(self.slots.len()).expect("more than u32::MAX concurrent batches");
             self.slots.push(InflightSlot {
@@ -476,6 +479,9 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
         for i in spec.instances.clone() {
             let tr = quotes.row_index(i);
             if table_to_cell_row[tr] == u32::MAX {
+                // At most one construction row per instance, and instance
+                // indices already travel through the wheel as `u32`.
+                #[allow(clippy::expect_used)]
                 let r = u32::try_from(row_users.len()).expect("row count fits u32");
                 table_to_cell_row[tr] = r;
                 row_of_key.insert(RowKey::new(r, &HealthState::nominal()), r);
@@ -515,6 +521,8 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
             eligible_bits[i >> 6] |= 1 << (i & 63);
             row_members[r as usize * words + (i >> 6)] |= 1 << (i & 63);
         }
+        // As above: one construction row per instance at most.
+        #[allow(clippy::expect_used)]
         let n_rows = u32::try_from(row_users.len()).expect("row count fits u32");
         CellEngine {
             scenario,
@@ -696,6 +704,9 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
                     self.batch_buf = batch;
                 }
                 1 => {
+                    // `which == 1` only when the control wheel's peek
+                    // returned the earliest event.
+                    #[allow(clippy::expect_used)]
                     let ev = self.control.pop().expect("peeked");
                     if ev.epoch == self.control_epoch[ev.instance as usize] {
                         self.on_restore(ev.instance as usize, ev.at.get());
@@ -844,6 +855,9 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
         self.clear_flag(instance, F_PARKED);
         self.set_flag(instance, F_BOOTING);
         self.trace_instance(TraceEventKind::Boot, t, instance);
+        // `ControlConfig::validate` keeps every boot, started at a window
+        // edge, finite.
+        #[allow(clippy::expect_used)]
         let at =
             EventTime::try_new(t + ready_s).expect("boot time must be finite and non-negative");
         self.control
@@ -1234,6 +1248,10 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
         }
         self.res.recalibrations += 1;
         self.res.recal_downtime_s += duration_s;
+        // Fault validation keeps `at_s + duration_s` finite; a drained
+        // start is later only by one batch's service time, far below the
+        // spacing of floats near `f64::MAX`.
+        #[allow(clippy::expect_used)]
         let at = EventTime::try_new(t + duration_s)
             .expect("restore time must be finite and non-negative");
         self.control
@@ -1264,6 +1282,9 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
         let row = match self.row_of_key.get(&key) {
             Some(&row) => row,
             None => {
+                // Each new row is a health state some fault event set, and
+                // a fault list longer than `u32::MAX` does not fit in memory.
+                #[allow(clippy::expect_used)]
                 let row = u32::try_from(self.row_users.len()).expect("row count fits u32");
                 self.derive_row(instance);
                 self.row_users.push(0);
@@ -1670,6 +1691,9 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
             self.busy[instance] = handle;
             self.refresh_eligibility(instance);
             self.loaded[instance] = class as u32;
+            // `now` is a finite event time and `service_s` a finite quote,
+            // far below the spacing of floats near `f64::MAX`.
+            #[allow(clippy::expect_used)]
             let at =
                 EventTime::try_new(done).expect("completion time must be finite and non-negative");
             self.completions

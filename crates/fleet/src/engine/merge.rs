@@ -83,6 +83,8 @@ pub(crate) fn assemble(scenario: &FleetScenario, outcomes: &[CellOutcome]) -> Fl
     let mut on_accuracy_total = 0u64;
     let mut per_class = Vec::with_capacity(n_classes);
     for (c, class) in scenario.classes.iter().enumerate() {
+        // The shard plan assigns every class to exactly one cell.
+        #[allow(clippy::expect_used)]
         let slice = class_slots[c].expect("every class is owned by exactly one cell");
         all.merge(&slice.hist);
         on_time_total += slice.on_time;

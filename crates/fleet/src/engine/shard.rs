@@ -171,6 +171,8 @@ impl ShardPlan {
         // (deterministic donor choice: largest count, lowest index).
         for i in 0..l {
             while counts[i] == 0 {
+                // `0..l` holds `i`, so it is not empty.
+                #[allow(clippy::expect_used)]
                 let donor = (0..l)
                     .max_by(|&a, &b| counts[a].cmp(&counts[b]).then(b.cmp(&a)))
                     .expect("plan has at least one cell");
@@ -582,6 +584,9 @@ fn run_windowed<'a, S: TraceSink + Send>(
                 for batch in rx {
                     for (cell_idx, reqs) in batch {
                         running.store(cell_idx, Ordering::Relaxed);
+                        // The window loop sends a cell's batch only to the
+                        // worker it dealt that cell to.
+                        #[allow(clippy::expect_used)]
                         let (_, cell) = owned
                             .iter_mut()
                             .find(|(i, _)| *i == cell_idx)
@@ -658,10 +663,13 @@ fn run_windowed<'a, S: TraceSink + Send>(
     if let Some((cell, message)) = panicked {
         return Err(FleetError::WorkerPanicked { cell, message });
     }
-    Ok(outcomes
+    // No worker panicked, and each one returns every cell it was dealt.
+    #[allow(clippy::expect_used)]
+    let outcomes = outcomes
         .into_iter()
         .map(|o| o.expect("every cell reports exactly once"))
-        .collect())
+        .collect();
+    Ok(outcomes)
 }
 
 /// The text a panic was raised with (`panic!` payloads are a `&str` or

@@ -264,6 +264,9 @@ impl TimingWheel {
         if self.buckets[0].is_empty() {
             self.advance();
         }
+        // `len > 0`, and `advance` moves the earliest level's batch to
+        // the front bucket.
+        #[allow(clippy::expect_used)]
         let ev = self.buckets[0].pop().expect("advance fills the front");
         self.len -= 1;
         self.pops += 1;
@@ -310,6 +313,8 @@ impl TimingWheel {
     fn advance(&mut self) {
         let lvl = self.occupied.trailing_zeros() as usize;
         debug_assert!(lvl > 0 && lvl < LEVELS, "advance on an empty wheel");
+        // `push` sets a level's `occupied` bit and its `min_ev` together.
+        #[allow(clippy::expect_used)]
         let target = self.min_ev[lvl].expect("occupied level caches its min");
         self.floor_bits = target.at.bits();
         let mut moved = std::mem::take(&mut self.buckets[lvl]);

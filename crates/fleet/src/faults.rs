@@ -71,7 +71,7 @@ pub struct FaultEvent {
 impl FaultEvent {
     /// Builds a validated event: time must be finite and non-negative,
     /// and the action well-formed (positive finite recalibration
-    /// windows, valid health snapshots). The instance index is checked
+    /// windows that end at a finite time, valid health snapshots). The instance index is checked
     /// against a fleet size by [`FaultTimeline::try_from_events`] /
     /// [`FaultTimeline::validate`], which know the fleet.
     ///
@@ -108,6 +108,14 @@ impl FaultEvent {
                     return Err(format!(
                         "action.recalibrate.duration_s must be finite and positive, \
                          got {duration_s}"
+                    ));
+                }
+                // The engine schedules the restore at `at_s + duration_s`.
+                if !(self.at_s + duration_s).is_finite() {
+                    return Err(format!(
+                        "action.recalibrate.duration_s {duration_s:e} at at_s {:e} ends \
+                         past the largest finite time",
+                        self.at_s
                     ));
                 }
                 Ok(())
@@ -564,6 +572,16 @@ mod tests {
             action: FaultAction::Recalibrate { duration_s: 0.0 },
         }]);
         assert!(bad_recal.validate(1).is_err());
+        let endless_recal = FaultTimeline::from_events(vec![FaultEvent {
+            at_s: 1e308,
+            instance: 0,
+            action: FaultAction::Recalibrate { duration_s: 1e308 },
+        }]);
+        let err = endless_recal.validate(1).unwrap_err();
+        assert!(
+            err.contains("faults.events[0].action.recalibrate.duration_s"),
+            "{err}"
+        );
         let bad_health = FaultTimeline::from_events(vec![FaultEvent {
             at_s: 0.0,
             instance: 0,

@@ -546,18 +546,6 @@ impl FleetReport {
     }
 }
 
-/// Mean and (population) standard deviation of `f` across reports —
-/// convenience for replicated runs.
-pub fn mean_std(reports: &[FleetReport], f: impl Fn(&FleetReport) -> f64) -> (f64, f64) {
-    if reports.is_empty() {
-        return (0.0, 0.0);
-    }
-    let xs: Vec<f64> = reports.iter().map(f).collect();
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-    (mean, var.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,12 +739,6 @@ mod tests {
         let none = hist.delta_since(&hist.clone());
         assert!(none.is_empty());
         assert_eq!(none.quantile(0.99), 0.0);
-    }
-
-    #[test]
-    fn mean_std_of_no_reports_is_zero() {
-        let (m, s) = mean_std(&[], |r| r.throughput_rps);
-        assert_eq!((m, s), (0.0, 0.0));
     }
 
     #[test]

@@ -47,10 +47,14 @@ where
             }
         });
     }
-    slots
+    // The scope joined every worker, each of which filled all its slots
+    // (a worker's panic re-raises when the scope ends).
+    #[allow(clippy::expect_used)]
+    let out = slots
         .into_iter()
         .map(|s| s.expect("worker filled every slot"))
-        .collect()
+        .collect();
+    out
 }
 
 /// Runs `scenario` once per seed, in parallel, returning the reports in

@@ -479,11 +479,13 @@ impl ScenarioSpec {
     /// [`FleetScenario::validate`].
     pub fn compile(&self) -> Result<CompiledScenario> {
         self.validate()?;
-        let classes: Vec<NetworkClass> = self
-            .classes
-            .iter()
-            .map(|c| c.to_class().expect("validated network name"))
-            .collect();
+        let classes = (self.classes.iter().enumerate())
+            .map(|(i, c)| {
+                c.to_class().ok_or_else(|| {
+                    invalid(format!("classes[{i}].network {:?} is unknown", c.network))
+                })
+            })
+            .collect::<Result<Vec<NetworkClass>>>()?;
         let instances: Vec<PcnnaConfig> = self
             .instances
             .iter()

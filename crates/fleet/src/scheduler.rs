@@ -120,6 +120,8 @@ impl ClassQueues {
                 .enumerate()
                 .filter_map(|(i, q)| q.front().map(|_| i)),
         );
+        // `out` lists only classes whose queue has a front.
+        #[allow(clippy::expect_used)]
         let head = |i: usize| self.queues[i].front().expect("non-empty by construction");
         match policy {
             Policy::Fifo => {

@@ -25,8 +25,8 @@
 //!
 //! * **mega_fleet** — a 1k-instance, 16-class fleet near saturation,
 //!   run twice: once on the whole-fleet **single-shard engine**
-//!   (`simulate()`: one global event loop, O(instances) placement
-//!   scans) and once on the **sharded engine** at 8 shards × 8 threads
+//!   (`simulate()`: one global event loop over one 1k-instance cell)
+//!   and once on the **sharded engine** at 8 shards × 8 threads
 //!   (16 cells of ~64 instances each). `speedup` is sharded over
 //!   single-shard; the harness also asserts the sharded report is
 //!   **bit-identical** to its own shards = 1 oracle and records the
@@ -560,11 +560,15 @@ fn main() {
             failed = true;
         }
         // The mega gates: determinism is binary (any divergence fails);
-        // the speedup floor is 70% of the 3× target — the architecture
-        // win is core-count independent (the single-shard engine's
-        // O(instances) scans are what it removes), so it must survive
-        // slower CI hardware. The committed BENCH_perf.json records the
-        // full-mode ≥3× figure.
+        // the speedup floor is 70% of the 3× target. Both legs run the
+        // same engine with the same row-bitset placement, so the ratio
+        // measures what cell locality buys over one 1k-instance cell
+        // (one bitset word and a ~62-deep event heap per cell instead
+        // of 16 words and a fleet-deep heap) times thread parallelism;
+        // the locality part is core-count independent, so it must
+        // survive slower CI hardware. Per-event engine speedups lift
+        // both legs and can lower the ratio. The committed
+        // BENCH_perf.json records the full-mode ≥3× figure.
         if !mega.bit_identical_s1 {
             eprintln!("REGRESSION: sharded mega_fleet report diverged from its shards=1 oracle");
             failed = true;

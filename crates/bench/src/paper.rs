@@ -639,7 +639,7 @@ fn thermal_stability(out: &mut String) -> Result<(), CoreError> {
     ));
     let mut rows = Vec::new();
     for mk in [1.0f64, 10.0, 100.0, 1000.0] {
-        let error = model.apply_ambient(&mut calibrated_bank()?.0, mk / 1000.0)?;
+        let error = model.apply_ambient(&mut calibrated_bank()?.0, mk / 1000.0);
         rows.push(format!("{mk} mK|{error:.4}"));
     }
     table(out, "ambient excursion|max weight error", rows);

@@ -62,10 +62,15 @@ impl EnergyLedger {
             ("dram", self.dram_j),
             ("photonic", self.photonic_j),
         ];
-        items
-            .into_iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("items is non-empty")
+        // The last of equal maxima wins, as with `Iterator::max_by`.
+        let [first, rest @ ..] = items;
+        rest.into_iter().fold(first, |best, it| {
+            if it.1.total_cmp(&best.1).is_ge() {
+                it
+            } else {
+                best
+            }
+        })
     }
 }
 

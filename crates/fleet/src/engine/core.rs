@@ -19,13 +19,14 @@
 //! [`CellEngine::finish`] drains the remaining events and yields the
 //! cell's [`CellOutcome`].
 //!
-//! Internally the future-event sets are two octave-bucketed
-//! [`TimingWheel`]s (completions and recalibration restores) instead of
-//! the former binary heaps: O(1) amortized scheduling whatever the
-//! fleet size, with hard-failure cancellation by epoch token — a stale
-//! event is recognized when it surfaces at the wheel front and skipped,
-//! never searched for. Pop order equals the heaps' order exactly, so
-//! the swap changes no simulation result.
+//! Internally the future-event sets are two [`TimingWheel`]s
+//! (completions and recalibration restores): binary min-heaps on the
+//! integer key `(time bits, instance, epoch)`, with hard-failure
+//! cancellation by epoch token — a stale event is recognized when it
+//! surfaces at the front and skipped, never searched for. A cell holds
+//! at most one completion per instance, a depth at which the heap's
+//! O(log n) sift beat the octave radix wheel it replaced; pop order is
+//! the same, so the swap changed no simulation result.
 //!
 //! Everything else the pre-shard engine guaranteed still holds per
 //! cell: memoized `Copy` quotes (interned per `(config, health)`, so a
@@ -97,7 +98,7 @@ impl InflightArena {
             handle
         } else {
             // A cell runs at most one batch per instance, and instance
-            // indices already travel through the wheel as `u32`.
+            // indices already travel through the event sets as `u32`.
             #[allow(clippy::expect_used)]
             let handle =
                 u32::try_from(self.slots.len()).expect("more than u32::MAX concurrent batches");
@@ -403,7 +404,7 @@ pub(crate) struct CellEngine<'a, S: TraceSink = NullSink> {
     /// Recalibration-restore events, epoch-cancellable.
     control: TimingWheel,
     /// Reusable buffer for same-instant completion cohorts popped off
-    /// the wheel in one batch.
+    /// the completion set in one batch.
     batch_buf: Vec<WheelEvent>,
     // --- degradation / failover / control-plane state (SoA) ---
     health: Vec<HealthState>,
@@ -480,7 +481,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
             let tr = quotes.row_index(i);
             if table_to_cell_row[tr] == u32::MAX {
                 // At most one construction row per instance, and instance
-                // indices already travel through the wheel as `u32`.
+                // indices already travel through the event sets as `u32`.
                 #[allow(clippy::expect_used)]
                 let r = u32::try_from(row_users.len()).expect("row count fits u32");
                 table_to_cell_row[tr] = r;
@@ -641,15 +642,15 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
     ///
     /// Completions are drained in same-instant cohorts
     /// ([`TimingWheel::pop_front_batch`]): every event at the front
-    /// timestamp surfaces in one wheel walk and is processed in exact
-    /// pop order. The cohort stays coherent while it is processed —
+    /// timestamp surfaces in one call and is processed in exact pop
+    /// order. The cohort stays coherent while it is processed —
     /// completion handlers never bump another instance's epoch (only
     /// hard faults do, and the fault stream is consulted between
     /// cohorts), and new events they schedule land strictly later than
     /// the cohort's instant (service times are positive).
     ///
     /// Events orphaned by a hard failure (their epoch token no longer
-    /// matches) are skipped when they surface at a wheel front.
+    /// matches) are skipped when they surface at an event-set front.
     pub(crate) fn advance_through(&mut self, limit: f64) {
         loop {
             // Steady-state fast path: no restore pending and the fault
@@ -657,7 +658,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
             // skip the three-way merge. Re-checked each cohort because
             // a completion can start a deferred recalibration (a drain
             // that outlives the last fault), re-arming the control
-            // wheel.
+            // event set.
             if self.control.is_empty() && self.fault_idx >= self.faults.len() {
                 let Some(t) = self.completions.peek().map(|e| e.at.get()) else {
                     break;
@@ -665,15 +666,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
                 if !(t <= limit) {
                     break;
                 }
-                let mut batch = std::mem::take(&mut self.batch_buf);
-                batch.clear();
-                self.completions.pop_front_batch(&mut batch);
-                for ev in &batch {
-                    if ev.epoch == self.epoch[ev.instance as usize] {
-                        self.on_completion(ev.instance as usize, ev.at.get());
-                    }
-                }
-                self.batch_buf = batch;
+                self.complete_front_cohort();
                 continue;
             }
             let tc = self.completions.peek().map(|e| e.at.get());
@@ -691,20 +684,9 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
                 break;
             }
             match which {
-                0 => {
-                    let mut batch = std::mem::take(&mut self.batch_buf);
-                    batch.clear();
-                    self.completions.pop_front_batch(&mut batch);
-                    for ev in &batch {
-                        if ev.epoch == self.epoch[ev.instance as usize] {
-                            self.on_completion(ev.instance as usize, ev.at.get());
-                        }
-                        // stale: the batch was aborted and failed over — skip
-                    }
-                    self.batch_buf = batch;
-                }
+                0 => self.complete_front_cohort(),
                 1 => {
-                    // `which == 1` only when the control wheel's peek
+                    // `which == 1` only when the control set's peek
                     // returned the earliest event.
                     #[allow(clippy::expect_used)]
                     let ev = self.control.pop().expect("peeked");
@@ -723,6 +705,21 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
                 }
             }
         }
+    }
+
+    /// Pops the completion cohort at the front instant and completes
+    /// each batch in pop order. A batch whose epoch token is stale was
+    /// aborted and failed over by a hard fault, and is skipped.
+    fn complete_front_cohort(&mut self) {
+        let mut batch = std::mem::take(&mut self.batch_buf);
+        batch.clear();
+        self.completions.pop_front_batch(&mut batch);
+        for ev in &batch {
+            if ev.epoch == self.epoch[ev.instance as usize] {
+                self.on_completion(ev.instance as usize, ev.at.get());
+            }
+        }
+        self.batch_buf = batch;
     }
 
     /// Admits (or sheds) one request of this cell's classes. The caller
@@ -806,7 +803,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
     /// immediately; a busy one drains its in-flight batch and parks at
     /// completion; a booting one has its pending power-on **aborted** by
     /// bumping the control-epoch token, which orphans the boot's restore
-    /// event on the wheel — the same cancellation mechanism hard
+    /// event in the control set — the same cancellation mechanism hard
     /// failures use. Offline/failed instances cannot be parked (they are
     /// the fault ledger's business, not the autoscaler's). Parked time
     /// does not count against availability. Returns whether the park was
@@ -844,7 +841,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
 
     /// Powers a parked instance back on (scale-up). The instance is not
     /// eligible until `ready_s` of boot + ring-lock/calibration elapse:
-    /// a restore event is scheduled on the control wheel — the same
+    /// a restore event is scheduled in the control set — the same
     /// drain/re-admit machinery recalibration uses, including requote
     /// and cold weight banks on re-entry. Returns whether a boot was
     /// started (only parked instances can boot).
@@ -984,7 +981,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
 
     /// Drains every remaining event (arrivals are done), closes the
     /// cell's books, and hands the sink back — the traced drivers
-    /// collect per-cell sinks in cell-index order. The wheels'
+    /// collect per-cell sinks in cell-index order. The event sets'
     /// lifetime push/pop counts flush into the profile here.
     pub(crate) fn finish_with_sink(mut self) -> (CellOutcome, S) {
         self.advance_through(f64::INFINITY);
@@ -1208,7 +1205,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
         }
         // A hard failure lands on top of any recalibration in progress:
         // the repair never finishes, so cancel the pending restore (its
-        // wheel entry is discarded by the control-epoch check) and hand
+        // event is discarded by the control-epoch check) and hand
         // the unelapsed window back from the recal-downtime ledger — it
         // is failure downtime now.
         if self.flag(instance, F_RECAL) {

@@ -10,11 +10,13 @@
 //!   refund, recalibration ⇒ drain/offline/re-lock). Refactored from
 //!   the old closed loop into a resumable *cell* so the same code
 //!   serves both execution shapes below.
-//! * [`wheel`] — the octave-bucketed hierarchical timing wheel backing
-//!   the future-event sets: O(1) amortized insert/pop at any fleet
-//!   size (the binary heaps it replaces were O(log n)), cancellation by
-//!   epoch token, and pop order *exactly* equal to the heaps' — so the
-//!   swap changes no simulation result.
+//! * [`wheel`] — the future-event sets: `std`'s binary heap on the
+//!   integer key `(time bits, instance, epoch)`, cancellation by epoch
+//!   token. It replaced an octave-bucketed radix wheel whose O(1)
+//!   never paid off at a cell's depth (at most one completion per
+//!   instance): its f64-bit keys cascaded through many levels, where
+//!   the heap sifts O(log n) integer keys. Pop order is the same, so
+//!   the swap changed no simulation result.
 //! * [`shard`] — the scale-out layer: a deterministic [`ShardPlan`]
 //!   partitions classes and instances into up to
 //!   [`ShardPlan::MAX_CELLS`] (1024) independent cells,

@@ -1,46 +1,39 @@
-//! The hierarchical timing wheel behind the engine's future-event sets.
+//! The binary heap behind the engine's future-event sets.
 //!
 //! The engine schedules two kinds of timed events — batch completions
 //! and recalibration restores — and needs three operations on each set:
-//! insert a future event, read the earliest pending event, and pop it.
-//! The original implementation used `BinaryHeap<Reverse<(EventTime,
-//! usize, u32)>>`: O(log n) per operation, with the log growing with the
-//! fleet size (a 10k-instance fleet keeps ~10k in-flight completions).
+//! insert a future event, read the earliest pending event, and pop it
+//! (singly, or as the whole cohort sharing the earliest instant).
 //!
-//! [`TimingWheel`] replaces it with an **octave-bucketed hierarchical
-//! wheel** (a monotone radix structure): event keys are the IEEE-754
-//! bits of the event time — monotone in the time for the non-negative
-//! finite times [`EventTime::try_new`] admits — and an event lives in
-//! the level indexed by the *highest bit in which its key differs from
-//! the wheel's floor* (the key of the last event popped). Level widths
-//! therefore double level over level: octaves of time distance, finest
-//! resolution nearest the cursor, exactly the spacing a discrete-event
-//! simulation wants (imminent completions dense, far-future restores
-//! sparse).
+//! [`TimingWheel`] is `std`'s [`BinaryHeap`] over the integer key
+//! `Reverse<(time bits, instance, epoch)>`: the IEEE-754 bits of a
+//! non-negative finite time order exactly as the time does, so the heap
+//! compares three integers and never touches a float. The name is kept
+//! from the octave-bucketed radix wheel this heap replaced. That wheel
+//! promised O(1) inserts, but on raw f64 key bits its events cascaded
+//! through many of its 65 levels and every front refill re-sorted; and
+//! a cell holds at most one completion per instance, a depth at which
+//! the heap's O(log n) sift is shorter than the wheel's cascades
+//! (measured in PERF.md, "Binary-heap event sets"). Hierarchical
+//! timing wheels pay off for many timers on an integer tick range,
+//! which an engine cell is not.
 //!
-//! Simulation time is monotone — the engine only ever schedules events
-//! at or after the event it is currently processing — which is the one
-//! contract the structure needs (debug-asserted in [`TimingWheel::push`]):
-//!
-//! * **insert** is O(1): one XOR + leading-zeros to find the level, one
-//!   push onto that level's bucket (a `Vec` that keeps its capacity, so
-//!   steady state allocates nothing);
-//! * **pop-batch** is amortized O(1): when the front bucket empties, the
-//!   lowest occupied level is drained once — every event it holds moves
-//!   to a strictly lower level, so each event is touched at most 64
-//!   times over its whole life — and the batch of events sharing the
-//!   new floor is sorted once and then popped off the back;
+//! * **insert** and **pop** are O(log n) sifts over a `Vec` that keeps
+//!   its capacity, so a warmed-up set allocates nothing;
+//! * **peek** is O(1) and borrows the set immutably;
 //! * **cancellation** is O(1) by *epoch token*: events carry the
 //!   instance's dispatch epoch at enqueue; a hard failure bumps the
 //!   epoch, and the orphaned event is recognized and skipped when it
-//!   surfaces, never searched for (the same lazy-invalidation contract
-//!   the heaps had).
+//!   surfaces, never searched for.
 //!
-//! Pop order is **exactly** the heap's order — ascending
-//! `(time, instance, epoch)` — which `wheel_pops_in_heap_order` in
-//! `crates/fleet/tests` pins down under proptest event streams; that
-//! equivalence is what lets the engine swap the structure without
-//! changing a single simulation result.
+//! Pop order is ascending `(time, instance, epoch)`, which
+//! `wheel_pops_in_heap_order` in `crates/fleet/tests` pins down under
+//! proptest event streams. Simulation time is monotone — the engine
+//! only ever schedules events at or after the event it is currently
+//! processing — and debug builds assert it in [`TimingWheel::push`].
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// An `f64` simulation time validated for use as an event key.
 ///
@@ -57,9 +50,9 @@ impl EventTime {
     /// Validates `t` as an event time: finite and non-negative.
     ///
     /// Returns `None` otherwise — NaN and negative times must never
-    /// enter an event set (a NaN key has no total order; negative times
-    /// would travel backwards past the wheel's floor). A negative zero
-    /// is normalized to `+0.0` so the key bits stay monotone.
+    /// enter an event set (a NaN key has no total order; a negative
+    /// time's bits would order after every positive time). A negative
+    /// zero is normalized to `+0.0` so the key bits stay monotone.
     #[must_use]
     pub fn try_new(t: f64) -> Option<EventTime> {
         // `-0.0 + 0.0 == +0.0` under IEEE-754 default rounding; every
@@ -108,63 +101,37 @@ pub struct WheelEvent {
 }
 
 impl WheelEvent {
-    /// The total-order key: ascending `(time, instance, epoch)`, the
-    /// exact order the replaced `BinaryHeap<Reverse<…>>` popped in.
-    fn key(self) -> (u64, u32, u32) {
-        (self.at.bits(), self.instance, self.epoch)
+    /// The event keyed as the heap stores it.
+    fn from_key((bits, instance, epoch): (u64, u32, u32)) -> WheelEvent {
+        WheelEvent {
+            at: EventTime(f64::from_bits(bits)),
+            instance,
+            epoch,
+        }
     }
 }
 
-/// Number of levels: level 0 holds events at the floor itself; level
-/// `k ≥ 1` holds events whose key differs from the floor first at bit
-/// `k − 1`. 64 key bits ⇒ 65 levels.
-const LEVELS: usize = 65;
-
-/// Octave-bucketed hierarchical timing wheel (see the module docs).
-#[derive(Debug)]
+/// The engine's future-event set: a min-heap on `(time bits, instance,
+/// epoch)` (see the module docs).
+#[derive(Debug, Default)]
 pub struct TimingWheel {
-    /// Per-level buckets. Level 0 is kept sorted **descending** by key
-    /// so the earliest event pops off the back in O(1); higher levels
-    /// are unsorted. Buckets keep their capacity across drains, so a
-    /// warmed-up wheel allocates nothing.
-    buckets: Vec<Vec<WheelEvent>>,
-    /// Cached minimum event per level (levels ≥ 1), maintained on push
-    /// and reset on drain — this is what makes `peek` O(1) when the
-    /// front bucket is empty.
-    min_ev: Vec<Option<WheelEvent>>,
-    /// Bitmask of non-empty levels (`u128`: 65 bits needed).
-    occupied: u128,
-    /// Key bits of the last event popped — the wheel's cursor. All
-    /// pushes must be at or after this time (simulation monotonicity).
+    heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
+    /// Time bits of the last event popped. All pushes must be at or
+    /// after this time (simulation monotonicity, debug-asserted).
     floor_bits: u64,
-    len: usize,
     /// Lifetime insertion count — two plain increments feeding the
     /// telemetry profile; kept unconditionally because they are noise
-    /// next to the bucket work they count.
+    /// next to the sifts they count.
     pushes: u64,
     /// Lifetime pop count.
     pops: u64,
 }
 
-impl Default for TimingWheel {
-    fn default() -> Self {
-        TimingWheel::new()
-    }
-}
-
 impl TimingWheel {
-    /// An empty wheel with its floor at t = 0.
+    /// An empty event set with its floor at t = 0.
     #[must_use]
     pub fn new() -> Self {
-        TimingWheel {
-            buckets: (0..LEVELS).map(|_| Vec::new()).collect(),
-            min_ev: vec![None; LEVELS],
-            occupied: 0,
-            floor_bits: 0,
-            len: 0,
-            pushes: 0,
-            pops: 0,
-        }
+        TimingWheel::default()
     }
 
     /// Lifetime number of events pushed.
@@ -182,29 +149,17 @@ impl TimingWheel {
     /// Pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
-    /// The level of a key relative to the current floor: the position
-    /// of the highest differing bit (0 when equal). One XOR and one
-    /// `leading_zeros` — the O(1) at the heart of the structure.
-    fn level_of(&self, bits: u64) -> usize {
-        let d = bits ^ self.floor_bits;
-        if d == 0 {
-            0
-        } else {
-            64 - d.leading_zeros() as usize
-        }
-    }
-
-    /// Schedules an event. O(1); allocation-free once the level's bucket
-    /// is warm.
+    /// Schedules an event. O(log n); allocation-free once the heap's
+    /// buffer is warm.
     ///
     /// The time must be at or after the last popped event's time (the
     /// engine's simulation clock is monotone, so this holds by
@@ -212,125 +167,54 @@ impl TimingWheel {
     pub fn push(&mut self, at: EventTime, instance: u32, epoch: u32) {
         debug_assert!(
             at.bits() >= self.floor_bits,
-            "timing wheel requires monotone inserts: {} is before the \
+            "event set requires monotone inserts: {} is before the \
              last popped event at bits {:#x}",
             at.get(),
             self.floor_bits,
         );
-        let ev = WheelEvent {
-            at,
-            instance,
-            epoch,
-        };
-        let lvl = self.level_of(at.bits());
-        if lvl == 0 {
-            // Same time bits as the floor: keep the front batch sorted
-            // (descending, popped off the back) so an event scheduled at
-            // the exact current instant still pops in key order.
-            let pos = self.buckets[0].partition_point(|e| e.key() > ev.key());
-            self.buckets[0].insert(pos, ev);
-        } else {
-            self.buckets[lvl].push(ev);
-            if self.min_ev[lvl].is_none_or(|m| ev.key() < m.key()) {
-                self.min_ev[lvl] = Some(ev);
-            }
-        }
-        self.occupied |= 1u128 << lvl;
-        self.len += 1;
+        self.heap.push(Reverse((at.bits(), instance, epoch)));
         self.pushes += 1;
     }
 
     /// The earliest pending event, without removing it. O(1).
-    pub fn peek(&mut self) -> Option<WheelEvent> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(ev) = self.buckets[0].last() {
-            return Some(*ev);
-        }
-        // The lowest occupied level holds the global minimum (the radix
-        // invariant: levels order disjoint key ranges ascending).
-        let lvl = self.occupied.trailing_zeros() as usize;
-        self.min_ev[lvl]
+    #[must_use]
+    pub fn peek(&self) -> Option<WheelEvent> {
+        self.heap.peek().map(|&Reverse(k)| WheelEvent::from_key(k))
     }
 
-    /// Pops the earliest pending event. Amortized O(1): an event is
-    /// redistributed to a strictly lower level at most 64 times over
-    /// its life.
+    /// Pops the earliest pending event. O(log n).
     pub fn pop(&mut self) -> Option<WheelEvent> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.buckets[0].is_empty() {
-            self.advance();
-        }
-        // `len > 0`, and `advance` moves the earliest level's batch to
-        // the front bucket.
-        #[allow(clippy::expect_used)]
-        let ev = self.buckets[0].pop().expect("advance fills the front");
-        self.len -= 1;
+        let Reverse(k) = self.heap.pop()?;
+        self.floor_bits = k.0;
         self.pops += 1;
-        if self.buckets[0].is_empty() {
-            self.occupied &= !1u128;
-        }
-        Some(ev)
+        Some(WheelEvent::from_key(k))
     }
 
     /// Drains **every** pending event at the earliest pending timestamp
     /// into `out`, appended in exact pop order (ascending
     /// `(time, instance, epoch)` key). Returns the number drained.
     ///
-    /// This is the batched form of [`TimingWheel::pop`]: the front
-    /// bucket holds precisely the events whose time bits equal the
-    /// wheel's floor, so one call surfaces the whole same-instant
-    /// cohort with a single `advance` instead of one radix walk per
-    /// event. Calling `pop_front_batch` then `pop` interleaves safely —
-    /// both observe the same floor — and events pushed *while the
-    /// caller processes the batch* (at or after the batch's timestamp,
-    /// per the wheel's monotonicity contract) simply surface in a later
-    /// call, exactly as they would under one-at-a-time pops of the
-    /// already-drained cohort.
+    /// This is the batched form of [`TimingWheel::pop`], and interleaves
+    /// with it freely. Events pushed *while the caller processes the
+    /// batch* (at or after the batch's timestamp, per the monotonicity
+    /// contract) surface in a later call, exactly as they would under
+    /// one-at-a-time pops of the already-drained cohort.
     pub fn pop_front_batch(&mut self, out: &mut Vec<WheelEvent>) -> usize {
-        if self.len == 0 {
+        let Some(&Reverse((bits, ..))) = self.heap.peek() else {
             return 0;
-        }
-        if self.buckets[0].is_empty() {
-            self.advance();
-        }
-        let n = self.buckets[0].len();
-        // Sorted descending, popped off the back ⇒ ascending is reverse.
-        out.extend(self.buckets[0].drain(..).rev());
-        self.len -= n;
-        self.pops += n as u64;
-        self.occupied &= !1u128;
-        n
-    }
-
-    /// Advances the floor to the earliest pending event and drains its
-    /// level: the batch sharing the new floor's time bits lands in the
-    /// front bucket (sorted once, popped off the back); everything else
-    /// falls to a strictly lower level.
-    fn advance(&mut self) {
-        let lvl = self.occupied.trailing_zeros() as usize;
-        debug_assert!(lvl > 0 && lvl < LEVELS, "advance on an empty wheel");
-        // `push` sets a level's `occupied` bit and its `min_ev` together.
-        #[allow(clippy::expect_used)]
-        let target = self.min_ev[lvl].expect("occupied level caches its min");
-        self.floor_bits = target.at.bits();
-        let mut moved = std::mem::take(&mut self.buckets[lvl]);
-        self.occupied &= !(1u128 << lvl);
-        self.min_ev[lvl] = None;
-        for ev in moved.drain(..) {
-            let l = self.level_of(ev.at.bits());
-            debug_assert!(l < lvl, "redistribution must descend");
-            self.buckets[l].push(ev);
-            if l > 0 && self.min_ev[l].is_none_or(|m| ev.key() < m.key()) {
-                self.min_ev[l] = Some(ev);
+        };
+        let before = out.len();
+        while let Some(&Reverse(k)) = self.heap.peek() {
+            if k.0 != bits {
+                break;
             }
-            self.occupied |= 1u128 << l;
+            self.heap.pop();
+            out.push(WheelEvent::from_key(k));
         }
-        self.buckets[lvl] = moved; // keep the warm capacity
-        self.buckets[0].sort_unstable_by_key(|ev| std::cmp::Reverse(ev.key()));
+        let n = out.len() - before;
+        self.floor_bits = bits;
+        self.pops += n as u64;
+        n
     }
 }
 
@@ -482,8 +366,9 @@ mod tests {
     #[test]
     fn warm_wheel_reuses_bucket_capacity() {
         // Steady-state allocation-freedom: after one fill/drain cycle,
-        // the buckets hold their capacity for the next cycle.
+        // the heap holds its capacity for the next cycle.
         let mut w = TimingWheel::new();
+        let mut warm = 0;
         for round in 0..3 {
             let base = round as f64 * 100.0;
             for i in 0..64u32 {
@@ -493,8 +378,12 @@ mod tests {
                     0,
                 );
             }
+            if round == 0 {
+                warm = w.heap.capacity();
+            }
             let popped = drain(&mut w).len();
             assert_eq!(popped, 64);
+            assert_eq!(w.heap.capacity(), warm, "round {round} reallocated");
         }
     }
 }

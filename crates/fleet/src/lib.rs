@@ -24,8 +24,9 @@
 //!   with bounded admission, greedy fastest-available placement, and
 //!   health-aware dispatch (degraded instances requote, failed ones
 //!   fail their work over, recalibrating ones drain and re-admit).
-//!   Future events live in an octave-bucketed hierarchical
-//!   [timing wheel](engine::wheel) (O(1) at any fleet size), and one
+//!   Future events live in a binary heap on integer keys
+//!   ([`engine::wheel`]; it beat the radix timing wheel it replaced at
+//!   a cell's depth of one completion per instance), and one
 //!   simulation scales across cores through the deterministic
 //!   [shard partition](engine::shard): same seed ⇒ bit-identical
 //!   report at every shard and thread count

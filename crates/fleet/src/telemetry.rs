@@ -167,9 +167,9 @@ impl TraceEvent {
 /// Hot engine phases the self-profiler counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfileOp {
-    /// Timing-wheel insertions.
+    /// Event-set insertions.
     WheelPush,
-    /// Timing-wheel pops (events fired).
+    /// Event-set pops (events fired).
     WheelPop,
     /// Bitset words read by dispatch placement queries.
     DispatchScan,
@@ -182,9 +182,9 @@ pub enum ProfileOp {
 /// Counter totals over the hot engine phases of one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Profile {
-    /// Timing-wheel insertions (completions, control, and fault events).
+    /// Event-set insertions (completions, control, and fault events).
     pub wheel_pushes: u64,
-    /// Timing-wheel pops.
+    /// Event-set pops.
     pub wheel_pops: u64,
     /// Bitset words (eligible, per-row and per-class runs) read by
     /// all dispatch placement queries.

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use pcnna_core::PcnnaConfig;
-use pcnna_fleet::engine::wheel::{EventTime, TimingWheel};
+use pcnna_fleet::engine::wheel::{EventTime, TimingWheel, WheelEvent};
 use pcnna_fleet::prelude::*;
 
 /// A small scenario space: LeNet-class requests (cheap to quote and serve)
@@ -334,12 +334,13 @@ proptest! {
     }
 }
 
-/// Random interleavings of pushes and pops for the wheel-vs-heap
-/// equivalence: `(delay_num, instance, pop_after)` per operation, with
-/// push times made monotone-from-last-pop the same way the engine's
-/// simulation clock is.
-fn wheel_programs() -> impl Strategy<Value = Vec<(u32, u32, bool)>> {
-    prop::collection::vec((0u32..1_000, 0u32..64, any::<bool>()), 1..300)
+/// Random interleavings of pushes and removals for the event-set-vs-heap
+/// equivalence: `(delay_num, instance, op)` per operation, with push
+/// times made monotone-from-last-pop the same way the engine's
+/// simulation clock is. `op` picks what follows the push: nothing
+/// (0–1), a `pop` (2), a `pop_front_batch` (3) or a `peek` (4).
+fn wheel_programs() -> impl Strategy<Value = Vec<(u32, u32, u8)>> {
+    prop::collection::vec((0u32..1_000, 0u32..64, 0u8..5), 1..300)
 }
 
 proptest! {
@@ -347,37 +348,73 @@ proptest! {
 
     #[test]
     fn wheel_pops_in_heap_order(program in wheel_programs()) {
-        // The timing wheel must pop in *exactly* the order the replaced
-        // `BinaryHeap<Reverse<(EventTime, usize, u32)>>` would — that
-        // equivalence is why swapping the structure changed no
-        // simulation result. The stream honours the engine's one
-        // contract: every push is at or after the last popped time.
+        // The engine's event set must pop in *exactly* ascending
+        // `(time, instance, epoch)` order — the order of a
+        // `BinaryHeap<Reverse<(EventTime, usize, u32)>>`, which every
+        // committed record was produced under. The stream honours the
+        // engine's one contract: every push is at or after the last
+        // popped time.
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let mut wheel = TimingWheel::new();
         let mut heap: BinaryHeap<Reverse<(u64, u32, u32)>> = BinaryHeap::new();
-        let mut now = 0.0f64;
-        let mut epoch = 0u32;
-        for (delay_num, instance, pop_after) in program {
-            // times spread over ~6 decades to cross many octaves
-            let t = now + f64::from(delay_num) * f64::from(delay_num) * 1e-5;
+        let key = |e: &WheelEvent| (e.at.bits(), e.instance, e.epoch);
+        let mut batch = Vec::new();
+        let (mut now, mut epoch, mut pops) = (0.0f64, 0u32, 0u64);
+        for (pushes, (delay_num, instance, op)) in (1u64..).zip(program) {
+            // Half the pushes land on a 4-point grid of 1 ms steps from
+            // `now`, so same-instant cohorts are common; the rest spread
+            // over ~6 decades.
+            let t = if delay_num < 500 {
+                now + f64::from(delay_num % 4) * 1e-3
+            } else {
+                now + f64::from(delay_num) * f64::from(delay_num) * 1e-5
+            };
             let at = EventTime::try_new(t).unwrap();
             wheel.push(at, instance, epoch);
             heap.push(Reverse((at.bits(), instance, epoch)));
             epoch = epoch.wrapping_add(1);
-            if pop_after {
-                let w = wheel.pop().unwrap();
-                let Reverse(h) = heap.pop().unwrap();
-                prop_assert_eq!((w.at.bits(), w.instance, w.epoch), h);
-                now = w.at.get();
+            match op {
+                2 => {
+                    let w = wheel.pop().unwrap();
+                    let Reverse(h) = heap.pop().unwrap();
+                    prop_assert_eq!(key(&w), h);
+                    now = w.at.get();
+                    pops += 1;
+                }
+                3 => {
+                    // Appends after what the buffer already holds.
+                    let before = batch.len();
+                    let n = wheel.pop_front_batch(&mut batch);
+                    prop_assert_eq!(n, batch.len() - before);
+                    let Reverse(first) = heap.pop().unwrap();
+                    let mut cohort = vec![first];
+                    while heap.peek().is_some_and(|&Reverse(h)| h.0 == first.0) {
+                        let Reverse(h) = heap.pop().unwrap();
+                        cohort.push(h);
+                    }
+                    let got: Vec<_> = batch[before..].iter().map(key).collect();
+                    prop_assert_eq!(got, cohort);
+                    now = f64::from_bits(first.0);
+                    pops += n as u64;
+                }
+                4 => {
+                    let w = wheel.peek().map(|e| key(&e));
+                    prop_assert_eq!(w, heap.peek().map(|&Reverse(h)| h));
+                }
+                _ => {}
             }
             prop_assert_eq!(wheel.len(), heap.len());
+            prop_assert_eq!((wheel.pushes(), wheel.pops()), (pushes, pops));
         }
         while let Some(w) = wheel.pop() {
             let Reverse(h) = heap.pop().unwrap();
-            prop_assert_eq!((w.at.bits(), w.instance, w.epoch), h);
+            prop_assert_eq!(key(&w), h);
+            pops += 1;
         }
         prop_assert!(heap.is_empty());
+        prop_assert_eq!(wheel.peek(), None);
+        prop_assert_eq!(wheel.pops(), pops);
     }
 }
 

@@ -42,6 +42,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 // `if !(x > 0.0)` in parameter validation is deliberate: unlike `x <= 0.0`
 // it also rejects NaN, which must never enter a physical model.

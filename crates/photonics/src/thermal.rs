@@ -99,22 +99,15 @@ impl ThermalModel {
     /// Applies an ambient temperature excursion of `delta_k` kelvin: every
     /// resonance shifts by `drift · ΔT`, reducing each ring's carrier
     /// detuning by the same amount. Returns the max weight error caused.
-    ///
-    /// # Errors
-    ///
-    /// Propagates length mismatches (impossible for internally generated
-    /// perturbations).
-    pub fn apply_ambient(&self, bank: &mut MrrWeightBank, delta_k: f64) -> Result<f64> {
+    pub fn apply_ambient(&self, bank: &mut MrrWeightBank, delta_k: f64) -> f64 {
         let before = bank.effective_weights();
-        let n = bank.len();
-        let delta = -self.drift_m_per_k * delta_k;
-        bank.perturb_detunings(&vec![delta; n])?;
+        bank.shift_detunings(-self.drift_m_per_k * delta_k);
         let after = bank.effective_weights();
-        Ok(before
+        before
             .iter()
             .zip(&after)
             .map(|(&b, &a)| (b - a).abs())
-            .fold(0.0, f64::max))
+            .fold(0.0, f64::max)
     }
 
     /// The maximum absolute effective-weight error an ambient excursion
@@ -123,9 +116,7 @@ impl ThermalModel {
     /// onto weight corruption.
     #[must_use]
     pub fn ambient_weight_error(&self, bank: &MrrWeightBank, delta_k: f64) -> f64 {
-        let mut probe = bank.clone();
-        self.apply_ambient(&mut probe, delta_k)
-            .expect("internally sized perturbation")
+        self.apply_ambient(&mut bank.clone(), delta_k)
     }
 
     /// The largest ambient excursion (kelvin) a bank tolerates before any
@@ -136,10 +127,7 @@ impl ThermalModel {
         let (mut lo, mut hi) = (0.0f64, 50.0f64);
         for _ in 0..40 {
             let mid = 0.5 * (lo + hi);
-            let mut probe = bank.clone();
-            let err = self
-                .apply_ambient(&mut probe, mid)
-                .expect("internally sized perturbation");
+            let err = self.apply_ambient(&mut bank.clone(), mid);
             if err > tolerance {
                 hi = mid;
             } else {
@@ -227,8 +215,8 @@ mod tests {
         let (bank, _) = calibrated_bank(5);
         let mut b1 = bank.clone();
         let mut b2 = bank.clone();
-        let e1 = tm.apply_ambient(&mut b1, 0.1).unwrap();
-        let e2 = tm.apply_ambient(&mut b2, 1.0).unwrap();
+        let e1 = tm.apply_ambient(&mut b1, 0.1);
+        let e2 = tm.apply_ambient(&mut b2, 1.0);
         assert!(e2 > e1, "1 K must hurt more than 0.1 K ({e2} vs {e1})");
     }
 
@@ -238,7 +226,7 @@ mod tests {
         // ~5 linewidths — weights are destroyed without a control loop.
         let tm = ThermalModel::default();
         let (mut bank, _) = calibrated_bank(5);
-        let err = tm.apply_ambient(&mut bank, 1.0).unwrap();
+        let err = tm.apply_ambient(&mut bank, 1.0);
         assert!(err > 0.3, "1 K drift only cost {err}?");
     }
 
@@ -252,7 +240,7 @@ mod tests {
         assert_eq!(bank.effective_weights(), before, "probe must not mutate");
         // agrees with the mutating path
         let mut mutated = bank.clone();
-        assert_eq!(err, tm.apply_ambient(&mut mutated, 0.5).unwrap());
+        assert_eq!(err, tm.apply_ambient(&mut mutated, 0.5));
     }
 
     #[test]

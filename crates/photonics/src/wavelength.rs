@@ -96,9 +96,15 @@ impl WdmGrid {
                 actual: i,
             });
         }
+        Ok(self.channel_frequency_hz(i))
+    }
+
+    /// [`frequency_hz`](Self::frequency_hz) for an index the caller has
+    /// bounded by `channels`.
+    fn channel_frequency_hz(&self, i: usize) -> f64 {
         let f_center = SPEED_OF_LIGHT / self.center_m;
         let offset = i as f64 - (self.channels as f64 - 1.0) / 2.0;
-        Ok(f_center + offset * self.spacing_hz)
+        f_center + offset * self.spacing_hz
     }
 
     /// Wavelength of channel `i` in metres.
@@ -115,10 +121,7 @@ impl WdmGrid {
     #[must_use]
     pub fn wavelengths_m(&self) -> Vec<f64> {
         (0..self.channels)
-            .map(|i| {
-                self.wavelength_m(i)
-                    .expect("index in range by construction")
-            })
+            .map(|i| SPEED_OF_LIGHT / self.channel_frequency_hz(i))
             .collect()
     }
 
@@ -131,10 +134,9 @@ impl WdmGrid {
     /// Whether every channel lies within the conventional C band.
     #[must_use]
     pub fn fits_c_band(&self) -> bool {
-        let lo = self
-            .wavelength_m(self.channels - 1)
-            .expect("last index valid");
-        let hi = self.wavelength_m(0).expect("first index valid");
+        // `new` refuses an empty grid, so both ends exist.
+        let lo = SPEED_OF_LIGHT / self.channel_frequency_hz(self.channels - 1);
+        let hi = SPEED_OF_LIGHT / self.channel_frequency_hz(0);
         lo >= C_BAND_MIN_M && hi <= C_BAND_MAX_M
     }
 

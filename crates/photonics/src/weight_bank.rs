@@ -105,6 +105,12 @@ impl MrrWeightBank {
                 actual: powers_w.len(),
             });
         }
+        Ok(self.transfer(powers_w))
+    }
+
+    /// [`propagate`](Self::propagate) for powers already sized to the
+    /// bank (a shorter slice yields shorter outputs).
+    fn transfer(&self, powers_w: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let wavelengths = self.grid.wavelengths_m();
         let mut drops = vec![0.0f64; powers_w.len()];
         let mut thrus = vec![0.0f64; powers_w.len()];
@@ -120,17 +126,14 @@ impl MrrWeightBank {
             drops[j] = dropped;
             thrus[j] = remaining;
         }
-        Ok((drops, thrus))
+        (drops, thrus)
     }
 
     /// The effective signed weight each channel currently experiences,
     /// including crosstalk: `w_eff(j) = drop_j − thru_j` for unit input power.
     #[must_use]
     pub fn effective_weights(&self) -> Vec<f64> {
-        let unit = vec![1.0; self.rings.len()];
-        let (drops, thrus) = self
-            .propagate(&unit)
-            .expect("unit vector length matches by construction");
+        let (drops, thrus) = self.channel_coefficients();
         drops.iter().zip(&thrus).map(|(&d, &t)| d - t).collect()
     }
 
@@ -233,6 +236,14 @@ impl MrrWeightBank {
         Ok(())
     }
 
+    /// Shifts every ring's detuning by the same `delta_m` — a uniform
+    /// (ambient) thermal excursion.
+    pub fn shift_detunings(&mut self, delta_m: f64) {
+        for ring in &mut self.rings {
+            ring.perturb(delta_m);
+        }
+    }
+
     /// The thermal tuning shift each ring's heater imposes, metres.
     #[must_use]
     pub fn tuning_shifts_m(&self) -> Vec<f64> {
@@ -245,9 +256,7 @@ impl MrrWeightBank {
     /// propagation into `O(N)` — the functional simulator's fast path.
     #[must_use]
     pub fn channel_coefficients(&self) -> (Vec<f64>, Vec<f64>) {
-        let unit = vec![1.0; self.rings.len()];
-        self.propagate(&unit)
-            .expect("unit vector length matches by construction")
+        self.transfer(&vec![1.0; self.rings.len()])
     }
 }
 

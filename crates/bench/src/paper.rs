@@ -628,7 +628,7 @@ fn thermal_stability(out: &mut String) -> Result<(), CoreError> {
         ),
     );
     let (mut bank, targets) = calibrated_bank()?;
-    let crosstalk = model.apply_crosstalk(&mut bank)?;
+    let crosstalk = model.apply_crosstalk(&mut bank);
     let recalibrated = bank.calibrate(&targets, 1e-6, 300)?;
     let budget_mk = model.tolerable_excursion_k(&calibrated_bank()?.0, 0.01) * 1000.0;
     out.push_str(&format!(

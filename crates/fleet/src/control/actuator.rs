@@ -10,6 +10,7 @@
 //! powered from unpark (boot current flows from the order) until the
 //! park that takes it down.
 
+use super::ControlConfig;
 use crate::engine::core::CellEngine;
 use crate::telemetry::TraceSink;
 
@@ -28,30 +29,31 @@ pub(crate) struct Actuator {
 }
 
 impl Actuator {
-    /// Parks everything beyond `initial_active` (at t = 0, before any
-    /// arrival) and opens the power ledger for the rest.
-    pub(crate) fn new<S: TraceSink>(
-        cell: &mut CellEngine<'_, S>,
-        initial_active: usize,
-        min_active: usize,
-        max_step: usize,
-        boot_s: f64,
-    ) -> Actuator {
-        let n = cell.n_instances();
-        let mut on_since = vec![Some(0.0); n];
-        for (i, slot) in on_since.iter_mut().enumerate().skip(initial_active) {
-            let parked = cell.park_instance(i, 0.0);
-            debug_assert!(parked, "pristine instances must park");
-            *slot = None;
-        }
+    /// Powers the first `cfg.initial_active` of `n` instances (clamped to
+    /// `[min_active, n]`); [`park_unpowered`](Self::park_unpowered) parks the rest.
+    pub(crate) fn new(n: usize, cfg: &ControlConfig) -> Actuator {
+        let min_active = cfg.min_active.min(n);
+        let initial_active = cfg.initial_active.clamp(min_active, n);
         Actuator {
             min_active,
-            max_step,
-            boot_s,
-            on_since,
+            max_step: cfg.max_step,
+            boot_s: cfg.boot_s,
+            on_since: (0..n)
+                .map(|i| (i < initial_active).then_some(0.0))
+                .collect(),
             powered_s: 0.0,
             scale_ups: 0,
             scale_downs: 0,
+        }
+    }
+
+    /// Parks every unpowered instance, at t = 0 before any arrival.
+    pub(crate) fn park_unpowered<S: TraceSink>(&self, cell: &mut CellEngine<'_, S>) {
+        for (i, on) in self.on_since.iter().enumerate() {
+            if on.is_none() {
+                let parked = cell.park_instance(i, 0.0);
+                debug_assert!(parked, "pristine instances must park");
+            }
         }
     }
 

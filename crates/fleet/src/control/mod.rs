@@ -13,20 +13,26 @@
 //! cold weight banks), throttling admission per class, and shedding
 //! queued low-priority work when the tail drifts toward the SLO.
 //!
+//! Control owns no arrival loop: it is the window hook of the engine's
+//! one arrival driver (`engine::shard`, "One driver"). It parks the
+//! instances beyond the initial provision before the first arrival,
+//! rules on every arrival (quotas, closed classes), and at every window
+//! edge runs observe → plan → shed → actuate and records the window.
+//!
 //! ## Consistency model
 //!
-//! The controlled driver runs the **whole-fleet single cell** — the
-//! same engine `simulate()` uses — so the controller observes exact
-//! fleet-global state at every window boundary. This is the shards = 1
-//! oracle semantics: under a sharded execution a controller would see
-//! merge-window-granular aggregates instead, and this PR pins the
+//! The hook runs over the **whole-fleet single cell** — the same plan
+//! `simulate()` uses — so the controller observes exact fleet-global
+//! state at every window boundary. This is the shards = 1 oracle
+//! semantics: under a sharded execution a controller would see
+//! merge-window-granular aggregates instead, and the crate pins the
 //! oracle rather than defining a weaker sharded feedback contract.
 //! Determinism contract: same scenario + same seed + same policy ⇒
 //! bit-identical [`ControlledReport`], and a [`Hold`](policy::Hold)
 //! policy at full initial provision reproduces
-//! [`FleetScenario::simulate`] bit for bit (the extra window-boundary
-//! event pumping is a no-op — events fire at the same times in the
-//! same order either way).
+//! [`FleetScenario::simulate`] bit for bit, fault timelines included
+//! (the extra window-boundary event pumping is a no-op — events fire at
+//! the same times in the same order either way).
 //!
 //! ## Power model
 //!
@@ -47,13 +53,14 @@ pub mod policy;
 pub(crate) mod actuator;
 
 use crate::engine::core::CellEngine;
-use crate::engine::shard::{ArrivalGen, CellSpec};
-use crate::engine::{merge, FleetScenario, QuoteTable};
+use crate::engine::shard::WindowHook;
+use crate::engine::{merge, FleetScenario, QuoteTable, ShardPlan};
 use crate::metrics::{FleetReport, LatencyHistogram};
 use crate::telemetry::{
     ControlTelemetry, FleetTrace, NullSink, TimeSeries, TraceConfig, TraceSink, TracingSink,
     WindowSample,
 };
+use crate::workload::Request;
 use crate::{FleetError, Result};
 use actuator::Actuator;
 use observer::Observer;
@@ -287,7 +294,7 @@ impl FleetScenario {
         cfg: &ControlConfig,
         policy: &mut dyn ControlPolicy,
     ) -> Result<ControlledReport> {
-        let (report, _, _) = self.controlled_run(cfg, policy, NullSink, None)?;
+        let (report, _, _) = self.drive_controlled(cfg, policy, |_| NullSink, None)?;
         Ok(report)
     }
 
@@ -308,166 +315,173 @@ impl FleetScenario {
         policy: &mut dyn ControlPolicy,
         tcfg: &TraceConfig,
     ) -> Result<(ControlledReport, ControlTelemetry)> {
-        let sink = TracingSink::new(0, self.classes.len(), tcfg);
-        let (report, sink, timeline) =
-            self.controlled_run(cfg, policy, sink, Some(tcfg.timeline_capacity))?;
-        let mut trace = FleetTrace::from_sinks(vec![sink]);
+        let n_classes = self.classes.len();
+        let (report, sinks, timeline) = self.drive_controlled(
+            cfg,
+            policy,
+            |cell| TracingSink::new(cell, n_classes, tcfg),
+            Some(tcfg.timeline_capacity),
+        )?;
+        let mut trace = FleetTrace::from_sinks(sinks);
         // one cell ledger plus one slot per class folded at assembly
-        trace.profile.merge_folds = 1 + self.classes.len() as u64;
-        // `controlled_run` returns a series whenever it is given a capacity.
-        #[allow(clippy::expect_used)]
-        let timeline = timeline.expect("recorder was requested");
+        trace.profile.merge_folds = 1 + n_classes as u64;
+        // given a capacity, `drive_controlled` always returns a series
+        let timeline = timeline.unwrap_or_else(|| TimeSeries::new(tcfg.timeline_capacity));
         Ok((report, ControlTelemetry { trace, timeline }))
     }
 
-    /// The shared closed-loop driver, generic over the trace sink.
-    /// `timeline_capacity: Some(n)` turns the per-window recorder on.
-    fn controlled_run<S: TraceSink>(
+    /// The two controlled entries' common part: validate, quote, and drive
+    /// the whole-fleet cell with the [`ControlHook`] (`Some` capacity records).
+    fn drive_controlled<S: TraceSink + Send>(
         &self,
         cfg: &ControlConfig,
         policy: &mut dyn ControlPolicy,
-        sink: S,
+        make_sink: impl FnMut(usize) -> S,
         timeline_capacity: Option<usize>,
-    ) -> Result<(ControlledReport, S, Option<TimeSeries>)> {
+    ) -> Result<(ControlledReport, Vec<S>, Option<TimeSeries>)> {
         self.validate()?;
         cfg.validate(self.horizon_s)?;
         let quotes = self.quote_table()?;
-        let n = self.instances.len();
-        let min_active = cfg.min_active.min(n);
-        let initial_active = cfg.initial_active.clamp(min_active, n);
-        let view = derive_view(self, &quotes, cfg, min_active);
-        let spec = CellSpec::whole_fleet(self);
-        let mut cell = CellEngine::with_sink(self, &quotes, &spec, sink);
-        let mut actuator = Actuator::new(
-            &mut cell,
-            initial_active,
-            min_active,
-            cfg.max_step,
-            cfg.boot_s,
-        );
-        let mut observer = Observer::new(self);
-        let mut gen = ArrivalGen::new(self, self.seed);
-        let mut admission = vec![Admission::Open; self.classes.len()];
-        let mut window_admitted = vec![0u64; self.classes.len()];
-        let mut throttled = 0u64;
-        let mut windows = 0u64;
-        let mut trace = Vec::new();
-        // telemetry recorder state (None when the recorder is off)
         let n_classes = self.classes.len();
-        let mut timeline = timeline_capacity.map(TimeSeries::new);
-        let mut hist_snaps = vec![LatencyHistogram::new(); n_classes];
-        let mut powered_prev = 0.0;
-        let mut t1 = cfg.window_s;
-        loop {
-            window_admitted.fill(0);
-            while let Some(req) = gen.next_before(t1) {
-                cell.advance_through(req.arrival_s);
-                let open = match admission[req.class] {
-                    Admission::Open => true,
-                    Admission::Quota(q) => window_admitted[req.class] < q,
-                    Admission::Closed => false,
-                };
-                if open {
-                    window_admitted[req.class] += 1;
-                    cell.admit(req);
-                } else {
-                    throttled += 1;
-                    cell.refuse(&req);
-                }
-            }
-            cell.advance_through(t1);
-            windows += 1;
-            actuator.reconcile(&cell, t1);
-            let obs = observer.observe(&cell, t1, throttled);
-            let action = policy.plan(&obs, &view);
-            debug_assert_eq!(action.admission.len(), self.classes.len());
-            debug_assert_eq!(action.shed_to.len(), self.classes.len());
-            let mut shed_now = 0u64;
-            for (class, keep) in action.shed_to.iter().enumerate() {
-                if let Some(keep) = keep {
-                    shed_now += cell.shed_queue_to(class, *keep, t1);
-                }
-            }
-            admission.clone_from(&action.admission);
-            actuator.apply(&mut cell, action.target_active, t1);
-            if let Some(series) = timeline.as_mut() {
-                let powered_now = actuator.powered_through(t1);
-                let mut class_p50_s = Vec::with_capacity(n_classes);
-                let mut class_p99_s = Vec::with_capacity(n_classes);
-                for (c, snap) in hist_snaps.iter_mut().enumerate() {
-                    let cur = cell.class_hist(c).clone();
-                    let delta = cur.delta_since(snap);
-                    class_p50_s.push(delta.quantile(0.50));
-                    class_p99_s.push(delta.quantile(0.99));
-                    *snap = cur;
-                }
-                let (classes_closed, classes_quota, shed_classes) = action.decision_counts();
-                series.push(WindowSample {
-                    index: obs.index,
-                    t_s: t1,
-                    queue_depth: obs.queue_depth,
-                    utilization: obs.utilization,
-                    arrivals: obs.arrivals,
-                    completed: obs.completed,
-                    shed: shed_now,
-                    throttled: obs.throttled,
-                    health: cell.health_mix(),
-                    class_p50_s,
-                    class_p99_s,
-                    powered_s: powered_now - powered_prev,
-                    target_active: action.target_active,
-                    classes_closed,
-                    classes_quota,
-                    shed_classes,
-                });
-                powered_prev = powered_now;
-            }
-            trace.push(WindowTrace {
-                t_s: t1,
-                active: obs.active,
-                booting: obs.booting,
-                parked: obs.parked,
-                queue_depth: obs.queue_depth,
-                arrivals: obs.arrivals,
-                // sheds land only at boundaries, right after the
-                // observation — this window's row carries its own
-                shed: shed_now,
-                throttled: obs.throttled,
-                p99_s: obs.p99_s,
-                target_active: action.target_active,
-            });
-            if gen.exhausted() {
-                break;
-            }
-            t1 += cfg.window_s;
-        }
-        let scale_ups = actuator.scale_ups;
-        let scale_downs = actuator.scale_downs;
-        let (outcome, sink) = cell.finish_with_sink();
-        let report = merge::assemble(self, &[outcome]);
-        let powered_instance_s = actuator.close(report.makespan_s);
-        let power = power_metrics(&report, powered_instance_s, cfg.idle_power_w);
+        let hook = ControlHook {
+            cfg,
+            view: derive_view(self, &quotes, cfg),
+            policy,
+            actuator: Actuator::new(self.instances.len(), cfg),
+            observer: Observer::new(self),
+            admission: vec![Admission::Open; n_classes],
+            window_admitted: vec![0; n_classes],
+            throttled: 0,
+            trace: Vec::new(),
+            timeline: timeline_capacity.map(TimeSeries::new),
+            hist_snaps: vec![LatencyHistogram::new(); n_classes],
+            powered_prev: 0.0,
+        };
+        let whole = ShardPlan::whole_fleet(self);
+        let (outcomes, sinks, hook) = self.drive(&quotes, &whole, 1, make_sink, hook)?;
+        let report = merge::assemble(self, &outcomes);
+        let (scale_ups, scale_downs) = (hook.actuator.scale_ups, hook.actuator.scale_downs);
+        let powered_s = hook.actuator.close(report.makespan_s);
         let controlled = ControlledReport {
-            report,
-            policy: policy.name().to_owned(),
-            windows,
+            policy: hook.policy.name().to_owned(),
+            windows: hook.trace.len() as u64,
             scale_ups,
             scale_downs,
-            throttled,
-            power,
-            trace,
+            throttled: hook.throttled,
+            power: power_metrics(&report, powered_s, cfg.idle_power_w),
+            report,
+            trace: hook.trace,
         };
-        Ok((controlled, sink, timeline))
+        Ok((controlled, sinks, hook.timeline))
+    }
+}
+
+/// The closed loop as the driver's window hook on the whole-fleet cell.
+struct ControlHook<'r> {
+    cfg: &'r ControlConfig,
+    policy: &'r mut dyn ControlPolicy,
+    view: FleetView,
+    actuator: Actuator,
+    observer: Observer,
+    admission: Vec<Admission>,
+    /// Requests admitted per class in the current window.
+    window_admitted: Vec<u64>,
+    throttled: u64,
+    trace: Vec<WindowTrace>,
+    /// The recorder (`None` when off); its deltas start at the last edge.
+    timeline: Option<TimeSeries>,
+    hist_snaps: Vec<LatencyHistogram>,
+    powered_prev: f64,
+}
+
+impl WindowHook for ControlHook<'_> {
+    fn window_s(&self) -> f64 {
+        self.cfg.window_s
+    }
+
+    fn start<S: TraceSink>(&mut self, cells: &mut [CellEngine<'_, S>]) {
+        self.actuator.park_unpowered(&mut cells[0]);
+    }
+
+    #[inline(always)]
+    fn admits(&mut self, req: &Request) -> bool {
+        let admitted = &mut self.window_admitted[req.class];
+        let open = match self.admission[req.class] {
+            Admission::Open => true,
+            Admission::Quota(q) => *admitted < q,
+            Admission::Closed => false,
+        };
+        *admitted += u64::from(open);
+        self.throttled += u64::from(!open);
+        open
+    }
+
+    fn edge<S: TraceSink>(&mut self, cells: &mut [CellEngine<'_, S>], t_s: f64) {
+        debug_assert_eq!(cells.len(), 1, "control runs the whole-fleet cell");
+        let cell = &mut cells[0];
+        self.actuator.reconcile(cell, t_s);
+        let obs = self.observer.observe(cell, t_s, self.throttled);
+        let action = self.policy.plan(&obs, &self.view);
+        debug_assert_eq!(action.admission.len(), self.window_admitted.len());
+        debug_assert_eq!(action.shed_to.len(), self.window_admitted.len());
+        let shed_now: u64 = (action.shed_to.iter().enumerate())
+            .filter_map(|(class, keep)| keep.map(|keep| cell.shed_queue_to(class, keep, t_s)))
+            .sum();
+        self.admission.clone_from(&action.admission);
+        self.window_admitted.fill(0);
+        self.actuator.apply(cell, action.target_active, t_s);
+        if let Some(series) = self.timeline.as_mut() {
+            let powered_now = self.actuator.powered_through(t_s);
+            let n_classes = self.hist_snaps.len();
+            let mut class_p50_s = Vec::with_capacity(n_classes);
+            let mut class_p99_s = Vec::with_capacity(n_classes);
+            for (c, snap) in self.hist_snaps.iter_mut().enumerate() {
+                let cur = cell.class_hist(c).clone();
+                let delta = cur.delta_since(snap);
+                class_p50_s.push(delta.quantile(0.50));
+                class_p99_s.push(delta.quantile(0.99));
+                *snap = cur;
+            }
+            let (classes_closed, classes_quota, shed_classes) = action.decision_counts();
+            series.push(WindowSample {
+                index: obs.index,
+                t_s,
+                queue_depth: obs.queue_depth,
+                utilization: obs.utilization,
+                arrivals: obs.arrivals,
+                completed: obs.completed,
+                shed: shed_now,
+                throttled: obs.throttled,
+                health: cell.health_mix(),
+                class_p50_s,
+                class_p99_s,
+                powered_s: powered_now - self.powered_prev,
+                target_active: action.target_active,
+                classes_closed,
+                classes_quota,
+                shed_classes,
+            });
+            self.powered_prev = powered_now;
+        }
+        self.trace.push(WindowTrace {
+            t_s,
+            active: obs.active,
+            booting: obs.booting,
+            parked: obs.parked,
+            queue_depth: obs.queue_depth,
+            arrivals: obs.arrivals,
+            // sheds land only at boundaries, right after the
+            // observation — this window's row carries its own
+            shed: shed_now,
+            throttled: obs.throttled,
+            p99_s: obs.p99_s,
+            target_active: action.target_active,
+        });
     }
 }
 
 /// Derives the static [`FleetView`] a policy plans against.
-fn derive_view(
-    scenario: &FleetScenario,
-    quotes: &QuoteTable,
-    cfg: &ControlConfig,
-    min_active: usize,
-) -> FleetView {
+fn derive_view(scenario: &FleetScenario, quotes: &QuoteTable, cfg: &ControlConfig) -> FleetView {
     let n = scenario.instances.len();
     let n_classes = scenario.classes.len();
     // Class-weighted mean per-frame time, averaged over instances: the
@@ -494,7 +508,7 @@ fn derive_view(
     shed_priority.sort_by(|&a, &b| class_slo_s[b].total_cmp(&class_slo_s[a]));
     FleetView {
         n_instances: n,
-        min_active,
+        min_active: cfg.min_active.min(n),
         n_classes,
         capacity_rps_per_instance: if frame_s > 0.0 { 1.0 / frame_s } else { 0.0 },
         boot_s: cfg.boot_s,

@@ -445,14 +445,6 @@ pub(crate) struct CellEngine<'a, S: TraceSink = NullSink> {
     sink: S,
 }
 
-impl<'a> CellEngine<'a> {
-    /// An untraced cell — the default engine every existing entry point
-    /// uses.
-    pub(crate) fn new(scenario: &'a FleetScenario, quotes: &QuoteTable, spec: &CellSpec) -> Self {
-        CellEngine::with_sink(scenario, quotes, spec, NullSink)
-    }
-}
-
 impl<'a, S: TraceSink> CellEngine<'a, S> {
     pub(crate) fn with_sink(
         scenario: &'a FleetScenario,
@@ -1702,6 +1694,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ShardPlan;
     use crate::faults::{chaos_timeline, ChaosConfig, ChaosKind, FaultTimeline};
     use crate::workload::NetworkClass;
     use pcnna_core::config::PcnnaConfig;
@@ -1843,8 +1836,8 @@ mod tests {
             s.accuracy_routing = accuracy_routing;
             s.classes[0].min_accuracy = nominal_top1;
             let quotes = s.quote_table().unwrap();
-            let spec = CellSpec::whole_fleet(&s);
-            let mut cell = CellEngine::new(&s, &quotes, &spec);
+            let spec = ShardPlan::whole_fleet(&s).cells.remove(0);
+            let mut cell = CellEngine::with_sink(&s, &quotes, &spec, NullSink);
             assert_rows_are_fresh(&cell);
             let mut rng = StdRng::seed_from_u64(0x1D7E_2A11 ^ u64::from(accuracy_routing));
             for _ in 0..80 {
@@ -1895,8 +1888,8 @@ mod tests {
             ..scenario(instances, faults)
         };
         let quotes = s.quote_table().unwrap();
-        let spec = CellSpec::whole_fleet(&s);
-        let mut cell = CellEngine::new(&s, &quotes, &spec);
+        let spec = ShardPlan::whole_fleet(&s).cells.remove(0);
+        let mut cell = CellEngine::with_sink(&s, &quotes, &spec, NullSink);
         cell.advance_through(f64::INFINITY);
         assert_rows_are_fresh(&cell);
         assert!(
@@ -1944,8 +1937,8 @@ mod tests {
             ..scenario(instances, FaultTimeline::from_events(events))
         };
         let quotes = s.quote_table().unwrap();
-        let spec = CellSpec::whole_fleet(&s);
-        let mut cell = CellEngine::new(&s, &quotes, &spec);
+        let spec = ShardPlan::whole_fleet(&s).cells.remove(0);
+        let mut cell = CellEngine::with_sink(&s, &quotes, &spec, NullSink);
         assert_eq!(cell.live_rows, [0]);
         cell.advance_through(0.0);
         assert_eq!(cell.live_rows, [1], "one shared drift row");
@@ -2056,8 +2049,8 @@ mod tests {
             // row is unserviceable for class 0 under accuracy routing
             s.classes[0].min_accuracy = nominal_top1;
             let quotes = s.quote_table().unwrap();
-            let spec = CellSpec::whole_fleet(&s);
-            let mut cell = CellEngine::new(&s, &quotes, &spec);
+            let spec = ShardPlan::whole_fleet(&s).cells.remove(0);
+            let mut cell = CellEngine::with_sink(&s, &quotes, &spec, NullSink);
             let classes_n = cell.n_classes;
             if free_reload {
                 // a config row whose reload costs nothing: a loaded

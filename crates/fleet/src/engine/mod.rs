@@ -19,11 +19,11 @@
 //!   the swap changed no simulation result.
 //! * [`shard`] — the scale-out layer: a deterministic [`ShardPlan`]
 //!   partitions classes and instances into up to
-//!   [`ShardPlan::MAX_CELLS`] (1024) independent cells,
-//!   one arrival generator replays the exact whole-fleet stream and
-//!   routes each request to the cell owning its class, and worker
-//!   threads advance cells in conservative time windows over bounded
-//!   channels. Same seed ⇒ bit-identical report at every shard and
+//!   [`ShardPlan::MAX_CELLS`] (1024) independent cells, and the one
+//!   arrival driver every run uses routes the exact whole-fleet stream
+//!   to them in conservative time windows, on the calling thread or
+//!   over bounded channels, with the control loop as an optional
+//!   window hook. Same seed ⇒ bit-identical report at every shard and
 //!   thread count.
 //! * `merge` *(private module)* — folds per-cell outcomes into one
 //!   [`FleetReport`] in canonical (cell-index, class-index) order,
@@ -60,6 +60,7 @@ pub use wheel::{EventTime, TimingWheel};
 use crate::faults::FaultTimeline;
 use crate::metrics::FleetReport;
 use crate::scheduler::Policy;
+use crate::telemetry::NullSink;
 use crate::workload::{ArrivalProcess, NetworkClass};
 use crate::{FleetError, Result};
 use pcnna_core::config::PcnnaConfig;
@@ -67,8 +68,7 @@ use pcnna_core::power::PowerAssumptions;
 use pcnna_core::serving::{service_quote, QuoteRequest, ServiceQuote};
 use pcnna_photonics::degradation::DegradationLimits;
 
-use self::core::CellEngine;
-use self::shard::CellSpec;
+use self::shard::NoHook;
 
 /// A complete serving experiment description.
 #[derive(Debug, Clone, PartialEq)]
@@ -313,13 +313,8 @@ impl FleetScenario {
     pub fn simulate(&self) -> Result<FleetReport> {
         self.validate()?;
         let quotes = self.quote_table()?;
-        let spec = CellSpec::whole_fleet(self);
-        let cell = CellEngine::new(self, &quotes, &spec);
-        let class_to_cell = vec![0usize; self.classes.len()];
-        let (outcomes, _): (Vec<_>, Vec<_>) =
-            shard::run_serial(self, self.seed, vec![cell], &class_to_cell)
-                .into_iter()
-                .unzip();
+        let whole = ShardPlan::whole_fleet(self);
+        let (outcomes, _, _) = self.drive(&quotes, &whole, 1, |_| NullSink, NoHook)?;
         Ok(merge::assemble(self, &outcomes))
     }
 }
@@ -365,10 +360,8 @@ impl QuoteTable {
     }
 
     /// The fleet's fastest marginal service time, seconds — the
-    /// cross-shard lookahead floor the windowed driver derives its
-    /// generation window from. `f64::INFINITY` on an empty table.
-    /// Folding over distinct rows only is exact: `min` is insensitive
-    /// to the duplicate values the old per-instance walk visited.
+    /// cross-shard lookahead floor the threaded driver derives its
+    /// window from. `f64::INFINITY` on an empty table.
     #[must_use]
     pub fn min_per_frame_s(&self) -> f64 {
         self.rows

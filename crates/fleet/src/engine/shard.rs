@@ -24,29 +24,21 @@
 //! computes, and the canonical order its numbers are merged in (the
 //! engine's private `merge` module), never change.
 //!
-//! ## The arrival stream
+//! ## One driver
 //!
-//! One arrival generator replays the scenario's arrival process and class
-//! mix exactly as the whole-fleet engine would (same sampler, same RNG
-//! streams, same ids), and each request is routed to the cell owning
-//! its class. The generated stream is therefore identical at any shard
-//! count — a cell sees precisely the sub-stream of its classes.
-//!
-//! ## The conservative time-window barrier
-//!
-//! In the parallel path the generator runs on the calling thread and
-//! ships arrivals to worker threads in **time windows** over bounded
-//! channels. The window is derived from the fastest quote in the fleet
-//! (the minimum per-frame service time — the lookahead floor: nothing
-//! observable happens on a finer scale), with a coarse floor of
-//! 1/64 horizon so short runs still pipeline. Because the partition
-//! leaves no cross-cell events, any window length yields the same
-//! result — the window's job is to bound how far the generator may run
-//! ahead of the slowest shard (backpressure caps in-flight arrivals at
-//! a few windows) and to keep generation overlapped with simulation.
-//! Cross-shard causality is enforced by construction: failover and
-//! affinity routing both happen inside a cell, which owns every
-//! instance its classes may touch.
+//! Every run — `simulate()` (the whole-fleet plan), the sharded entries
+//! and closed-loop control — replays one arrival stream (the sampler,
+//! RNG streams and ids of the whole-fleet engine) through one window
+//! loop, the barrier-per-window scheme of D. M. Nicol (JACM 40(2),
+//! 1993), and hands each arrival, in order, to the cell owning its
+//! class. No event crosses cells (failover and affinity routing stay
+//! inside one), so the window length never changes a result. One worker
+//! feeds the cells on the calling thread; more take them round-robin,
+//! fed window by window over bounded channels, the window being the
+//! fleet's fastest per-frame quote (at least 1/64 horizon). A window
+//! hook — the control loop — sees the cells at start and at every edge,
+//! once each has advanced through it, and rules on each arrival; a
+//! hooked run stays on the calling thread.
 //!
 //! ## What sharding changes — honestly
 //!
@@ -64,6 +56,7 @@ use super::core::{CellEngine, CellOutcome};
 use super::merge;
 use super::{FleetScenario, QuoteTable};
 use crate::metrics::FleetReport;
+use crate::par::worker_count;
 use crate::telemetry::{FleetTrace, NullSink, TraceConfig, TraceSink, TracingSink};
 use crate::workload::{ArrivalSampler, ClassSampler, Request};
 use crate::{FleetError, Result};
@@ -84,18 +77,6 @@ pub(crate) struct CellSpec {
     pub instances: Range<usize>,
     /// This cell's admission bound (its slice of `queue_capacity`).
     pub queue_capacity: usize,
-}
-
-impl CellSpec {
-    /// The degenerate single-cell spec: the whole fleet. This is what
-    /// `simulate()` runs — the pre-shard engine, event for event.
-    pub(crate) fn whole_fleet(scenario: &FleetScenario) -> CellSpec {
-        CellSpec {
-            classes: (0..scenario.classes.len()).collect(),
-            instances: 0..scenario.instances.len(),
-            queue_capacity: scenario.queue_capacity,
-        }
-    }
 }
 
 /// The deterministic partition of a scenario into shard cells (module
@@ -125,10 +106,7 @@ impl ShardPlan {
         if n_c == 0 || n_i == 0 {
             // Degenerate (invalid) scenarios still get a well-formed
             // single-cell plan; validation rejects them before any run.
-            return ShardPlan {
-                cells: vec![CellSpec::whole_fleet(scenario)],
-                class_to_cell: vec![0; n_c],
-            };
+            return ShardPlan::whole_fleet(scenario);
         }
         let l = n_c.min(n_i).min(Self::MAX_CELLS);
         let mut cell_classes: Vec<Vec<usize>> = vec![Vec::new(); l];
@@ -213,6 +191,19 @@ impl ShardPlan {
         }
     }
 
+    /// The one-cell plan, the whole fleet: what `simulate()` and the
+    /// control loop run, the pre-shard engine event for event.
+    pub(crate) fn whole_fleet(scenario: &FleetScenario) -> ShardPlan {
+        ShardPlan {
+            cells: vec![CellSpec {
+                classes: (0..scenario.classes.len()).collect(),
+                instances: 0..scenario.instances.len(),
+                queue_capacity: scenario.queue_capacity,
+            }],
+            class_to_cell: vec![0; scenario.classes.len()],
+        }
+    }
+
     /// Number of cells in the plan.
     #[must_use]
     pub fn n_cells(&self) -> usize {
@@ -279,10 +270,10 @@ pub(crate) struct ArrivalGen {
 }
 
 impl ArrivalGen {
-    pub(crate) fn new(scenario: &FleetScenario, seed: u64) -> ArrivalGen {
+    pub(crate) fn new(scenario: &FleetScenario) -> ArrivalGen {
         ArrivalGen {
-            sampler: ArrivalSampler::new(scenario.arrival, seed),
-            class_rng: StdRng::seed_from_u64(seed ^ 0xC1A5_55E5),
+            sampler: ArrivalSampler::new(scenario.arrival, scenario.seed),
+            class_rng: StdRng::seed_from_u64(scenario.seed ^ 0xC1A5_55E5),
             mix: ClassSampler::new(&scenario.classes),
             slo: scenario.classes.iter().map(|c| c.slo_s).collect(),
             horizon_s: scenario.horizon_s,
@@ -292,12 +283,26 @@ impl ArrivalGen {
         }
     }
 
+    /// The next request strictly before `t_edge`, buffering the first at
+    /// or past it. Inlined, like `next`: as calls they cost the producer ~10%.
+    #[inline(always)]
+    pub(crate) fn next_before(&mut self, t_edge: f64) -> Option<Request> {
+        let req = match self.pending.take() {
+            Some(req) => req,
+            None => self.next()?,
+        };
+        if req.arrival_s < t_edge {
+            Some(req)
+        } else {
+            self.pending = Some(req);
+            None
+        }
+    }
+
     /// The next request, if any arrives before the horizon. Fused: once
     /// the horizon is passed the sampler is never consulted again.
+    #[inline(always)]
     pub(crate) fn next(&mut self) -> Option<Request> {
-        if let Some(req) = self.pending.take() {
-            return Some(req);
-        }
         if self.done {
             return None;
         }
@@ -317,44 +322,20 @@ impl ArrivalGen {
         Some(req)
     }
 
-    /// The next request strictly before `t_edge`, buffering the first
-    /// one at or past it (the window boundary).
-    pub(crate) fn next_before(&mut self, t_edge: f64) -> Option<Request> {
-        let req = self.next()?;
-        if req.arrival_s < t_edge {
-            Some(req)
-        } else {
-            self.pending = Some(req);
-            None
-        }
-    }
-
     pub(crate) fn exhausted(&self) -> bool {
         self.done && self.pending.is_none()
     }
 }
 
-/// The whole-fleet arrival stream as a plain iterator: request ids,
-/// classes, times, and per-class ordinals are exactly those of the
-/// engine's own replay, so a horizon of a billion requests streams
-/// through `O(1)` state — nothing ever materializes the vector.
-impl Iterator for ArrivalGen {
-    type Item = Request;
-
-    fn next(&mut self) -> Option<Request> {
-        ArrivalGen::next(self)
-    }
-}
-
-/// How many arrival batches the generator may run ahead of the slowest
+/// How many arrival batches the window loop may run ahead of the slowest
 /// worker (the bounded-channel depth): the conservative lookahead
 /// barrier. A batch is at most [`ARRIVAL_CHUNK`] requests, so this also
 /// bounds buffered-arrival memory per worker.
 const BATCHES_IN_FLIGHT: usize = 4;
 
-/// Mid-window flush threshold: a cell's arrival buffer is shipped to
-/// its worker as soon as it holds this many requests, so buffered
-/// arrivals stay bounded however long (in requests) a window is.
+/// Mid-window flush threshold: a cell's arrival buffer is delivered as
+/// soon as it holds this many requests, so buffered arrivals stay
+/// bounded however long (in requests) a window is.
 const ARRIVAL_CHUNK: usize = 65536;
 
 /// Cap on the *expected* request count of one generation window. With
@@ -367,9 +348,34 @@ const MAX_WINDOW_EXPECTED: f64 = 262_144.0;
 /// memory knob, not a correctness one — see the module docs).
 const MIN_WINDOWS: f64 = 64.0;
 
-/// Per-window arrival batch shipped to one worker: `(cell index,
-/// requests of that cell, in arrival order)`.
+/// A batch shipped to a worker: `(cell index, its arrivals in order)`s.
 type WindowBatch = Vec<(usize, Vec<Request>)>;
+
+/// The driver's window hook (module docs, "One driver"), a type
+/// parameter so a [`NoHook`] run compiles to the plain arrival feed.
+pub(crate) trait WindowHook {
+    /// `false` only for [`NoHook`], whose runs skip the window edges.
+    const ACTIVE: bool = true;
+    /// Window length, seconds; one window spans the whole run.
+    fn window_s(&self) -> f64 {
+        f64::INFINITY
+    }
+    /// Sees every cell once, before the first arrival.
+    fn start<S: TraceSink>(&mut self, _cells: &mut [CellEngine<'_, S>]) {}
+    /// Admits (`true`) or refuses one arrival, in its cell's order.
+    fn admits(&mut self, _req: &Request) -> bool {
+        true
+    }
+    /// Sees every cell at window edge `t_s`, each advanced through it.
+    fn edge<S: TraceSink>(&mut self, _cells: &mut [CellEngine<'_, S>], _t_s: f64) {}
+}
+
+/// The absent hook.
+pub(crate) struct NoHook;
+
+impl WindowHook for NoHook {
+    const ACTIVE: bool = false;
+}
 
 impl FleetScenario {
     /// The deterministic shard partition of this scenario (see
@@ -381,8 +387,9 @@ impl FleetScenario {
     }
 
     /// Runs the sharded engine: the scenario's [`ShardPlan`] cells,
-    /// executed by `min(shards, threads, cells)` worker threads (1 ⇒
-    /// everything on the calling thread), merged in canonical order.
+    /// executed by `min(shards, threads, cells, available cores)` worker
+    /// threads (1 ⇒ everything on the calling thread), merged in
+    /// canonical order.
     ///
     /// **Determinism contract:** same seed ⇒ bit-identical report for
     /// every `(shards, threads)` combination. The `shards = 1` run is
@@ -393,7 +400,7 @@ impl FleetScenario {
     ///
     /// Returns scenario-validation or core quoting failures.
     pub fn simulate_sharded(&self, shards: usize, threads: usize) -> Result<FleetReport> {
-        let (outcomes, _) = self.sharded_outcomes(self.seed, shards, threads, |_| NullSink)?;
+        let (outcomes, _) = self.drive_plan(shards, threads, |_| NullSink)?;
         Ok(merge::assemble(self, &outcomes))
     }
 
@@ -419,7 +426,7 @@ impl FleetScenario {
         cfg: &TraceConfig,
     ) -> Result<(FleetReport, FleetTrace)> {
         let n_classes = self.classes.len();
-        let (outcomes, sinks) = self.sharded_outcomes(self.seed, shards, threads, |cell| {
+        let (outcomes, sinks) = self.drive_plan(shards, threads, |cell| {
             TracingSink::new(cell, n_classes, cfg)
         })?;
         let report = merge::assemble(self, &outcomes);
@@ -429,42 +436,59 @@ impl FleetScenario {
         Ok((report, trace))
     }
 
-    /// The one sharded driver: builds the plan's cells (each with the
-    /// sink `make_sink(cell_index)` returns), runs them serially or
-    /// windowed across workers, and returns the outcomes and the sinks,
-    /// each in cell-index order. `seed` overrides the scenario's own, so seed
-    /// replication needs no scenario copy per replica.
-    pub(crate) fn sharded_outcomes<S: TraceSink + Send>(
+    /// The sharded entries' common part: validate, quote, plan, drive.
+    fn drive_plan<S: TraceSink + Send>(
         &self,
-        seed: u64,
         shards: usize,
         threads: usize,
-        mut make_sink: impl FnMut(usize) -> S,
+        make_sink: impl FnMut(usize) -> S,
     ) -> Result<(Vec<CellOutcome>, Vec<S>)> {
         self.validate()?;
         let quotes = self.quote_table()?;
         let plan = ShardPlan::new(self, Some(&quotes));
-        let cells: Vec<CellEngine<'_, S>> = plan
+        let workers = worker_count(shards.min(threads), plan.n_cells());
+        let (outcomes, sinks, _) = self.drive(&quotes, &plan, workers, make_sink, NoHook)?;
+        Ok((outcomes, sinks))
+    }
+
+    /// The one arrival driver (module docs, "One driver"): runs the plan's
+    /// cells, cell `i` with sink `make_sink(i)`, and returns their
+    /// outcomes and sinks in cell order, and the hook.
+    pub(crate) fn drive<S: TraceSink + Send, H: WindowHook>(
+        &self,
+        quotes: &QuoteTable,
+        plan: &ShardPlan,
+        workers: usize,
+        mut make_sink: impl FnMut(usize) -> S,
+        mut hook: H,
+    ) -> Result<(Vec<CellOutcome>, Vec<S>, H)> {
+        let mut cells: Vec<CellEngine<'_, S>> = plan
             .cells
             .iter()
             .enumerate()
-            .map(|(i, spec)| CellEngine::with_sink(self, &quotes, spec, make_sink(i)))
+            .map(|(i, spec)| CellEngine::with_sink(self, quotes, spec, make_sink(i)))
             .collect();
-        let workers = shards.max(1).min(threads.max(1)).min(plan.n_cells());
-        let pairs = if workers <= 1 {
-            run_serial(self, seed, cells, &plan.class_to_cell)
-        } else {
-            let window_s = window_len(self, &quotes);
-            run_windowed(self, seed, cells, &plan.class_to_cell, workers, window_s)?
-        };
-        Ok(pairs.into_iter().unzip())
+        let mut gen = ArrivalGen::new(self);
+        if !H::ACTIVE && workers > 1 {
+            let (outcomes, sinks) =
+                run_workers(gen, cells, plan, workers, window_len(self, quotes))?;
+            return Ok((outcomes, sinks, hook));
+        }
+        hook.start(&mut cells);
+        let chunk = if cells.len() == 1 { 0 } else { ARRIVAL_CHUNK };
+        let bufs = cells.iter().map(|_| Vec::with_capacity(chunk)).collect();
+        let mut local = Local { cells, bufs, hook };
+        window_loop(&mut gen, plan, local.hook.window_s(), &mut local);
+        let cells = local.cells.into_iter();
+        let (outcomes, sinks) = cells.map(CellEngine::finish_with_sink).unzip();
+        Ok((outcomes, sinks, local.hook))
     }
 }
 
-/// The generation window: the fleet's fastest per-frame quote is the
-/// lookahead floor (nothing observable happens on a finer scale), with
-/// a coarse floor of 1/[`MIN_WINDOWS`] horizon so short runs still
-/// pipeline across workers.
+/// The generation window of a threaded run: the fleet's fastest
+/// per-frame quote is the lookahead floor (nothing observable happens on
+/// a finer scale), with a coarse floor of 1/[`MIN_WINDOWS`] horizon so
+/// short runs still pipeline across workers.
 fn window_len(scenario: &FleetScenario, quotes: &QuoteTable) -> f64 {
     let lookahead = quotes.min_per_frame_s();
     let floor = scenario.horizon_s / MIN_WINDOWS;
@@ -484,175 +508,179 @@ fn window_len(scenario: &FleetScenario, quotes: &QuoteTable) -> f64 {
     }
 }
 
-/// Everything on the calling thread: arrivals stream into the owning
-/// cells (chunk-buffered per cell when there are several), then each
-/// cell drains in order; returns `(outcome, sink)` pairs in cell-index
-/// order. This is the `shards = 1` oracle path — and also what
-/// `simulate()` runs with a single whole-fleet cell.
-pub(crate) fn run_serial<S: TraceSink>(
-    scenario: &FleetScenario,
-    seed: u64,
-    mut cells: Vec<CellEngine<'_, S>>,
-    class_to_cell: &[usize],
-) -> Vec<(CellOutcome, S)> {
-    let mut gen = ArrivalGen::new(scenario, seed);
-    if cells.len() <= 1 {
-        while let Some(req) = gen.next() {
-            let cell = &mut cells[class_to_cell[req.class]];
-            cell.advance_through(req.arrival_s);
+/// Feeds `reqs` to `cell` in order: the events before each arrival fire
+/// first, then the hook's verdict admits or refuses it.
+#[inline(always)]
+fn feed<S: TraceSink, H: WindowHook>(
+    cell: &mut CellEngine<'_, S>,
+    reqs: impl IntoIterator<Item = Request>,
+    hook: &mut H,
+) {
+    for req in reqs {
+        cell.advance_through(req.arrival_s);
+        if hook.admits(&req) {
             cell.admit(req);
-        }
-    } else {
-        // Chunked per-cell batching, still on one thread: cells are
-        // independent, so draining one cell's chunk while others buffer
-        // is a pure reordering of independent work — same outcomes,
-        // much better cache locality than per-arrival cell interleave.
-        // Memory stays bounded by cells × chunk, never the horizon.
-        let mut bufs: Vec<Vec<Request>> = cells
-            .iter()
-            .map(|_| Vec::with_capacity(ARRIVAL_CHUNK))
-            .collect();
-        while let Some(req) = gen.next() {
-            let c = class_to_cell[req.class];
-            bufs[c].push(req);
-            if bufs[c].len() >= ARRIVAL_CHUNK {
-                let cell = &mut cells[c];
-                for req in bufs[c].drain(..) {
-                    cell.advance_through(req.arrival_s);
-                    cell.admit(req);
-                }
-            }
-        }
-        for (c, buf) in bufs.iter_mut().enumerate() {
-            let cell = &mut cells[c];
-            for req in buf.drain(..) {
-                cell.advance_through(req.arrival_s);
-                cell.admit(req);
-            }
+        } else {
+            cell.refuse(&req);
         }
     }
-    cells
-        .into_iter()
-        .map(CellEngine::finish_with_sink)
-        .collect()
 }
 
-/// The parallel path: the calling thread streams arrivals (the
-/// [`ArrivalGen`] iterator — nothing is ever materialized per run) and
-/// ships per-cell batches to `workers` threads over bounded channels.
-/// Cells are dealt round-robin to workers (cell `c` runs on worker
-/// `c % workers`), and a cell's buffer is flushed mid-window whenever it fills a chunk, so driver
-/// memory is bounded by chunks and channel depth, not by the horizon's
-/// request count. Each worker advances its cells through its batches in
-/// arrival order and drains them when the stream closes. Outcomes are
-/// re-ordered by cell index before merging, so the report is
-/// independent of scheduling.
-///
-/// A worker that panics closes its channel: the generator stops, the
-/// other workers drain, and the run returns
-/// [`FleetError::WorkerPanicked`] naming the cell that worker was
-/// running and the panic's message.
-fn run_windowed<'a, S: TraceSink + Send>(
-    scenario: &'a FleetScenario,
-    seed: u64,
+/// Where the window loop hands each arrival (with its cell) and each
+/// window edge: to cells on the calling thread ([`Local`]) or over
+/// channels to workers ([`Channels`]). `false` stops the stream.
+trait Deliver {
+    fn arrival(&mut self, cell: usize, req: Request) -> bool;
+    fn edge(&mut self, t_s: f64) -> bool;
+}
+
+/// The one window loop: generates the stream window by window, hands
+/// each arrival on for the cell owning its class, and closes every
+/// window, the last one included.
+fn window_loop<D: Deliver>(gen: &mut ArrivalGen, plan: &ShardPlan, window_s: f64, out: &mut D) {
+    let mut t_edge = window_s;
+    loop {
+        while let Some(req) = gen.next_before(t_edge) {
+            if !out.arrival(plan.class_to_cell[req.class], req) {
+                return;
+            }
+        }
+        if !out.edge(t_edge) || gen.exhausted() {
+            return;
+        }
+        t_edge += window_s;
+    }
+}
+
+/// Every cell on the calling thread, with the hook. A lone cell takes
+/// each arrival straight through; several drain per-cell chunks, a pure
+/// reordering of independent work that keeps a cell's state in cache.
+struct Local<'a, S: TraceSink, H> {
     cells: Vec<CellEngine<'a, S>>,
-    class_to_cell: &[usize],
+    bufs: Vec<Vec<Request>>,
+    hook: H,
+}
+
+impl<S: TraceSink, H: WindowHook> Deliver for Local<'_, S, H> {
+    #[inline(always)]
+    fn arrival(&mut self, cell: usize, req: Request) -> bool {
+        if let [only] = self.cells.as_mut_slice() {
+            feed(only, [req], &mut self.hook);
+            return true;
+        }
+        let buf = &mut self.bufs[cell];
+        buf.push(req);
+        if buf.len() >= ARRIVAL_CHUNK {
+            feed(&mut self.cells[cell], buf.drain(..), &mut self.hook);
+        }
+        true
+    }
+
+    /// Flushes every buffer (a hookless run's one edge ends the stream);
+    /// with a hook, advances every cell to the edge and hands them over.
+    fn edge(&mut self, t_s: f64) -> bool {
+        for (cell, buf) in self.cells.iter_mut().zip(&mut self.bufs) {
+            feed(cell, buf.drain(..), &mut self.hook);
+            if H::ACTIVE {
+                cell.advance_through(t_s);
+            }
+        }
+        if H::ACTIVE {
+            self.hook.edge(&mut self.cells, t_s);
+        }
+        true
+    }
+}
+
+/// The bounded channels to the workers (cell `c` on worker `c % workers`)
+/// and the open window's buffers. A failed send means a worker panicked.
+struct Channels {
+    senders: Vec<mpsc::SyncSender<WindowBatch>>,
+    bufs: Vec<Vec<Request>>,
+}
+
+impl Deliver for Channels {
+    #[inline(always)]
+    fn arrival(&mut self, cell: usize, req: Request) -> bool {
+        let buf = &mut self.bufs[cell];
+        buf.push(req);
+        if buf.len() < ARRIVAL_CHUNK {
+            return true;
+        }
+        // mid-window flush, in order down the cell's one channel
+        let reqs = std::mem::replace(buf, Vec::with_capacity(ARRIVAL_CHUNK));
+        let tx = &self.senders[cell % self.senders.len()];
+        tx.send(vec![(cell, reqs)]).is_ok()
+    }
+
+    fn edge(&mut self, _: f64) -> bool {
+        let workers = self.senders.len();
+        let mut batches: Vec<WindowBatch> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, buf) in self.bufs.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                let hint = buf.len().min(ARRIVAL_CHUNK);
+                batches[i % workers].push((i, std::mem::replace(buf, Vec::with_capacity(hint))));
+            }
+        }
+        let mut sends = self.senders.iter().zip(batches);
+        sends.all(|(tx, batch)| batch.is_empty() || tx.send(batch).is_ok())
+    }
+}
+
+/// The threaded path: the calling thread runs the window loop into
+/// [`Channels`]; each worker feeds its cells their batches in order and
+/// drains them when the stream closes. A worker that panics stops the
+/// stream, and the run returns [`FleetError::WorkerPanicked`] naming the
+/// cell it was running and the panic's message.
+fn run_workers<'a, S: TraceSink + Send>(
+    mut gen: ArrivalGen,
+    cells: Vec<CellEngine<'a, S>>,
+    plan: &ShardPlan,
     workers: usize,
     window_s: f64,
-) -> Result<Vec<(CellOutcome, S)>> {
+) -> Result<(Vec<CellOutcome>, Vec<S>)> {
     let n_cells = cells.len();
     let mut worker_cells: Vec<Vec<(usize, CellEngine<'a, S>)>> =
         (0..workers).map(|_| Vec::new()).collect();
     for (i, cell) in cells.into_iter().enumerate() {
         worker_cells[i % workers].push((i, cell));
     }
-    // The cell each worker is running, read only after its join: the
-    // join orders the worker's last store before the load, so Relaxed
-    // suffices.
+    // The cell each worker is running, read only after its join (which
+    // orders the worker's last store before the load: Relaxed suffices).
     let running: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
 
-    let mut outcomes: Vec<Option<(CellOutcome, S)>> = (0..n_cells).map(|_| None).collect();
+    let mut finished = Vec::with_capacity(workers);
     let mut panicked: Option<(usize, String)> = None;
     std::thread::scope(|scope| {
-        let mut senders: Vec<mpsc::SyncSender<WindowBatch>> = Vec::with_capacity(workers);
+        let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        for (owned, running) in worker_cells.into_iter().zip(&running) {
-            let (tx, rx) = mpsc::sync_channel::<WindowBatch>(BATCHES_IN_FLIGHT);
+        for (mut owned, running) in worker_cells.into_iter().zip(&running) {
+            let (tx, rx) = mpsc::sync_channel(BATCHES_IN_FLIGHT);
             senders.push(tx);
             handles.push(scope.spawn(move || {
-                let mut owned = owned;
                 for batch in rx {
                     for (cell_idx, reqs) in batch {
                         running.store(cell_idx, Ordering::Relaxed);
-                        // The window loop sends a cell's batch only to the
-                        // worker it dealt that cell to.
-                        #[allow(clippy::expect_used)]
-                        let (_, cell) = owned
-                            .iter_mut()
-                            .find(|(i, _)| *i == cell_idx)
-                            .expect("batch routed to the worker owning its cell");
-                        for req in reqs {
-                            cell.advance_through(req.arrival_s);
-                            cell.admit(req);
-                        }
+                        // dealt round-robin: cell c is this worker's c / workers-th
+                        feed(&mut owned[cell_idx / workers].1, reqs, &mut NoHook);
                     }
                 }
                 owned
                     .into_iter()
                     .map(|(i, cell)| {
                         running.store(i, Ordering::Relaxed);
-                        (i, cell.finish_with_sink())
+                        cell.finish_with_sink()
                     })
                     .collect::<Vec<_>>()
             }));
         }
-
-        let mut gen = ArrivalGen::new(scenario, seed);
-        let mut bufs: Vec<Vec<Request>> = (0..n_cells).map(|_| Vec::new()).collect();
-        let mut t_edge = window_s;
-        // A failed send means that worker panicked: stop generating and
-        // let the joins below report it.
-        'generate: loop {
-            while let Some(req) = gen.next_before(t_edge) {
-                let cell = class_to_cell[req.class];
-                let buf = &mut bufs[cell];
-                buf.push(req);
-                if buf.len() >= ARRIVAL_CHUNK {
-                    // Mid-window flush: keep the worker fed and the
-                    // buffer bounded. Per-cell arrival order is
-                    // preserved — batches travel the cell's one channel
-                    // in generation order.
-                    let reqs = std::mem::replace(buf, Vec::with_capacity(ARRIVAL_CHUNK));
-                    if senders[cell % workers].send(vec![(cell, reqs)]).is_err() {
-                        break 'generate;
-                    }
-                }
-            }
-            for (w, tx) in senders.iter().enumerate() {
-                let mut batch: WindowBatch = Vec::new();
-                for i in (w..n_cells).step_by(workers) {
-                    if !bufs[i].is_empty() {
-                        let hint = bufs[i].len().min(ARRIVAL_CHUNK);
-                        batch.push((i, std::mem::replace(&mut bufs[i], Vec::with_capacity(hint))));
-                    }
-                }
-                if !batch.is_empty() && tx.send(batch).is_err() {
-                    break 'generate;
-                }
-            }
-            if gen.exhausted() {
-                break;
-            }
-            t_edge += window_s;
-        }
-        drop(senders); // close the channels: workers drain and finish
+        let bufs = (0..n_cells).map(|_| Vec::new()).collect();
+        let mut channels = Channels { senders, bufs };
+        window_loop(&mut gen, plan, window_s, &mut channels);
+        drop(channels); // close the channels: workers drain and finish
         for (handle, running) in handles.into_iter().zip(&running) {
             match handle.join() {
-                Ok(finished) => {
-                    for (i, outcome) in finished {
-                        outcomes[i] = Some(outcome);
-                    }
-                }
+                Ok(outcomes) => finished.push(Vec::into_iter(outcomes)),
                 Err(payload) if panicked.is_none() => {
                     panicked = Some((running.load(Ordering::Relaxed), panic_message(&*payload)));
                 }
@@ -663,13 +691,11 @@ fn run_windowed<'a, S: TraceSink + Send>(
     if let Some((cell, message)) = panicked {
         return Err(FleetError::WorkerPanicked { cell, message });
     }
-    // No worker panicked, and each one returns every cell it was dealt.
-    #[allow(clippy::expect_used)]
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.expect("every cell reports exactly once"))
-        .collect();
-    Ok(outcomes)
+    // No worker panicked, so worker w returned cells w, w + workers, …
+    // in order: dealing them back out restores the cell order.
+    Ok((0..n_cells)
+        .filter_map(|i| finished[i % workers].next())
+        .unzip())
 }
 
 /// The text a panic was raised with (`panic!` payloads are a `&str` or
@@ -752,20 +778,21 @@ mod tests {
     #[test]
     fn streaming_iterator_matches_windowed_stepping() {
         // The streaming contract: driving ArrivalGen through
-        // `next_before` window edges (what the sharded driver does)
-        // must reproduce the plain iterator's event sequence exactly —
-        // same ids, same classes, same arrival instants, for any
-        // window length. Ids are per-run ordinals, so equality here is
-        // what keeps stride-sampled trace ids shard-layout-independent.
+        // `next_before` window edges (what the window loop does) must
+        // reproduce the plain iterator's event sequence exactly — same
+        // ids, same classes, same arrival instants, for any window
+        // length. Ids are per-run ordinals, so equality here is what
+        // keeps stride-sampled trace ids shard-layout-independent.
         for seed in [0u64, 7, 42, 1234] {
             let s = FleetScenario {
                 seed,
                 ..scenario(4, 8)
             };
-            let materialized: Vec<Request> = ArrivalGen::new(&s, seed).collect();
+            let mut whole = ArrivalGen::new(&s);
+            let materialized: Vec<Request> = std::iter::from_fn(|| whole.next()).collect();
             assert!(!materialized.is_empty());
             for window_s in [1e-4, 7.3e-4, 5e-3, 1.0] {
-                let mut gen = ArrivalGen::new(&s, seed);
+                let mut gen = ArrivalGen::new(&s);
                 let mut streamed: Vec<Request> = Vec::new();
                 let mut t_edge = window_s;
                 loop {
@@ -810,12 +837,25 @@ mod tests {
         fn count(&mut self, _op: ProfileOp, _n: u64) {}
     }
 
+    /// Drives `s`'s shard plan on exactly `workers` workers: the public
+    /// entries bound the count by the host's cores, these tests must not.
+    fn drive_on<S: TraceSink + Send>(
+        s: &FleetScenario,
+        workers: usize,
+        make_sink: impl FnMut(usize) -> S,
+    ) -> Result<Vec<CellOutcome>> {
+        let quotes = s.quote_table()?;
+        let plan = ShardPlan::new(s, Some(&quotes));
+        let (outcomes, _, _) = s.drive(&quotes, &plan, workers, make_sink, NoHook)?;
+        Ok(outcomes)
+    }
+
     #[test]
     fn worker_panic_is_reported_with_its_cell_and_message() {
         let s = scenario(4, 8);
         assert_eq!(s.shard_plan().n_cells(), 4);
         let faulty = 2;
-        let result = s.sharded_outcomes(s.seed, 2, 2, |cell| PanickingSink { cell, faulty });
+        let result = drive_on(&s, 2, |cell| PanickingSink { cell, faulty });
         match result {
             Err(FleetError::WorkerPanicked { cell, message }) => {
                 assert_eq!(cell, faulty);
@@ -826,6 +866,62 @@ mod tests {
         }
     }
 
+    /// A hook that counts the window edges it sees and changes nothing.
+    struct Noop {
+        edges: usize,
+    }
+
+    impl WindowHook for Noop {
+        fn window_s(&self) -> f64 {
+            1e-3
+        }
+
+        fn edge<S: TraceSink>(&mut self, _: &mut [CellEngine<'_, S>], _: f64) {
+            self.edges += 1;
+        }
+    }
+
+    #[test]
+    fn no_op_hook_is_invisible_on_a_multi_cell_plan() {
+        // Edge pumping only fires events that the next arrival would
+        // fire anyway, so a hook that changes nothing must leave the
+        // hookless report and trace intact, bit for bit.
+        // loaded enough that batches are in flight across window edges
+        let s = FleetScenario {
+            arrival: ArrivalProcess::Poisson {
+                rate_rps: 4_000_000.0,
+            },
+            ..scenario(4, 8)
+        };
+        let cfg = TraceConfig {
+            stride: 1,
+            ..TraceConfig::default()
+        };
+        let (oracle, oracle_trace) = s.simulate_sharded_traced(1, 1, &cfg).unwrap();
+        let quotes = s.quote_table().unwrap();
+        let plan = ShardPlan::new(&s, Some(&quotes));
+        assert_eq!(plan.n_cells(), 4);
+        let n_classes = s.classes.len();
+        let (outcomes, sinks, hook) = s
+            .drive(
+                &quotes,
+                &plan,
+                1,
+                |cell| TracingSink::new(cell, n_classes, &cfg),
+                Noop { edges: 0 },
+            )
+            .unwrap();
+        assert_eq!(
+            hook.edges, 20,
+            "one edge per 1 ms window of the 20 ms horizon"
+        );
+        assert_eq!(merge::assemble(&s, &outcomes), oracle);
+        let mut trace = FleetTrace::from_sinks(sinks);
+        trace.profile.merge_folds = oracle_trace.profile.merge_folds;
+        assert!(trace.profile.events_recorded > 0);
+        assert_eq!(trace, oracle_trace);
+    }
+
     #[test]
     fn uneven_round_robin_dealing_reproduces_the_serial_report() {
         // Eight cells over worker counts that do not divide them: every
@@ -834,9 +930,9 @@ mod tests {
         assert_eq!(s.shard_plan().n_cells(), 8);
         let oracle = s.simulate_sharded(1, 1).unwrap();
         assert!(oracle.completed > 0);
-        for (shards, threads) in [(3, 3), (5, 8), (7, 7)] {
-            let r = s.simulate_sharded(shards, threads).unwrap();
-            assert_eq!(oracle, r, "shards {shards} threads {threads}");
+        for workers in [3, 5, 7] {
+            let outcomes = drive_on(&s, workers, |_| NullSink).unwrap();
+            assert_eq!(oracle, merge::assemble(&s, &outcomes), "{workers} workers");
         }
     }
 }

@@ -51,9 +51,9 @@
 //! * [`metrics`] — p50/p95/p99/p999 latency, throughput, SLO attainment,
 //!   utilization, and energy-per-request built on the `pcnna-core` power
 //!   models.
-//! * [`par`] — thread-parallel replication across seeds / fleet shards
-//!   (an offline stand-in for rayon, which the build container cannot
-//!   fetch).
+//! * [`par`] — the ordered parallel map the design-space sweeps fan out
+//!   on (an offline stand-in for rayon), and the bound that keeps every
+//!   worker pool here within the host's cores.
 //!
 //! The hot loop never re-runs the analytical model: every
 //! (instance, network) pair is collapsed once into a

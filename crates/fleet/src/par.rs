@@ -1,21 +1,22 @@
-//! Thread-parallel replication.
-//!
-//! The container building this workspace cannot fetch rayon, so this
-//! module provides the one parallel primitive the fleet needs — an ordered
-//! parallel map over `std::thread::scope` — and builds seed/shard
-//! replication on top of it. Swapping rayon in later is a local change
-//! (`par_map_slice` ≈ `par_iter().map().collect()`).
+//! Thread-parallel map: the one parallel primitive the crates need, an
+//! ordered map over `std::thread::scope` (the workspace builds offline,
+//! without rayon; `par_map_slice` ≈ `par_iter().map().collect()`), and
+//! the worker-count bound every thread pool here shares.
 
-use crate::engine::{merge, FleetScenario};
-use crate::metrics::FleetReport;
-use crate::telemetry::NullSink;
-use crate::Result;
+/// How many worker threads to start for `items` items when `requested`
+/// were asked for: `min(requested, items, available cores)`, at least
+/// one, so no caller value asks for more threads than the host has cores.
+pub(crate) fn worker_count(requested: usize, items: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    requested.min(items).min(cores).max(1)
+}
 
 /// Ordered parallel map over a slice of `Copy` items: applies `f` to
 /// every item on a pool of `threads` OS threads (capped by the item
-/// count), preserving input order in the output. The caller keeps
-/// ownership of `items`, so an iterated search can refill one warm
-/// buffer per batch instead of building a fresh `Vec` every time.
+/// count and the host's cores), preserving input order in the output.
+/// The caller keeps ownership of `items`, so an iterated search can
+/// refill one warm buffer per batch instead of building a fresh `Vec`
+/// every time.
 pub fn par_map_slice<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Copy + Send,
@@ -23,71 +24,36 @@ where
     F: Fn(T) -> U + Sync,
 {
     let n = items.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n <= 1 {
+    let threads = worker_count(threads, n);
+    if threads <= 1 {
         return items.iter().map(|&item| f(item)).collect();
     }
 
-    let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    {
-        // Static round-robin sharding (no stealing): item i is owned by
-        // worker i % threads. Good enough for seed replication and grid
-        // blocks, where per-item cost is roughly uniform.
-        let mut shards: Vec<Vec<(T, &mut Option<U>)>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, (&item, slot)) in items.iter().zip(slots.iter_mut()).enumerate() {
-            shards[i % threads].push((item, slot));
-        }
-        std::thread::scope(|scope| {
-            for shard in shards {
-                scope.spawn(|| {
-                    for (item, slot) in shard {
-                        *slot = Some(f(item));
-                    }
-                });
-            }
-        });
-    }
-    // The scope joined every worker, each of which filled all its slots
-    // (a worker's panic re-raises when the scope ends).
-    #[allow(clippy::expect_used)]
-    let out = slots
-        .into_iter()
-        .map(|s| s.expect("worker filled every slot"))
-        .collect();
-    out
-}
-
-/// Runs `scenario` once per seed, in parallel, returning the reports in
-/// seed order — rebuilt on the shard infrastructure: each replica runs
-/// the **sharded engine** sequentially
-/// ([`FleetScenario::simulate_sharded`] at one shard worker), so
-/// the replica semantics are exactly the sharded semantics at any shard
-/// count (the `shards = 1` oracle), chaos fault timelines included, and
-/// the worker pool spends its parallelism across replicas — the right
-/// grain for replication, where replicas outnumber cores. Replicas share
-/// the borrowed scenario and override only the seed — no per-replica deep
-/// copy of the classes' layer stacks. Quotes are recomputed per replica
-/// (cheap — identical configs quote once — and this keeps replicas fully
-/// independent).
-///
-/// # Errors
-///
-/// Returns the first replica failure (validation or quoting).
-pub fn simulate_replicated(scenario: &FleetScenario, seeds: &[u64]) -> Result<Vec<FleetReport>> {
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let runs: Vec<Result<FleetReport>> = par_map_slice(seeds, threads, |seed| {
-        let (outcomes, _) = scenario.sharded_outcomes(seed, 1, 1, |_| NullSink)?;
-        Ok(merge::assemble(scenario, &outcomes))
+    // Static round-robin sharding (no stealing): item i is owned by
+    // worker i % threads. Good enough for seed sweeps and grid blocks,
+    // where per-item cost is roughly uniform.
+    let f = &f;
+    let mut dealt: Vec<std::vec::IntoIter<U>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|w| {
+                let mine: Vec<T> = items.iter().skip(w).step_by(threads).copied().collect();
+                scope.spawn(move || mine.into_iter().map(f).collect::<Vec<U>>())
+            })
+            .collect();
+        // a worker's panic re-raises here, as the scope would
+        (workers.into_iter())
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .map(Vec::into_iter)
+            .collect()
     });
-    runs.into_iter().collect()
+    // Worker w returned items w, w + threads, … in order: dealing them
+    // back out restores the input order.
+    (0..n).filter_map(|i| dealt[i % threads].next()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{ArrivalProcess, NetworkClass};
 
     #[test]
     fn par_map_preserves_order() {
@@ -103,23 +69,14 @@ mod tests {
     }
 
     #[test]
-    fn replicas_differ_by_seed_but_are_deterministic() {
-        let scenario = FleetScenario {
-            classes: vec![NetworkClass::lenet5(0.010, 1.0)],
-            arrival: ArrivalProcess::Poisson { rate_rps: 5000.0 },
-            horizon_s: 0.1,
-            ..FleetScenario::default()
-        };
-        let a = simulate_replicated(&scenario, &[1, 2, 3]).unwrap();
-        let b = simulate_replicated(&scenario, &[1, 2, 3]).unwrap();
-        assert_eq!(a.len(), 3);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.offered, y.offered, "same seed must reproduce");
-            assert_eq!(x.latency, y.latency);
-        }
-        assert!(
-            a[0].offered != a[1].offered || a[0].latency != a[1].latency,
-            "different seeds should differ"
-        );
+    fn worker_count_is_bounded_by_items_and_cores() {
+        // A 1 024-cell plan asked for 1 024 shards and threads gets one
+        // worker per core, not 1 024 OS threads; nothing is spawned here.
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let (shards, threads, cells) = (1024, 1024, 1024);
+        assert_eq!(worker_count(shards.min(threads), cells), cores.min(1024));
+        assert_eq!(worker_count(8, 3), 3.min(cores));
+        assert_eq!(worker_count(0, 5), 1);
+        assert_eq!(worker_count(4, 0), 1);
     }
 }

@@ -230,10 +230,15 @@ impl MrrWeightBank {
                 actual: deltas_m.len(),
             });
         }
+        self.perturb_rings(deltas_m);
+        Ok(())
+    }
+
+    /// [`perturb_detunings`](Self::perturb_detunings) for deltas sized to the bank.
+    pub(crate) fn perturb_rings(&mut self, deltas_m: &[f64]) {
         for (ring, &d) in self.rings.iter_mut().zip(deltas_m) {
             ring.perturb(d);
         }
-        Ok(())
     }
 
     /// Shifts every ring's detuning by the same `delta_m` — a uniform

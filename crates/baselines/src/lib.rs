@@ -19,12 +19,8 @@
 
 pub mod eyeriss;
 pub mod model;
-pub mod mzi_mesh;
-pub mod roofline;
 pub mod yodann;
 
 pub use eyeriss::Eyeriss;
 pub use model::AcceleratorModel;
-pub use mzi_mesh::MziMesh;
-pub use roofline::Roofline;
 pub use yodann::YodaNn;

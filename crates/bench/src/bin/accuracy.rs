@@ -12,58 +12,37 @@
 //! The photonic convolution's SNR table (experiment E1) is in
 //! EXPERIMENTS.md "Analog precision".
 
-use pcnna_bench::report::{assert_books, write_artifact};
-use pcnna_core::config::PcnnaConfig;
+use pcnna_bench::report::{assert_books, matrix_spec, write_artifact};
 use pcnna_fleet::prelude::*;
 use pcnna_fleet::scenario::json::{self, Json};
 
-/// The serving mix of the joint-QoS bench: a strict class whose 0.85
-/// top-1 floor sits just below the pristine proxy accuracy (0.89), and
-/// a loose class that tolerates heavy quantization (0.50).
+/// The smoke chaos-matrix leg of `kind` as a joint-QoS scenario: a
+/// strict AlexNet class whose 0.85 top-1 floor sits just below the
+/// pristine proxy accuracy (0.89), and a loose LeNet-5 class that
+/// tolerates heavy quantization (0.50).
 fn qos_scenario(kind: ChaosKind, accuracy_routing: bool, seed: u64) -> FleetScenario {
+    let mut spec = matrix_spec(kind, true, seed);
     // Loosened envelope: degradations the default limits would refuse
     // stay serviceable, so accuracy — not serviceability — is what the
     // chaos attacks.
-    let limits = DegradationLimits {
+    spec.limits = DegradationLimits {
         max_ambient_excursion_k: 1.0,
         min_laser_power_factor: 0.1,
     };
-    let instances = vec![PcnnaConfig::default(); 4];
-    let horizon_s = 0.05;
+    spec.classes[0].min_accuracy = 0.85;
+    spec.classes[1].min_accuracy = 0.5;
+    spec.accuracy_routing = accuracy_routing;
+    let compile = |spec: &ScenarioSpec| spec.compile().expect("the QoS spec is valid").scenario;
+    let mut scenario = compile(&spec);
     // Laser aging emits its deepest decay step at the very end of the
     // generation horizon — compress it into the first half of the run
     // so the fastest diodes serve deep-decay (5-bit) quotes while
     // traffic is still arriving. Heat-wave peaks mid-run already.
-    let chaos_horizon_s = match kind {
-        ChaosKind::LaserAging => horizon_s / 2.0,
-        _ => horizon_s,
-    };
-    FleetScenario {
-        classes: vec![
-            NetworkClass::alexnet(0.004, 1.0).with_min_accuracy(0.85),
-            NetworkClass::lenet5(0.001, 3.0).with_min_accuracy(0.5),
-        ],
-        arrival: ArrivalProcess::Poisson { rate_rps: 45_000.0 },
-        policy: Policy::NetworkAffinity,
-        faults: chaos_timeline(
-            kind,
-            &instances,
-            chaos_horizon_s,
-            &ChaosConfig {
-                limits,
-                recalibration_s: 2e-3,
-                seed,
-            },
-        ),
-        instances,
-        max_batch: 32,
-        queue_capacity: 100_000,
-        horizon_s,
-        seed,
-        limits,
-        accuracy_routing,
-        ..FleetScenario::default()
+    if kind == ChaosKind::LaserAging {
+        spec.horizon_s /= 2.0;
+        scenario.faults = compile(&spec).faults;
     }
+    scenario
 }
 
 /// Runs one leg across the (shards, threads) identity grid plus a

@@ -18,7 +18,7 @@
 //!   LeNet-5, VGG-16 and a small CIFAR network.
 //! * [`workload`] — deterministic synthetic workload generators.
 //! * [`stats`] — MAC/weight/activation accounting per layer and per network.
-//! * [`metrics`] — task-level agreement metrics (argmax, top-k, cosine).
+//! * [`metrics`] — task-level agreement metrics (argmax, channel-argmax agreement).
 //! * [`train`] — a minimal trainable conv-net (the [`reference`](mod@reference)
 //!   kernels, manual backprop + SGD) for measuring task accuracy of analog
 //!   photonic inference, and the compiled accuracy ladder it reproduces.

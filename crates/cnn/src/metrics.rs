@@ -3,8 +3,8 @@
 //! RMSE answers "how far apart are the numbers"; these metrics answer the
 //! question a CNN user actually cares about when the convolutions run on a
 //! noisy analog substrate: *would the network still make the same
-//! decisions?* Used by the functional-inference example and tests to score
-//! photonic feature maps against the reference.
+//! decisions?* Used by the accuracy tests to score photonic feature maps
+//! and logits against the reference.
 
 use crate::tensor::Tensor;
 use crate::{CnnError, Result};
@@ -22,29 +22,6 @@ pub fn argmax(values: &[f32]) -> Option<usize> {
         }
     }
     best.map(|(i, _)| i)
-}
-
-/// Indices of the `k` largest elements, in descending order.
-#[must_use]
-pub fn top_k(values: &[f32], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| values[b].total_cmp(&values[a]));
-    idx.truncate(k);
-    idx
-}
-
-/// Cosine similarity of two equal-length vectors (1 for identical
-/// directions, 0 if either is zero).
-#[must_use]
-pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
-    let dot: f32 = a.iter().zip(b).map(|(&x, &y)| x * y).sum();
-    let na: f32 = a.iter().map(|&x| x * x).sum::<f32>().sqrt();
-    let nb: f32 = b.iter().map(|&y| y * y).sum::<f32>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
 }
 
 /// Per-position channel-argmax agreement between two `(c, h, w)` feature
@@ -75,18 +52,6 @@ pub fn channel_argmax_agreement(a: &Tensor, b: &Tensor) -> Result<f64> {
     Ok(agree as f64 / (h * w) as f64)
 }
 
-/// Top-`k` overlap of two score vectors: `|topk(a) ∩ topk(b)| / k`.
-#[must_use]
-pub fn top_k_overlap(a: &[f32], b: &[f32], k: usize) -> f64 {
-    if k == 0 {
-        return 1.0;
-    }
-    let ta: std::collections::HashSet<usize> = top_k(a, k).into_iter().collect();
-    let tb = top_k(b, k);
-    let common = tb.iter().filter(|i| ta.contains(i)).count();
-    common as f64 / k.min(a.len().max(1)) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,22 +62,6 @@ mod tests {
         assert_eq!(argmax(&[]), None);
         // first of ties
         assert_eq!(argmax(&[5.0, 5.0]), Some(0));
-    }
-
-    #[test]
-    fn top_k_is_descending() {
-        let v = [0.1, 0.9, 0.5, 0.7];
-        assert_eq!(top_k(&v, 3), vec![1, 3, 2]);
-        assert_eq!(top_k(&v, 10).len(), 4);
-        assert!(top_k(&v, 0).is_empty());
-    }
-
-    #[test]
-    fn cosine_similarity_endpoints() {
-        assert!((cosine_similarity(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-6);
-        assert!(cosine_similarity(&[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-6);
-        assert!((cosine_similarity(&[1.0, 1.0], &[-1.0, -1.0]) + 1.0).abs() < 1e-6);
-        assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
     }
 
     #[test]
@@ -136,14 +85,5 @@ mod tests {
         assert!(channel_argmax_agreement(&a, &b).is_err());
         let flat = Tensor::zeros(&[8]);
         assert!(channel_argmax_agreement(&flat, &flat).is_err());
-    }
-
-    #[test]
-    fn top_k_overlap_behaviour() {
-        let a = [0.9f32, 0.8, 0.1, 0.05];
-        let b = [0.85f32, 0.9, 0.02, 0.3];
-        assert_eq!(top_k_overlap(&a, &b, 2), 1.0); // {0,1} both
-        assert!((top_k_overlap(&a, &b, 3) - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(top_k_overlap(&a, &b, 0), 1.0);
     }
 }

@@ -2,9 +2,6 @@
 
 use crate::geometry::ConvGeometry;
 use crate::layer::{ConvLayer, FeatureShape, Layer, PoolLayer};
-use crate::reference;
-use crate::tensor::Tensor;
-use crate::workload::Workload;
 use crate::{CnnError, Result};
 
 /// A feed-forward CNN: an input shape plus an ordered list of layers whose
@@ -166,79 +163,6 @@ impl Network {
             .iter()
             .try_fold(self.input, |shape, layer| layer.output_shape(shape))
     }
-
-    /// Runs the reference forward pass.
-    ///
-    /// Convolution weights are generated deterministically from `seed` per
-    /// conv/fc layer (the paper's experiments are weight-agnostic; see
-    /// `workload`). Returns the activations after every layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `input` does not match the declared input
-    /// shape.
-    pub fn forward_reference(&self, input: &Tensor, seed: u64) -> Result<Vec<Tensor>> {
-        match self.input {
-            FeatureShape::Volume { channels, side } => {
-                if input.shape() != [channels, side, side] {
-                    return Err(CnnError::ShapeMismatch {
-                        expected: format!("[{channels}, {side}, {side}]"),
-                        actual: format!("{:?}", input.shape()),
-                    });
-                }
-            }
-            FeatureShape::Flat { len } => {
-                if input.len() != len {
-                    return Err(CnnError::ShapeMismatch {
-                        expected: format!("flat[{len}]"),
-                        actual: format!("{:?}", input.shape()),
-                    });
-                }
-            }
-        }
-        let mut acts = Vec::with_capacity(self.layers.len());
-        let mut current = input.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let layer_seed = seed
-                .wrapping_add(i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            current = match layer {
-                Layer::Conv(conv) => {
-                    let wl = Workload::gaussian(&conv.geometry, layer_seed);
-                    reference::conv2d_direct(&conv.geometry, &current, &wl.kernels)?
-                }
-                Layer::Pool(p) => match p.kind {
-                    crate::layer::PoolKind::Max => {
-                        reference::maxpool(&current, p.window, p.stride)?
-                    }
-                    crate::layer::PoolKind::Average => {
-                        reference::avgpool(&current, p.window, p.stride)?
-                    }
-                },
-                Layer::Relu => reference::relu(&current),
-                Layer::LocalResponseNorm {
-                    radius,
-                    alpha,
-                    beta,
-                    bias,
-                } => reference::local_response_norm(&current, *radius, *alpha, *beta, *bias)?,
-                Layer::Flatten => {
-                    let len = current.len();
-                    current.reshape(&[len])?
-                }
-                Layer::FullyConnected { outputs, .. } => {
-                    let inputs = current.len();
-                    let g = ConvGeometry::new(1, 1, 0, 1, inputs, *outputs)?;
-                    let wl = Workload::gaussian(&g, layer_seed);
-                    let w = wl.kernels.reshape(&[*outputs, inputs])?;
-                    let flat = current.reshape(&[inputs])?;
-                    reference::fully_connected(&w, &flat)?
-                }
-            };
-            acts.push(current.clone());
-        }
-        Ok(acts)
-    }
 }
 
 #[cfg(test)]
@@ -289,47 +213,5 @@ mod tests {
         let net = small_net();
         let names: Vec<&str> = net.conv_layers().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["c1", "c2"]);
-    }
-
-    #[test]
-    fn forward_reference_produces_declared_shapes() {
-        let net = small_net();
-        let input = Tensor::full(&[1, 8, 8], 0.5);
-        let acts = net.forward_reference(&input, 7).unwrap();
-        assert_eq!(acts.len(), net.layers().len());
-        let trace = net.shape_trace().unwrap();
-        for (act, shape) in acts.iter().zip(trace.iter().skip(1)) {
-            assert_eq!(act.len(), shape.len());
-        }
-    }
-
-    #[test]
-    fn forward_reference_is_deterministic() {
-        let net = small_net();
-        let input = Tensor::full(&[1, 8, 8], 0.25);
-        let a = net.forward_reference(&input, 9).unwrap();
-        let b = net.forward_reference(&input, 9).unwrap();
-        assert_eq!(a.last(), b.last());
-        let c = net.forward_reference(&input, 10).unwrap();
-        assert_ne!(a.last(), c.last());
-    }
-
-    #[test]
-    fn forward_rejects_wrong_input() {
-        let net = small_net();
-        let input = Tensor::zeros(&[3, 8, 8]);
-        assert!(net.forward_reference(&input, 0).is_err());
-    }
-
-    #[test]
-    fn relu_layers_clamp_in_forward() {
-        let net = NetworkBuilder::new("r", 1, 4)
-            .conv("c", ConvGeometry::new(4, 3, 1, 1, 1, 2).unwrap())
-            .relu()
-            .build()
-            .unwrap();
-        let input = Tensor::full(&[1, 4, 4], 1.0);
-        let acts = net.forward_reference(&input, 3).unwrap();
-        assert!(acts[1].as_slice().iter().all(|&v| v >= 0.0));
     }
 }

@@ -38,12 +38,6 @@ impl Quantizer {
         Quantizer { bits, range }
     }
 
-    /// 16-bit quantizer, the paper's storage word width.
-    #[must_use]
-    pub fn int16(range: f32) -> Self {
-        Quantizer::new(16, range)
-    }
-
     /// Bit width.
     #[must_use]
     pub fn bits(&self) -> u8 {
@@ -116,13 +110,6 @@ impl Quantizer {
             _ => self.step() / 2.0,
         }
     }
-
-    /// Signal-to-quantization-noise ratio in dB for a full-scale sine input:
-    /// the classical `6.02·bits + 1.76` dB.
-    #[must_use]
-    pub fn sqnr_db(&self) -> f32 {
-        6.02 * f32::from(self.bits) + 1.76
-    }
 }
 
 /// The code of `value` on a grid of `step` clipped to `±max`: `value/step`
@@ -141,26 +128,13 @@ fn encode_with(value: f32, step: f32, max: f32) -> i32 {
     whole + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)
 }
 
-/// Measures the worst-case and RMS quantization error of `q` over `t`.
-#[must_use]
-pub fn quantization_error(q: &Quantizer, t: &Tensor) -> (f32, f32) {
-    let mut diff = t.clone();
-    for v in diff.as_mut_slice() {
-        *v -= q.quantize(*v);
-    }
-    let max = diff.max_abs();
-    let rms =
-        (diff.as_slice().iter().map(|v| v * v).sum::<f32>() / diff.len().max(1) as f32).sqrt();
-    (max, rms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn step_and_levels_for_int16() {
-        let q = Quantizer::int16(1.0);
+        let q = Quantizer::new(16, 1.0);
         assert_eq!(q.bits(), 16);
         assert_eq!(q.max_level(), 32767);
         assert!((q.step() - 1.0 / 32767.0).abs() < 1e-12);
@@ -209,15 +183,6 @@ mod tests {
                 q.max_error()
             );
         }
-    }
-
-    #[test]
-    fn tensor_quantization_error_metrics() {
-        let q = Quantizer::new(8, 1.0);
-        let t = Tensor::from_vec(&[4], vec![0.1, -0.2, 0.3, -0.4]).unwrap();
-        let (max, rms) = quantization_error(&q, &t);
-        assert!(max <= q.max_error() + 1e-7);
-        assert!(rms <= max);
     }
 
     #[test]
@@ -281,13 +246,6 @@ mod tests {
             let got: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "{bits} bits");
         }
-    }
-
-    #[test]
-    fn sqnr_tracks_bits() {
-        let q8 = Quantizer::new(8, 1.0);
-        let q16 = Quantizer::new(16, 1.0);
-        assert!(q16.sqnr_db() > q8.sqnr_db() + 45.0);
     }
 
     #[test]

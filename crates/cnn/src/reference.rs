@@ -404,49 +404,6 @@ fn pool(input: &Tensor, window: usize, stride: usize, take_max: bool) -> Result<
     Ok(out)
 }
 
-/// AlexNet-style local response normalisation across channels.
-///
-/// `out[c] = in[c] / (bias + alpha/size * sum_{c'} in[c']^2)^beta` where the
-/// sum runs over the `2·radius + 1` channels centred on `c` (clamped).
-///
-/// # Errors
-///
-/// Returns [`CnnError::ShapeMismatch`] for non-3-D input.
-pub fn local_response_norm(
-    input: &Tensor,
-    radius: usize,
-    alpha: f32,
-    beta: f32,
-    bias: f32,
-) -> Result<Tensor> {
-    let shape = input.shape();
-    if shape.len() != 3 {
-        return Err(CnnError::ShapeMismatch {
-            expected: "(c, h, w) volume".to_owned(),
-            actual: format!("{shape:?}"),
-        });
-    }
-    let (nc, h, w) = (shape[0], shape[1], shape[2]);
-    let size = (2 * radius + 1) as f32;
-    let mut out = Tensor::zeros(shape);
-    for c in 0..nc {
-        let lo = c.saturating_sub(radius);
-        let hi = (c + radius).min(nc - 1);
-        for y in 0..h {
-            for x in 0..w {
-                let mut ss = 0.0f32;
-                for cc in lo..=hi {
-                    let v = input.at3(cc, y, x);
-                    ss += v * v;
-                }
-                let denom = (bias + alpha / size * ss).powf(beta);
-                *out.at3_mut(c, y, x) = input.at3(c, y, x) / denom;
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Fully connected layer: `out = W · x` with `W` of shape
 /// `(outputs, inputs)` and `x` flat of length `inputs`.
 ///
@@ -624,21 +581,6 @@ mod tests {
         assert!(maxpool(&input, 3, 1).is_err());
         assert!(maxpool(&input, 0, 1).is_err());
         assert!(maxpool(&Tensor::zeros(&[4]), 1, 1).is_err());
-    }
-
-    #[test]
-    fn lrn_unit_input_is_scaled_down() {
-        let input = Tensor::full(&[5, 2, 2], 1.0);
-        let out = local_response_norm(&input, 2, 1e-4, 0.75, 2.0).unwrap();
-        // denominator > 1 for positive alpha/bias, so outputs shrink
-        assert!(out.as_slice().iter().all(|&v| v < 1.0 && v > 0.0));
-    }
-
-    #[test]
-    fn lrn_zero_alpha_divides_by_bias_pow_beta() {
-        let input = Tensor::full(&[3, 1, 1], 4.0);
-        let out = local_response_norm(&input, 1, 0.0, 1.0, 2.0).unwrap();
-        assert!(out.as_slice().iter().all(|&v| (v - 2.0).abs() < 1e-6));
     }
 
     #[test]

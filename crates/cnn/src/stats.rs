@@ -74,12 +74,6 @@ impl NetworkStats {
             self.conv_macs() as f64 / total as f64
         }
     }
-
-    /// Total weight parameters.
-    #[must_use]
-    pub fn total_weights(&self) -> u64 {
-        self.layers.iter().map(|l| l.weights).sum()
-    }
 }
 
 /// Computes statistics for every layer of a network.
@@ -185,7 +179,8 @@ mod tests {
             .filter(|l| l.kind == "fc")
             .map(|l| l.weights)
             .sum();
-        assert!(fc_weights > stats.total_weights() / 2);
+        let total: u64 = stats.layers.iter().map(|l| l.weights).sum();
+        assert!(fc_weights > total / 2);
     }
 
     #[test]

@@ -283,25 +283,6 @@ impl Tensor {
                 .zip(&other.data)
                 .all(|(&a, &b)| (a - b).abs() <= tol)
     }
-
-    /// Reshapes the tensor without copying.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CnnError::ShapeMismatch`] if the element count differs.
-    pub fn reshape(self, shape: &[usize]) -> Result<Tensor> {
-        let expected: usize = shape.iter().product();
-        if expected != self.data.len() {
-            return Err(CnnError::ShapeMismatch {
-                expected: format!("{} elements for shape {shape:?}", self.data.len()),
-                actual: format!("{expected} elements"),
-            });
-        }
-        Ok(Tensor {
-            shape: shape.to_vec(),
-            data: self.data,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -412,15 +393,6 @@ mod tests {
         assert!(!a.approx_eq(&b, 1e-5));
         let c = Tensor::full(&[3], 1.0);
         assert!(!a.approx_eq(&c, 1.0));
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(&[2, 3], (0..6).map(|v| v as f32).collect()).unwrap();
-        let r = t.clone().reshape(&[3, 2]).unwrap();
-        assert_eq!(r.shape(), &[3, 2]);
-        assert_eq!(r.as_slice(), t.as_slice());
-        assert!(t.reshape(&[4, 2]).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! cross-entropy, manual backprop, and SGD, trained on a synthetic
 //! two-class orientation task. The functional simulator then swaps the
 //! conv layer's output for the photonic one and re-measures accuracy
-//! (`examples/trained_inference.rs`).
+//! (`tests/trained_accuracy.rs`).
 
 use crate::geometry::ConvGeometry;
 use crate::quantize::Quantizer;

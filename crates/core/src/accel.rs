@@ -54,12 +54,6 @@ pub struct NetworkLayerRow {
 }
 
 impl NetworkReport {
-    /// Total PCNNA(O) time across layers.
-    #[must_use]
-    pub fn total_optical(&self) -> SimTime {
-        self.layers.iter().map(|l| l.timing.optical_time).sum()
-    }
-
     /// Total PCNNA(O+E) time across layers.
     #[must_use]
     pub fn total_full_system(&self) -> SimTime {
@@ -197,9 +191,10 @@ mod tests {
         // optical total: (3025 + 729 + 3·169) locations × 200 ps
         let locs: u64 = report.layers.iter().map(|l| l.locations).sum();
         assert_eq!(locs, 3025 + 729 + 169 * 3);
-        assert_eq!(report.total_optical(), SimTime::from_ps(locs * 200));
+        let optical: SimTime = report.layers.iter().map(|l| l.timing.optical_time).sum();
+        assert_eq!(optical, SimTime::from_ps(locs * 200));
         // full-system total is microseconds: electronics dominate
-        assert!(report.total_full_system() > report.total_optical());
+        assert!(report.total_full_system() > optical);
     }
 
     #[test]

@@ -237,18 +237,6 @@ impl AnalyticalModel {
             ring_area_mm2: area.rings_area_mm2(alloc.rings),
         })
     }
-
-    /// Analyses a list of named conv layers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-layer failure.
-    pub fn network_timing(&self, layers: &[(&str, ConvGeometry)]) -> Result<Vec<LayerTiming>> {
-        layers
-            .iter()
-            .map(|(name, g)| self.layer_timing(name, g))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -397,15 +385,5 @@ mod tests {
         for (name, g) in zoo::alexnet_conv_layers() {
             assert!(m.layer_timing(name, &g).is_ok());
         }
-    }
-
-    #[test]
-    fn network_timing_returns_all_layers() {
-        let m = model();
-        let rows = m.network_timing(&zoo::alexnet_conv_layers()).unwrap();
-        assert_eq!(rows.len(), 5);
-        // total full-system time across conv layers is microseconds-scale
-        let total: SimTime = rows.iter().map(|r| r.full_system_time).sum();
-        assert!(total.as_us_f64() > 10.0 && total.as_us_f64() < 1000.0);
     }
 }

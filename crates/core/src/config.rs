@@ -2,7 +2,7 @@
 //!
 //! [`PcnnaConfig::default`] is the paper's design point, assembled from the
 //! numbers in §IV and §V-B. Every knob is public so the design-space
-//! examples can sweep them.
+//! explorer can sweep them.
 
 use crate::{CoreError, Result};
 use pcnna_electronics::adc::AdcModel;
@@ -201,20 +201,6 @@ impl PcnnaConfig {
         self
     }
 
-    /// Returns a copy with a different input-DAC model (rate/bits/power).
-    #[must_use]
-    pub fn with_input_dac(mut self, dac: DacModel) -> Self {
-        self.input_dac = dac;
-        self
-    }
-
-    /// Returns a copy with a different weight-DAC count.
-    #[must_use]
-    pub fn with_weight_dacs(mut self, n: usize) -> Self {
-        self.n_weight_dacs = n;
-        self
-    }
-
     /// Returns a copy with a different output-ADC count.
     #[must_use]
     pub fn with_adcs(mut self, n: usize) -> Self {
@@ -226,27 +212,6 @@ impl PcnnaConfig {
     #[must_use]
     pub fn with_adc(mut self, adc: AdcModel) -> Self {
         self.adc = adc;
-        self
-    }
-
-    /// Returns a copy with a different input SRAM model.
-    #[must_use]
-    pub fn with_sram(mut self, sram: SramModel) -> Self {
-        self.sram = sram;
-        self
-    }
-
-    /// Returns a copy with a different off-chip DRAM model.
-    #[must_use]
-    pub fn with_dram(mut self, dram: DramModel) -> Self {
-        self.dram = dram;
-        self
-    }
-
-    /// Returns a copy with a different microring pitch (metres).
-    #[must_use]
-    pub fn with_ring_pitch(mut self, pitch_m: f64) -> Self {
-        self.ring_pitch_m = pitch_m;
         self
     }
 
@@ -262,13 +227,6 @@ impl PcnnaConfig {
     #[must_use]
     pub fn with_weight_load_charged(mut self, charge: bool) -> Self {
         self.include_weight_load = charge;
-        self
-    }
-
-    /// Returns a copy with a different stored-value width, bytes.
-    #[must_use]
-    pub fn with_bytes_per_value(mut self, bytes: u64) -> Self {
-        self.bytes_per_value = bytes;
         self
     }
 }
@@ -328,40 +286,24 @@ mod tests {
 
     #[test]
     fn builders_cover_every_dse_knob() {
-        // The design-space explorer mutates configs exclusively through
-        // `with_*` builders — each must land on the right field and leave
-        // the rest of the paper design point untouched.
+        // Each `with_*` builder must land on its own field and leave the
+        // rest of the paper design point untouched.
         let adc = AdcModel {
             bits: 6,
             ..AdcModel::default()
         };
-        let dac = DacModel {
-            rate_sps: 12e9,
-            ..DacModel::default()
-        };
         let c = PcnnaConfig::default()
             .with_adcs(64)
             .with_adc(adc)
-            .with_input_dac(dac)
-            .with_weight_dacs(4)
-            .with_ring_pitch(20e-6)
-            .with_weight_load_charged(true)
-            .with_bytes_per_value(4);
+            .with_weight_load_charged(true);
         assert_eq!(c.n_adcs, 64);
         assert_eq!(c.adc.bits, 6);
-        assert_eq!(c.input_dac.rate_sps, 12e9);
-        assert_eq!(c.n_weight_dacs, 4);
-        assert_eq!(c.ring_pitch_m, 20e-6);
         assert!(c.include_weight_load);
-        assert_eq!(c.bytes_per_value, 4);
         // untouched fields keep the paper design point
         assert_eq!(c.n_input_dacs, 10);
         assert_eq!(c.fast_clock.frequency_hz(), 5e9);
         assert!(c.validate().is_ok());
-        let c = PcnnaConfig::default()
-            .with_sram(SramModel::default())
-            .with_dram(DramModel::default())
-            .with_link(LinkConfig::default());
+        let c = PcnnaConfig::default().with_link(LinkConfig::default());
         assert_eq!(c, PcnnaConfig::default());
     }
 }

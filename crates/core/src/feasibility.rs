@@ -68,13 +68,6 @@ impl SpectralBudget {
         self
     }
 
-    /// Returns a copy with a different waveguide group index.
-    #[must_use]
-    pub fn with_group_index(mut self, n_g: f64) -> Self {
-        self.group_index = n_g;
-        self
-    }
-
     /// Channels that fit the conventional C band at this spacing.
     #[must_use]
     pub fn c_band_channels(&self) -> u64 {
@@ -326,11 +319,9 @@ mod tests {
     fn budget_builders_land_on_the_right_fields() {
         let b = SpectralBudget::default()
             .with_channel_spacing_hz(25e9)
-            .with_ring_radius_m(7.5e-6)
-            .with_group_index(4.0);
+            .with_ring_radius_m(7.5e-6);
         assert_eq!(b.channel_spacing_hz, 25e9);
         assert_eq!(b.ring_radius_m, 7.5e-6);
-        assert_eq!(b.group_index, 4.0);
         // tighter spacing buys more carriers than the default 50 GHz
         assert!(b.usable_channels() > SpectralBudget::default().usable_channels());
     }

@@ -93,12 +93,6 @@ impl ServiceQuote {
         self.weight_load + self.per_frame.saturating_mul(batch)
     }
 
-    /// Energy to serve a batch of `batch` frames, joules.
-    #[must_use]
-    pub fn batch_energy_j(&self, batch: u64) -> f64 {
-        self.weight_load_energy_j + batch as f64 * self.per_frame_energy_j
-    }
-
     /// Steady-state frames/second at a given batch size.
     #[must_use]
     pub fn throughput_fps(&self, batch: u64) -> f64 {
@@ -392,10 +386,6 @@ mod tests {
         let q = nominal(&zoo::alexnet_conv_layers());
         assert!(q.throughput_fps(64) > q.throughput_fps(1));
         assert!(q.throughput_fps(1024) > q.throughput_fps(64));
-        // energy per frame also amortizes
-        let e1 = q.batch_energy_j(1);
-        let e64 = q.batch_energy_j(64) / 64.0;
-        assert!(e64 < e1);
     }
 
     #[test]
@@ -615,7 +605,8 @@ mod tests {
         let q = nominal(&[]);
         assert_eq!(q.weight_load, SimTime::ZERO);
         assert_eq!(q.per_frame, SimTime::ZERO);
-        assert_eq!(q.batch_energy_j(10), 0.0);
+        assert_eq!(q.weight_load_energy_j, 0.0);
+        assert_eq!(q.per_frame_energy_j, 0.0);
     }
 
     #[test]

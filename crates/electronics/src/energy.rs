@@ -40,18 +40,6 @@ impl EnergyLedger {
         }
     }
 
-    /// Energy efficiency for a given operation count, ops/J (0 if no
-    /// energy was spent).
-    #[must_use]
-    pub fn ops_per_joule(&self, ops: u64) -> f64 {
-        let total = self.total_j();
-        if total <= 0.0 {
-            0.0
-        } else {
-            ops as f64 / total
-        }
-    }
-
     /// The dominant item as `(name, joules)`.
     #[must_use]
     pub fn dominant(&self) -> (&'static str, f64) {
@@ -103,15 +91,5 @@ mod tests {
         };
         let c = a.combined(&b);
         assert!((c.total_j() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ops_per_joule() {
-        let e = EnergyLedger {
-            dac_j: 0.5,
-            ..Default::default()
-        };
-        assert!((e.ops_per_joule(1_000_000) - 2e6).abs() < 1e-6);
-        assert_eq!(EnergyLedger::default().ops_per_joule(100), 0.0);
     }
 }

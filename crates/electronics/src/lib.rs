@@ -12,7 +12,6 @@
 //! * [`adc`] — the 2.8 GSa/s ADC of ref. \[17\].
 //! * [`sram`] — the 7 ns, 128 kb SRAM cache of ref. \[15\].
 //! * [`dram`] — off-chip DRAM bandwidth/latency and traffic accounting.
-//! * [`buffer`] — FIFO buffers isolating the clock domains.
 //! * [`energy`] — electrical energy bookkeeping.
 
 #![forbid(unsafe_code)]
@@ -23,7 +22,6 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod adc;
-pub mod buffer;
 pub mod clock;
 pub mod dac;
 pub mod dram;
@@ -47,11 +45,6 @@ pub enum ElectronicError {
         /// Description of the violated constraint.
         reason: String,
     },
-    /// A buffer operation could not complete (overflow/underflow).
-    BufferViolation {
-        /// What went wrong.
-        reason: String,
-    },
     /// A capacity was exceeded (SRAM/DRAM sizing).
     CapacityExceeded {
         /// Requested amount.
@@ -68,9 +61,6 @@ impl core::fmt::Display for ElectronicError {
         match self {
             ElectronicError::InvalidParameter { reason } => {
                 write!(f, "invalid electronic parameter: {reason}")
-            }
-            ElectronicError::BufferViolation { reason } => {
-                write!(f, "buffer violation: {reason}")
             }
             ElectronicError::CapacityExceeded {
                 requested,

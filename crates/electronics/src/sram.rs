@@ -65,12 +65,6 @@ impl SramModel {
         self.capacity_bits / u64::from(self.word_bits)
     }
 
-    /// Time to stream `n` words through one port.
-    #[must_use]
-    pub fn access_time_for(&self, n: u64) -> SimTime {
-        self.access_time.saturating_mul(n)
-    }
-
     /// Whether a working set of `n` words fits.
     #[must_use]
     pub fn fits(&self, n: u64) -> bool {
@@ -216,14 +210,6 @@ mod tests {
         assert_eq!(m.capacity_words(), 8192);
         assert!(m.fits(8000));
         assert!(!m.fits(9000));
-    }
-
-    #[test]
-    fn access_timing() {
-        let m = SramModel::default();
-        assert_eq!(m.access_time_for(1), SimTime::from_ns(7));
-        assert_eq!(m.access_time_for(10), SimTime::from_ns(70));
-        assert_eq!(m.access_time_for(0), SimTime::ZERO);
     }
 
     #[test]

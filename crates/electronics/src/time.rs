@@ -33,12 +33,6 @@ impl SimTime {
         SimTime(us * 1_000_000)
     }
 
-    /// Creates a time from milliseconds.
-    #[must_use]
-    pub const fn from_ms(ms: u64) -> Self {
-        SimTime(ms * 1_000_000_000)
-    }
-
     /// Creates a time from (non-negative, finite) seconds, rounding to the
     /// nearest picosecond. Negative or non-finite inputs saturate to zero.
     #[must_use]
@@ -159,7 +153,6 @@ mod tests {
     fn constructors_agree() {
         assert_eq!(SimTime::from_ns(7), SimTime::from_ps(7_000));
         assert_eq!(SimTime::from_us(1), SimTime::from_ps(1_000_000));
-        assert_eq!(SimTime::from_ms(1), SimTime::from_ns(1_000_000));
     }
 
     #[test]
@@ -207,7 +200,7 @@ mod tests {
         assert_eq!(SimTime::from_ps(745).to_string(), "745 ps");
         assert_eq!(SimTime::from_ns(7).to_string(), "7.00 ns");
         assert_eq!(SimTime::from_us(12).to_string(), "12.00 us");
-        assert_eq!(SimTime::from_ms(3).to_string(), "3.00 ms");
+        assert_eq!(SimTime::from_us(3_000).to_string(), "3.00 ms");
         assert_eq!(SimTime::from_secs_f64(2.5).to_string(), "2.50 s");
     }
 

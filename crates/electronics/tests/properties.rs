@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 
 use pcnna_electronics::adc::{AdcArray, AdcModel};
-use pcnna_electronics::buffer::FifoBuffer;
 use pcnna_electronics::clock::ClockDomain;
 use pcnna_electronics::dac::{DacArray, DacModel};
 use pcnna_electronics::dram::DramModel;
@@ -66,23 +65,6 @@ proptest! {
     fn dram_streaming_beats_bursting(bytes in 1u64..1_000_000) {
         let d = DramModel::default();
         prop_assert!(d.streaming_time(bytes) <= d.transfer_time(bytes));
-    }
-
-    #[test]
-    fn fifo_occupancy_bounded(ops in prop::collection::vec((any::<bool>(), 1usize..16), 1..200)) {
-        let mut fifo = FifoBuffer::new(32).unwrap();
-        for (push, n) in ops {
-            if push {
-                fifo.push(n);
-            } else {
-                fifo.pop(n);
-            }
-            prop_assert!(fifo.occupancy() <= fifo.capacity());
-        }
-        let stats = fifo.stats();
-        // conservation: pops never exceed pushes
-        prop_assert!(stats.pops <= stats.pushes);
-        prop_assert_eq!(stats.pushes - stats.pops, fifo.occupancy() as u64);
     }
 
     #[test]

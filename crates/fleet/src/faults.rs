@@ -275,21 +275,6 @@ impl ChaosKind {
     pub fn from_name(name: &str) -> Option<ChaosKind> {
         ChaosKind::ALL.iter().copied().find(|k| k.name() == name)
     }
-
-    /// One-line description for reports.
-    #[must_use]
-    pub fn describe(self) -> &'static str {
-        match self {
-            ChaosKind::HeatWave => "ambient excursion past the drift budget → recalibration storm",
-            ChaosKind::LaserAging => "exponential laser decay → rising energy, SNR-floor dropouts",
-            ChaosKind::ChannelLossBurst => {
-                "DAC/ADC channels die in bursts → degraded quotes + hard failover"
-            }
-            ChaosKind::RollingRecalibration => {
-                "staggered maintenance recalibrations → rolling capacity dips"
-            }
-        }
-    }
 }
 
 /// Knobs shared by every chaos generator.
@@ -664,7 +649,6 @@ mod tests {
     fn chaos_names_round_trip() {
         for kind in ChaosKind::ALL {
             assert_eq!(ChaosKind::from_name(kind.name()), Some(kind));
-            assert!(!kind.describe().is_empty());
         }
         assert_eq!(ChaosKind::from_name("no-such-scenario"), None);
     }

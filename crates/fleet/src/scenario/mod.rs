@@ -217,13 +217,6 @@ impl PolicySpec {
         ]
     }
 
-    /// The defaults for a named policy kind, or `None` for an unknown
-    /// name.
-    #[must_use]
-    pub fn from_kind(kind: &str) -> Option<PolicySpec> {
-        PolicySpec::kinds().into_iter().find(|p| p.kind() == kind)
-    }
-
     /// The policy's stable kind name.
     #[must_use]
     pub fn kind(&self) -> &'static str {
@@ -987,12 +980,9 @@ mod tests {
         assert_eq!(back, spec);
         let policy = back.control.as_ref().unwrap().policy.build();
         assert_eq!(policy.name(), "reactive");
-        for kind in ["hold", "reactive", "predictive"] {
-            let p = PolicySpec::from_kind(kind).unwrap();
-            assert_eq!(p.kind(), kind);
-            assert_eq!(p.build().name(), kind);
+        for p in PolicySpec::kinds() {
+            assert_eq!(p.build().name(), p.kind());
         }
-        assert!(PolicySpec::from_kind("nope").is_none());
     }
 
     #[test]
@@ -1087,7 +1077,7 @@ mod tests {
         // drop them, so the file would not round-trip)
         let mut spec = demo_spec();
         spec.control = Some(ControlSpec {
-            policy: PolicySpec::from_kind("reactive").unwrap(),
+            policy: PolicySpec::Reactive(ReactivePolicy::new()),
             config: ControlConfig::default(),
         });
         let smuggled = spec.render().replace(
@@ -1134,7 +1124,7 @@ mod tests {
             dwell_high_s: 0.005,
         };
         spec.control = Some(ControlSpec {
-            policy: PolicySpec::from_kind("reactive").unwrap(),
+            policy: PolicySpec::Reactive(ReactivePolicy::new()),
             config: ControlConfig::default(),
         });
         if !chaos {

@@ -595,10 +595,13 @@ impl WindowSample {
 /// Fixed-capacity ring of [`WindowSample`]s. Once full, pushing evicts
 /// the oldest sample and counts it in [`TimeSeries::dropped`], so a
 /// long run keeps the most recent `capacity` windows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     capacity: usize,
-    dropped: u64,
+    pushed: u64,
+    /// The retained samples behind up to `capacity` evicted ones, which
+    /// [`push`](Self::push) discards in one shift when the buffer
+    /// reaches twice the capacity — amortized O(1) per push.
     samples: Vec<WindowSample>,
 }
 
@@ -608,30 +611,30 @@ impl TimeSeries {
     pub fn new(capacity: usize) -> TimeSeries {
         TimeSeries {
             capacity: capacity.max(1),
-            dropped: 0,
+            pushed: 0,
             samples: Vec::new(),
         }
     }
 
     /// Appends a sample, evicting the oldest if the ring is full.
     pub fn push(&mut self, sample: WindowSample) {
-        if self.samples.len() == self.capacity {
-            self.samples.remove(0);
-            self.dropped += 1;
+        if self.samples.len() == 2 * self.capacity {
+            self.samples.drain(..self.capacity);
         }
         self.samples.push(sample);
+        self.pushed += 1;
     }
 
     /// The retained samples, oldest first.
     #[must_use]
     pub fn samples(&self) -> &[WindowSample] {
-        &self.samples
+        &self.samples[self.samples.len().saturating_sub(self.capacity)..]
     }
 
     /// Samples evicted because the ring was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.pushed - self.samples().len() as u64
     }
 
     /// Renders the timeline as JSONL, one `window` line per retained
@@ -639,11 +642,19 @@ impl TimeSeries {
     #[must_use]
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
-        for s in &self.samples {
+        for s in self.samples() {
             out.push_str(&s.to_json().render());
             out.push('\n');
         }
         out
+    }
+}
+
+impl PartialEq for TimeSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.dropped() == other.dropped()
+            && self.samples() == other.samples()
     }
 }
 
@@ -734,10 +745,8 @@ mod tests {
         assert_eq!(jsonl.lines().count(), 3, "profile line + 2 events");
     }
 
-    #[test]
-    fn time_series_ring_evicts_oldest() {
-        let mut ts = TimeSeries::new(2);
-        let sample = |i: u64| WindowSample {
+    fn window(i: u64) -> WindowSample {
+        WindowSample {
             index: i,
             t_s: i as f64,
             queue_depth: 0,
@@ -754,14 +763,27 @@ mod tests {
             classes_closed: 0,
             classes_quota: 0,
             shed_classes: 0,
-        };
-        ts.push(sample(0));
-        ts.push(sample(1));
-        ts.push(sample(2));
-        assert_eq!(ts.dropped(), 1);
-        let kept: Vec<u64> = ts.samples().iter().map(|s| s.index).collect();
-        assert_eq!(kept, [1, 2]);
+        }
+    }
+
+    #[test]
+    fn time_series_ring_evicts_oldest() {
+        let capacity = 2u64;
+        let mut ts = TimeSeries::new(capacity as usize);
+        for n in 1..=3 * capacity {
+            ts.push(window(n - 1));
+            let first = n.saturating_sub(capacity);
+            let kept: Vec<u64> = ts.samples().iter().map(|s| s.index).collect();
+            assert_eq!(kept, (first..n).collect::<Vec<u64>>(), "after {n} pushes");
+            assert_eq!(ts.dropped(), first);
+        }
         assert_eq!(ts.render_jsonl().lines().count(), 2);
+        // equality sees the retained window, not the evicted samples
+        let mut twin = TimeSeries::new(capacity as usize);
+        for i in 0..3 * capacity {
+            twin.push(window(if i < 2 * capacity { 99 } else { i }));
+        }
+        assert_eq!(twin, ts);
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl HealthState {
         }
     }
 
-    /// Whether this snapshot is exactly nominal.
-    #[must_use]
-    pub fn is_nominal(&self) -> bool {
-        *self == HealthState::nominal()
-    }
-
     /// The state after a thermal recalibration: rings re-lock at the
     /// current ambient (drift resets to zero), but aged lasers and dead
     /// converter channels are hardware — recalibration cannot bring
@@ -346,17 +340,6 @@ impl DegradationTimeline {
         &self.events
     }
 
-    /// The health in force at time `t` (nominal before the first
-    /// snapshot).
-    #[must_use]
-    pub fn state_at(&self, t: f64) -> HealthState {
-        self.events
-            .iter()
-            .take_while(|(et, _)| *et <= t)
-            .last()
-            .map_or_else(HealthState::nominal, |&(_, s)| s)
-    }
-
     /// Whether the timeline holds no snapshots at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -383,7 +366,6 @@ mod tests {
     #[test]
     fn health_validation_and_nominal() {
         assert!(HealthState::nominal().validate().is_ok());
-        assert!(HealthState::nominal().is_nominal());
         assert!(HealthState {
             ambient_delta_k: f64::NAN,
             ..HealthState::nominal()
@@ -525,18 +507,12 @@ mod tests {
             output_channels: 1,
         };
         let t = DegradationTimeline::generate(&[burst(0.1), burst(0.5)], 1.0, 3);
-        assert_eq!(t.state_at(0.05), HealthState::nominal());
-        assert_eq!(t.state_at(0.2).dead_input_channels, 2);
-        assert_eq!(t.state_at(0.9).dead_input_channels, 4);
-        assert_eq!(t.state_at(0.9).dead_output_channels, 2);
-    }
-
-    #[test]
-    fn state_at_is_piecewise_constant_from_the_left() {
-        let t = DegradationTimeline::generate(&[heat_wave()], 2.0, 11);
-        let (first_t, first_s) = t.events()[0];
-        assert_eq!(t.state_at(first_t), first_s);
-        assert!(t.state_at(first_t - 1e-9).is_nominal());
+        let snapshots: Vec<(f64, usize, usize)> = t
+            .events()
+            .iter()
+            .map(|(at, s)| (*at, s.dead_input_channels, s.dead_output_channels))
+            .collect();
+        assert_eq!(snapshots, [(0.1, 2, 1), (0.5, 4, 2)]);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //!   [`DegradationTimeline`]s for resilience studies.
 //! * [`waveguide`] — propagation/splitter losses and link power budgets.
 //! * [`link`] — the end-to-end broadcast-and-weight MAC datapath.
-//! * [`spectrum`] — transmission-spectrum scans (lab-style diagnostics).
 //! * [`noise`] — SNR/ENOB aggregation helpers.
 //! * [`power`] — electrical/optical power accounting.
 //!
@@ -56,7 +55,6 @@ pub mod modulator;
 pub mod noise;
 pub mod photodiode;
 pub mod power;
-pub mod spectrum;
 pub mod thermal;
 pub mod waveguide;
 pub mod wavelength;

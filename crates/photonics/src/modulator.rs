@@ -99,12 +99,6 @@ impl Mzm {
         }
         self.transmission(v)
     }
-
-    /// Whether this modulator can keep up with a given symbol clock.
-    #[must_use]
-    pub fn supports_clock(&self, clock_hz: f64) -> bool {
-        self.bandwidth_hz >= clock_hz
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +202,7 @@ mod tests {
     fn bandwidth_check_matches_paper_claim() {
         // §V-B: MZMs are "usually faster than the 5GHz clock".
         let m = Mzm::default();
-        assert!(m.supports_clock(5e9));
-        assert!(!m.supports_clock(50e9));
+        assert!(m.bandwidth_hz >= 5e9);
+        assert!(m.bandwidth_hz < 50e9);
     }
 }

@@ -120,12 +120,6 @@ impl NoiseBudget {
     }
 }
 
-/// Converts a linear SNR to ENOB.
-#[must_use]
-pub fn snr_to_enob(snr_linear: f64) -> f64 {
-    (10.0 * snr_linear.log10() - 1.76) / 6.02
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,14 +153,6 @@ mod tests {
             .with("thermal", 3e-6)
             .with("rin", 2e-6);
         assert_eq!(b.dominant().unwrap().0, "thermal");
-    }
-
-    #[test]
-    fn enob_matches_classic_formula() {
-        // SNR of 98.08 dB ↔ 16 bits
-        let snr_linear = 10f64.powf(98.08 / 10.0);
-        let enob = snr_to_enob(snr_linear);
-        assert!((enob - 16.0).abs() < 0.01, "enob {enob}");
     }
 
     #[test]

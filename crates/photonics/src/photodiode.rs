@@ -84,14 +84,6 @@ impl Photodiode {
     pub fn thermal_noise_variance(&self, bw_hz: f64) -> f64 {
         4.0 * BOLTZMANN * self.temperature_k * bw_hz / self.load_ohms
     }
-
-    /// Samples a noisy photocurrent for incident power `power_w` over
-    /// detection bandwidth `bw_hz`.
-    pub fn sample_current_a(&self, power_w: f64, bw_hz: f64, rng: &mut impl Rng) -> f64 {
-        let mean = self.photocurrent_a(power_w);
-        let var = self.shot_noise_variance(mean, bw_hz) + self.thermal_noise_variance(bw_hz);
-        mean + var.sqrt() * gaussian(rng)
-    }
 }
 
 /// A balanced photodiode pair: output = I(+) − I(−).
@@ -148,8 +140,6 @@ fn gaussian(rng: &mut impl Rng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn validation() {
@@ -192,19 +182,6 @@ mod tests {
         let var = pd.thermal_noise_variance(5e9);
         let expect = 4.0 * BOLTZMANN * 300.0 * 5e9 / 50.0;
         assert!((var - expect).abs() / expect < 1e-12);
-    }
-
-    #[test]
-    fn sampled_current_mean_is_unbiased() {
-        let pd = Photodiode::default();
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 20_000;
-        let mean: f64 = (0..n)
-            .map(|_| pd.sample_current_a(1e-3, 5e9, &mut rng))
-            .sum::<f64>()
-            / n as f64;
-        let expect = pd.photocurrent_a(1e-3);
-        assert!((mean - expect).abs() / expect < 0.02);
     }
 
     #[test]

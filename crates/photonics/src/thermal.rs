@@ -106,15 +106,6 @@ impl ThermalModel {
             .fold(0.0, f64::max)
     }
 
-    /// The maximum absolute effective-weight error an ambient excursion
-    /// of `delta_k` kelvin would cause on `bank`, without mutating it —
-    /// the probe the degradation models use to map a temperature story
-    /// onto weight corruption.
-    #[must_use]
-    pub fn ambient_weight_error(&self, bank: &MrrWeightBank, delta_k: f64) -> f64 {
-        self.apply_ambient(&mut bank.clone(), delta_k)
-    }
-
     /// The largest ambient excursion (kelvin) a bank tolerates before any
     /// weight drifts by more than `tolerance`, found by bisection on a
     /// cloned bank.
@@ -224,19 +215,6 @@ mod tests {
         let (mut bank, _) = calibrated_bank(5);
         let err = tm.apply_ambient(&mut bank, 1.0);
         assert!(err > 0.3, "1 K drift only cost {err}?");
-    }
-
-    #[test]
-    fn ambient_weight_error_probe_is_non_mutating() {
-        let tm = ThermalModel::default();
-        let (bank, _) = calibrated_bank(5);
-        let before = bank.effective_weights();
-        let err = tm.ambient_weight_error(&bank, 0.5);
-        assert!(err > 0.0);
-        assert_eq!(bank.effective_weights(), before, "probe must not mutate");
-        // agrees with the mutating path
-        let mut mutated = bank.clone();
-        assert_eq!(err, tm.apply_ambient(&mut mutated, 0.5));
     }
 
     #[test]

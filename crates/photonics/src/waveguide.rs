@@ -118,18 +118,6 @@ impl LinkBudget {
     }
 }
 
-/// Converts watts to dBm.
-#[must_use]
-pub fn watts_to_dbm(power_w: f64) -> f64 {
-    10.0 * (power_w / 1e-3).log10()
-}
-
-/// Converts dBm to watts.
-#[must_use]
-pub fn dbm_to_watts(dbm: f64) -> f64 {
-    1e-3 * 10f64.powf(dbm / 10.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,13 +129,6 @@ mod tests {
             assert!((linear_to_db(lin) - db).abs() < 1e-9);
         }
         assert!((db_to_linear(-3.0) - 0.501).abs() < 1e-3);
-    }
-
-    #[test]
-    fn dbm_conversions() {
-        assert!((watts_to_dbm(1e-3) - 0.0).abs() < 1e-12);
-        assert!((watts_to_dbm(1.0) - 30.0).abs() < 1e-12);
-        assert!((dbm_to_watts(-30.0) - 1e-6).abs() < 1e-18);
     }
 
     #[test]

@@ -124,30 +124,6 @@ impl WdmGrid {
             .map(|i| SPEED_OF_LIGHT / self.channel_frequency_hz(i))
             .collect()
     }
-
-    /// Total occupied optical bandwidth in Hz (zero for one channel).
-    #[must_use]
-    pub fn occupied_bandwidth_hz(&self) -> f64 {
-        self.spacing_hz * (self.channels.saturating_sub(1)) as f64
-    }
-
-    /// Whether every channel lies within the conventional C band.
-    #[must_use]
-    pub fn fits_c_band(&self) -> bool {
-        // `new` refuses an empty grid, so both ends exist.
-        let lo = SPEED_OF_LIGHT / self.channel_frequency_hz(self.channels - 1);
-        let hi = SPEED_OF_LIGHT / self.channel_frequency_hz(0);
-        lo >= C_BAND_MIN_M && hi <= C_BAND_MAX_M
-    }
-
-    /// The maximum number of channels at this spacing that fit in the C band
-    /// around this grid's centre.
-    #[must_use]
-    pub fn c_band_capacity(&self) -> usize {
-        let f_lo = SPEED_OF_LIGHT / C_BAND_MAX_M;
-        let f_hi = SPEED_OF_LIGHT / C_BAND_MIN_M;
-        ((f_hi - f_lo) / self.spacing_hz).floor() as usize + 1
-    }
 }
 
 #[cfg(test)]
@@ -200,30 +176,5 @@ mod tests {
         let g = WdmGrid::dense_50ghz(4).unwrap();
         assert!(g.frequency_hz(4).is_err());
         assert!(g.wavelength_m(100).is_err());
-    }
-
-    #[test]
-    fn occupied_bandwidth() {
-        let g = WdmGrid::dense_50ghz(9).unwrap();
-        assert!((g.occupied_bandwidth_hz() - 400e9).abs() < 1.0);
-        let one = WdmGrid::dense_50ghz(1).unwrap();
-        assert_eq!(one.occupied_bandwidth_hz(), 0.0);
-    }
-
-    #[test]
-    fn small_grid_fits_c_band_huge_grid_does_not() {
-        assert!(WdmGrid::dense_50ghz(64).unwrap().fits_c_band());
-        // C band is ~4.4 THz wide; 50 GHz spacing fits < 90 channels.
-        assert!(!WdmGrid::dense_50ghz(200).unwrap().fits_c_band());
-    }
-
-    #[test]
-    fn c_band_capacity_is_about_88_at_50ghz() {
-        let g = WdmGrid::dense_50ghz(4).unwrap();
-        let cap = g.c_band_capacity();
-        assert!(
-            (80..=95).contains(&cap),
-            "expected ~88 channels at 50 GHz, got {cap}"
-        );
     }
 }

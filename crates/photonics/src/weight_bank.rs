@@ -218,23 +218,8 @@ impl MrrWeightBank {
         self.rings.iter().map(Microring::heater_power_w).sum()
     }
 
-    /// Applies per-ring analog detuning perturbations (thermal effects).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhotonicError::ChannelCountMismatch`] on a length mismatch.
-    pub fn perturb_detunings(&mut self, deltas_m: &[f64]) -> Result<()> {
-        if deltas_m.len() != self.rings.len() {
-            return Err(PhotonicError::ChannelCountMismatch {
-                expected: self.rings.len(),
-                actual: deltas_m.len(),
-            });
-        }
-        self.perturb_rings(deltas_m);
-        Ok(())
-    }
-
-    /// [`perturb_detunings`](Self::perturb_detunings) for deltas sized to the bank.
+    /// Applies per-ring analog detuning perturbations (thermal effects),
+    /// one delta per ring in bank order.
     pub(crate) fn perturb_rings(&mut self, deltas_m: &[f64]) {
         for (ring, &d) in self.rings.iter_mut().zip(deltas_m) {
             ring.perturb(d);

@@ -15,7 +15,7 @@
 //! * [`core`] — the accelerator: ring-allocation mapper (eq. 4/5),
 //!   scheduler (Fig. 3), analytical timing framework (eq. 6–8, Fig. 6),
 //!   pipeline simulator (Fig. 4) and functional photonic inference.
-//! * [`baselines`] — Eyeriss-like, YodaNN-like and roofline comparators.
+//! * [`baselines`] — Eyeriss-like and YodaNN-like comparators (Fig. 6).
 //! * [`fleet`] — multi-accelerator serving simulation: arrival processes
 //!   (Poisson / bursty MMPP / diurnal), batching admission schedulers
 //!   (FIFO / EDF / network-affinity), a discrete-event engine over
@@ -69,11 +69,11 @@
 //! assert!(report.latency.p99_s >= report.latency.p50_s);
 //! ```
 //!
-//! See the `examples/` directory for runnable scenarios: `quickstart`,
-//! `photonic_inference` (functional device-level CNN execution),
-//! `design_space`, `noise_study` and `fleet_serving` (multi-accelerator
-//! serving with SLO tables). Table I and Figs. 2–6 are in `EXPERIMENTS.md`,
-//! written by `cargo run --release -p pcnna-bench --bin paper`.
+//! The `examples/` directory holds two runnable walkthroughs:
+//! `fleet_serving` (multi-accelerator serving with SLO tables) and
+//! `fault_tolerance` (the heat-wave chaos story). Table I and Figs. 2–6
+//! are in `EXPERIMENTS.md`, written by
+//! `cargo run --release -p pcnna-bench --bin paper`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

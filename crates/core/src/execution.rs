@@ -85,25 +85,12 @@ impl ExecutionModel {
         let mut phases = Vec::with_capacity(layers.len());
         let mut latency = SimTime::ZERO;
         for (name, g) in layers {
-            let timing = self.analytical.layer_timing(name, g)?;
+            let (weight_load, compute, writeback) = self.layer_phase(name, g)?;
             let weight_load = if self.config.include_weight_load {
-                // layer_timing already folds it into full_system_time when
-                // configured; report it separately and avoid double count.
-                timing.weight_load_time
+                weight_load
             } else {
                 SimTime::ZERO
             };
-            let compute = if self.config.include_weight_load {
-                timing
-                    .full_system_time
-                    .saturating_sub(timing.weight_load_time)
-            } else {
-                timing.full_system_time
-            };
-            let writeback = self
-                .config
-                .dram
-                .streaming_time(g.n_output() * self.config.bytes_per_value);
             let total = weight_load + compute + writeback;
             latency += total;
             phases.push(ExecutionPhase {
@@ -115,6 +102,28 @@ impl ExecutionModel {
             });
         }
         Ok(NetworkExecution { phases, latency })
+    }
+
+    /// One layer's phase costs, `(weight_load, compute, writeback)`: the
+    /// weight programming time, the full-system compute time without it,
+    /// and the output feature map's streamed writeback to DRAM.
+    fn layer_phase(&self, name: &str, g: &ConvGeometry) -> Result<(SimTime, SimTime, SimTime)> {
+        let timing = self.analytical.layer_timing(name, g)?;
+        let compute = if self.config.include_weight_load {
+            // layer_timing already folds the weight load into
+            // full_system_time when configured; take it out so callers
+            // charge it separately without a double count.
+            timing
+                .full_system_time
+                .saturating_sub(timing.weight_load_time)
+        } else {
+            timing.full_system_time
+        };
+        let writeback = self
+            .config
+            .dram
+            .streaming_time(g.n_output() * self.config.bytes_per_value);
+        Ok((timing.weight_load_time, compute, writeback))
     }
 }
 
@@ -161,24 +170,13 @@ impl ExecutionModel {
         let mut total = SimTime::ZERO;
         let mut first_frame = SimTime::ZERO;
         for (name, g) in layers {
-            let timing = self.analytical.layer_timing(name, g)?;
             // Weight programming always happens once per layer per batch in
             // this mode (regardless of include_weight_load, which governs
             // the per-frame accounting of `run`).
-            let compute = if self.config.include_weight_load {
-                timing
-                    .full_system_time
-                    .saturating_sub(timing.weight_load_time)
-            } else {
-                timing.full_system_time
-            };
-            let writeback = self
-                .config
-                .dram
-                .streaming_time(g.n_output() * self.config.bytes_per_value);
+            let (weight_load, compute, writeback) = self.layer_phase(name, g)?;
             let per_frame = compute + writeback;
-            total += timing.weight_load_time + per_frame.saturating_mul(batch);
-            first_frame += timing.weight_load_time + per_frame;
+            total += weight_load + per_frame.saturating_mul(batch);
+            first_frame += weight_load + per_frame;
         }
         Ok(BatchedExecution {
             batch,

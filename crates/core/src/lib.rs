@@ -30,8 +30,6 @@
 //!   frames/second, with and without per-layer weight reprogramming.
 //! * [`tiling`] — channel tiling for layers exceeding the SRAM/carrier
 //!   budgets, with partial-sum accounting (reproduction extension).
-//! * [`controller`] — sizes the thermal recalibration loop real MRR banks
-//!   require: period, cost, duty overhead (reproduction extension).
 //! * [`serving`] — collapses a (network, config) pair into an affine
 //!   [`serving::ServiceQuote`] (weight-load intercept + per-frame slope for
 //!   time and energy) so the `pcnna-fleet` serving simulator can price
@@ -64,7 +62,6 @@
 pub mod accel;
 pub mod analytical;
 pub mod config;
-pub mod controller;
 pub mod execution;
 pub mod feasibility;
 pub mod functional;

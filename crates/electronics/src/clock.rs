@@ -70,15 +70,6 @@ impl ClockDomain {
     pub fn cycles_to_cover(&self, t: SimTime) -> u64 {
         (t.as_secs_f64() * self.frequency_hz).ceil() as u64
     }
-
-    /// Rounds a duration *up* to a whole number of cycles — what a
-    /// synchronous handoff into this domain costs. Never returns less than
-    /// the input even when the cycle count does not land on an integer
-    /// picosecond.
-    #[must_use]
-    pub fn quantize_up(&self, t: SimTime) -> SimTime {
-        self.cycles(self.cycles_to_cover(t)).max(t)
-    }
 }
 
 #[cfg(test)]
@@ -113,14 +104,6 @@ mod tests {
         assert_eq!(fast.cycles_to_cover(SimTime::from_ps(201)), 2);
         assert_eq!(fast.cycles_to_cover(SimTime::from_ps(399)), 2);
         assert_eq!(fast.cycles_to_cover(SimTime::ZERO), 0);
-    }
-
-    #[test]
-    fn quantize_up_is_idempotent() {
-        let fast = ClockDomain::fast_5ghz();
-        let q = fast.quantize_up(SimTime::from_ps(450));
-        assert_eq!(q, SimTime::from_ps(600));
-        assert_eq!(fast.quantize_up(q), q);
     }
 
     #[test]

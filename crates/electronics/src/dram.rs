@@ -51,15 +51,6 @@ impl DramModel {
         Ok(())
     }
 
-    /// Time for one burst of `bytes`: latency + bytes/bandwidth.
-    #[must_use]
-    pub fn transfer_time(&self, bytes: u64) -> SimTime {
-        if bytes == 0 {
-            return SimTime::ZERO;
-        }
-        self.latency + SimTime::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_s)
-    }
-
     /// Time for a *streamed* transfer of `bytes` (latency amortised away).
     #[must_use]
     pub fn streaming_time(&self, bytes: u64) -> SimTime {
@@ -120,16 +111,8 @@ mod tests {
     #[test]
     fn zero_transfer_is_free() {
         let d = DramModel::default();
-        assert_eq!(d.transfer_time(0), SimTime::ZERO);
+        assert_eq!(d.streaming_time(0), SimTime::ZERO);
         assert_eq!(d.transfer_energy_j(0), 0.0);
-    }
-
-    #[test]
-    fn small_transfer_dominated_by_latency() {
-        let d = DramModel::default();
-        let t = d.transfer_time(64);
-        assert!(t >= d.latency);
-        assert!(t.as_ns_f64() < 66.0);
     }
 
     #[test]
@@ -138,7 +121,6 @@ mod tests {
         // 12.8 GB at 12.8 GB/s = 1 s
         let t = d.streaming_time(12_800_000_000);
         assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
-        assert!(d.streaming_time(64) < d.transfer_time(64));
     }
 
     #[test]

@@ -48,7 +48,7 @@
 use super::shard::CellSpec;
 use super::wheel::{EventTime, TimingWheel, WheelEvent};
 use super::{FleetScenario, QuoteTable};
-use crate::faults::{FaultAction, FaultEvent};
+use crate::faults::{FaultAction, FaultTimeline};
 use crate::metrics::{LatencyHistogram, ResilienceStats};
 use crate::scheduler::{ClassQueues, Policy};
 use crate::telemetry::{HealthMix, NullSink, ProfileOp, TraceEventKind, TraceSink, NO_REQUEST};
@@ -336,7 +336,7 @@ pub(crate) struct CellEngine<'a, S: TraceSink = NullSink> {
     queue_capacity: usize,
     /// The cell's slice of the fault timeline, instance-remapped to
     /// local indices, with its cursor.
-    faults: Vec<FaultEvent>,
+    faults: FaultTimeline,
     fault_idx: usize,
     // --- struct-of-arrays instance state -----------------------------
     //
@@ -524,11 +524,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
             instance_start: spec.instances.start,
             n_classes,
             queue_capacity: spec.queue_capacity,
-            faults: scenario
-                .faults
-                .slice_instances(spec.instances.clone())
-                .events()
-                .to_vec(),
+            faults: scenario.faults.slice_instances(spec.instances.clone()),
             fault_idx: 0,
             quote_rows,
             serviceable_rows,
@@ -663,7 +659,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
             }
             let tc = self.completions.peek().map(|e| e.at.get());
             let tr = self.control.peek().map(|e| e.at.get());
-            let tf = self.faults.get(self.fault_idx).map(|e| e.at_s);
+            let tf = self.faults.events().get(self.fault_idx).map(|e| e.at_s);
             let streams = [(tc, 0u8), (tr, 1), (tf, 2)];
             let Some((t, which)) = streams
                 .iter()
@@ -688,7 +684,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
                     // stale: the repair was cancelled by a hard failure
                 }
                 _ => {
-                    let ev = self.faults[self.fault_idx];
+                    let ev = self.faults.events()[self.fault_idx];
                     self.fault_idx += 1;
                     self.res.fault_events += 1;
                     self.apply_fault(ev.instance, ev.at_s, ev.action);
@@ -1695,7 +1691,7 @@ impl<'a, S: TraceSink> CellEngine<'a, S> {
 mod tests {
     use super::*;
     use crate::engine::ShardPlan;
-    use crate::faults::{chaos_timeline, ChaosConfig, ChaosKind, FaultTimeline};
+    use crate::faults::{chaos_timeline, ChaosConfig, ChaosKind, FaultEvent};
     use crate::workload::NetworkClass;
     use pcnna_core::config::PcnnaConfig;
     use pcnna_photonics::degradation::DegradationLimits;

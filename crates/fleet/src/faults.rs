@@ -1,7 +1,7 @@
 //! Fleet-level fault timelines and the named chaos scenarios.
 //!
-//! `pcnna_photonics::degradation` tells the story of **one device's**
-//! physics over time; this module lifts it to the fleet: a
+//! `pcnna_photonics::degradation` says how broken **one device** is at
+//! an instant; this module says when, across the fleet: a
 //! [`FaultTimeline`] is a chronological list of [`FaultEvent`]s, each
 //! aimed at one accelerator instance, that the discrete-event engine
 //! interleaves with arrivals and completions. Three actions cover the
@@ -22,7 +22,7 @@
 //!
 //! [`ChaosKind`] names the standing scenarios the CI matrix runs —
 //! heat wave, laser aging, channel-loss burst, rolling recalibration —
-//! and [`chaos_timeline`] generates each deterministically from a
+//! and [`chaos_timeline`] emits each one's fleet events directly, from a
 //! seed, scaled to the scenario horizon so the same shapes work for a
 //! 50 ms smoke run and a multi-second soak.
 //!
@@ -36,9 +36,9 @@
 //! shard and thread counts.
 
 use pcnna_core::config::PcnnaConfig;
-use pcnna_photonics::degradation::{
-    DegradationLimits, DegradationTimeline, FaultProfile, HealthState,
-};
+use pcnna_photonics::degradation::{DegradationLimits, HealthState};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// What happens to one instance at one instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,30 +69,6 @@ pub struct FaultEvent {
 }
 
 impl FaultEvent {
-    /// Builds a validated event: time must be finite and non-negative,
-    /// and the action well-formed (positive finite recalibration
-    /// windows that end at a finite time, valid health snapshots). The instance index is checked
-    /// against a fleet size by [`FaultTimeline::try_from_events`] /
-    /// [`FaultTimeline::validate`], which know the fleet.
-    ///
-    /// # Errors
-    ///
-    /// Returns a reason string for NaN/negative/infinite times or a
-    /// malformed action.
-    pub fn try_new(
-        at_s: f64,
-        instance: usize,
-        action: FaultAction,
-    ) -> core::result::Result<FaultEvent, String> {
-        let event = FaultEvent {
-            at_s,
-            instance,
-            action,
-        };
-        event.check().map_err(|e| format!("fault event {e}"))?;
-        Ok(event)
-    }
-
     /// The checks that need no fleet size. The reason starts with the
     /// failing key, relative to the event (`at_s`, `action.…`).
     fn check(&self) -> core::result::Result<(), String> {
@@ -147,27 +123,6 @@ impl FaultTimeline {
         FaultTimeline { events }
     }
 
-    /// Builds a validated timeline against a fleet of `n_instances`:
-    /// every event must pass [`FaultEvent::try_new`]'s checks and
-    /// target an in-range instance. This is the strict front door the
-    /// scenario DSL and the fuzzer use — malformed timelines are
-    /// rejected at build time instead of misbehaving deep inside the
-    /// event loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns a reason string naming the offending event.
-    pub fn try_from_events(
-        events: Vec<FaultEvent>,
-        n_instances: usize,
-    ) -> core::result::Result<FaultTimeline, String> {
-        // Checked before the sort, so `events[k]` in a reason is the
-        // caller's index.
-        let unsorted = FaultTimeline { events };
-        unsorted.validate(n_instances)?;
-        Ok(FaultTimeline::from_events(unsorted.events))
-    }
-
     /// The events in chronological order.
     #[must_use]
     pub fn events(&self) -> &[FaultEvent] {
@@ -215,19 +170,29 @@ impl FaultTimeline {
     /// non-finite, `.action` a non-positive recalibration window or an
     /// invalid health snapshot — where `k` indexes [`events`](Self::events).
     pub fn validate(&self, n_instances: usize) -> core::result::Result<(), String> {
-        for (k, e) in self.events.iter().enumerate() {
-            if e.instance >= n_instances {
-                return Err(format!(
-                    "faults.events[{k}].instance {} is out of range for a \
-                     {n_instances}-instance fleet",
-                    e.instance
-                ));
-            }
-            e.check()
-                .map_err(|err| format!("faults.events[{k}].{err}"))?;
-        }
-        Ok(())
+        validate_events(&self.events, n_instances)
     }
+}
+
+/// [`FaultTimeline::validate`] over events in the caller's order: the
+/// scenario DSL checks its file's events in place, and `k` in a reason
+/// is the file's index.
+pub(crate) fn validate_events(
+    events: &[FaultEvent],
+    n_instances: usize,
+) -> core::result::Result<(), String> {
+    for (k, e) in events.iter().enumerate() {
+        if e.instance >= n_instances {
+            return Err(format!(
+                "faults.events[{k}].instance {} is out of range for a \
+                 {n_instances}-instance fleet",
+                e.instance
+            ));
+        }
+        e.check()
+            .map_err(|err| format!("faults.events[{k}].{err}"))?;
+    }
+    Ok(())
 }
 
 /// The named chaos scenarios of the standing CI matrix.
@@ -309,6 +274,16 @@ fn instance_seed(seed: u64, instance: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A story's one random draw: a uniform jitter in `(-half, half)` from
+/// the generator seeded for sub-seed `salt` (zero for an empty window).
+fn story_jitter(seed: u64, salt: usize, half: f64) -> f64 {
+    if half > 0.0 {
+        StdRng::seed_from_u64(instance_seed(seed, salt) ^ 0xDE6A_DE0D).gen_range(-half..half)
+    } else {
+        0.0
+    }
+}
+
 /// Generates the named scenario's fault timeline for a fleet of
 /// `instances` over `horizon_s` seconds. Deterministic in
 /// `(kind, instances, horizon_s, cfg)`; every shape scales with the
@@ -327,32 +302,32 @@ pub fn chaos_timeline(
         ChaosKind::HeatWave => {
             // Push 2.5× past the drift budget so every instance must
             // re-lock at least once on the way up and once on the way
+            // back down. The ambient ramps up in `STEPS` piecewise-
+            // constant steps from a jittered onset, holds, and ramps
             // back down.
+            const STEPS: usize = 6;
             let peak = 2.5 * cfg.limits.max_ambient_excursion_k;
+            let (ramp_s, hold_s) = (0.20 * h, 0.25 * h);
+            let frac = |k: usize| k as f64 / STEPS as f64;
             for i in 0..n {
-                let profile = FaultProfile::HeatWave {
-                    onset_s: 0.15 * h,
-                    onset_jitter_s: 0.10 * h,
-                    ramp_s: 0.20 * h,
-                    hold_s: 0.25 * h,
-                    peak_delta_k: peak,
-                    steps: 6,
-                };
-                let story =
-                    DegradationTimeline::generate(&[profile], h, instance_seed(cfg.seed, i));
+                let onset = (0.15 * h + story_jitter(cfg.seed, i, 0.10 * h)).max(0.0);
+                let fall_start = onset + ramp_s + hold_s;
+                let up = (1..=STEPS).map(|k| (onset + frac(k) * ramp_s, peak * frac(k)));
+                let down =
+                    (1..=STEPS).map(|k| (fall_start + frac(k) * ramp_s, peak * (1.0 - frac(k))));
                 // Walk the absolute-temperature story, maintaining the
                 // ring-lock reference: the engine's Recalibrate re-locks
                 // at the then-current ambient, so drift is re-measured
                 // from each lock point.
                 let mut lock_ref_k = 0.0;
-                for &(t, s) in story.events() {
-                    let rel = s.ambient_delta_k - lock_ref_k;
+                for (t, ambient_k) in up.chain(down) {
+                    let rel = ambient_k - lock_ref_k;
                     events.push(FaultEvent {
                         at_s: t,
                         instance: i,
                         action: FaultAction::Degrade(HealthState {
                             ambient_delta_k: rel,
-                            ..s
+                            ..HealthState::nominal()
                         }),
                     });
                     if rel.abs() > cfg.limits.max_ambient_excursion_k {
@@ -363,27 +338,25 @@ pub fn chaos_timeline(
                                 duration_s: cfg.recalibration_s,
                             },
                         });
-                        lock_ref_k = s.ambient_delta_k;
+                        lock_ref_k = ambient_k;
                     }
                 }
             }
         }
         ChaosKind::LaserAging => {
-            // τ ≈ 1.5 horizons ± 40% (a fleet of diodes well past their
-            // rated hours, compressed to the horizon): the median diode
-            // ends the run around 0.5–0.6 of nominal power, so the
-            // fastest-aging ones cross the 0.5 SNR floor inside the run
-            // and drop out for good.
+            // Exponential decay, `factor(t) = exp(−t / τ)`, checked at
+            // `STEPS` even points of the horizon. τ ≈ 1.5 horizons ± 40%
+            // (a fleet of diodes well past their rated hours, compressed
+            // to the horizon): the median diode ends the run around
+            // 0.5–0.6 of nominal power, so the fastest-aging ones cross
+            // the 0.5 SNR floor inside the run and drop out for good.
+            const STEPS: usize = 8;
             for i in 0..n {
-                let profile = FaultProfile::LaserAging {
-                    tau_s: 1.5 * h,
-                    tau_jitter_frac: 0.4,
-                    steps: 8,
-                };
-                let story =
-                    DegradationTimeline::generate(&[profile], h, instance_seed(cfg.seed, i));
-                for &(t, s) in story.events() {
-                    if s.laser_power_factor < cfg.limits.min_laser_power_factor {
+                let tau = (1.5 * h * (1.0 + story_jitter(cfg.seed, i, 0.4))).max(f64::MIN_POSITIVE);
+                for k in 1..=STEPS {
+                    let t = h * k as f64 / STEPS as f64;
+                    let laser_power_factor = (-t / tau).exp().clamp(0.0, 1.0);
+                    if laser_power_factor < cfg.limits.min_laser_power_factor {
                         events.push(FaultEvent {
                             at_s: t,
                             instance: i,
@@ -394,16 +367,21 @@ pub fn chaos_timeline(
                     events.push(FaultEvent {
                         at_s: t,
                         instance: i,
-                        action: FaultAction::Degrade(s),
+                        action: FaultAction::Degrade(HealthState {
+                            laser_power_factor,
+                            ..HealthState::nominal()
+                        }),
                     });
                 }
             }
         }
         ChaosKind::ChannelLossBurst => {
             // Two partial bursts and one fatal one, spread across the
-            // fleet by the seed. Partial victims keep serving on the
-            // surviving channels; the fatal victim hard-fails over and
-            // is repaired (spare mux + re-lock) later.
+            // fleet by the seed. Partial victims lose a third of their
+            // input DACs and a quarter of their ADCs at a jittered
+            // instant and keep serving on the surviving channels; the
+            // fatal victim hard-fails over and is repaired (spare mux +
+            // re-lock) later.
             let pick = |salt: usize| instance_seed(cfg.seed, salt) as usize % n.max(1);
             let victim_a = pick(0);
             let victim_b = if n > 1 {
@@ -413,25 +391,16 @@ pub fn chaos_timeline(
             };
             let fatal = pick(2);
             for (victim, at_frac, salt) in [(victim_a, 0.25, 3usize), (victim_b, 0.55, 4usize)] {
-                let dacs = instances[victim].n_input_dacs;
-                let adcs = instances[victim].n_adcs;
-                let story = DegradationTimeline::generate(
-                    &[FaultProfile::ChannelLossBurst {
-                        at_s: at_frac * h,
-                        jitter_s: 0.05 * h,
-                        input_channels: dacs.div_ceil(3),
-                        output_channels: adcs / 4,
-                    }],
-                    h,
-                    instance_seed(cfg.seed, 16 + salt),
-                );
-                for &(t, s) in story.events() {
-                    events.push(FaultEvent {
-                        at_s: t,
-                        instance: victim,
-                        action: FaultAction::Degrade(s),
-                    });
-                }
+                let jitter = story_jitter(cfg.seed, 16 + salt, 0.05 * h);
+                events.push(FaultEvent {
+                    at_s: (at_frac * h + jitter).max(0.0),
+                    instance: victim,
+                    action: FaultAction::Degrade(HealthState {
+                        dead_input_channels: instances[victim].n_input_dacs.div_ceil(3),
+                        dead_output_channels: instances[victim].n_adcs / 4,
+                        ..HealthState::nominal()
+                    }),
+                });
             }
             let t_fail = 0.40 * h;
             let t_repair = 0.60 * h;
@@ -545,76 +514,112 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_events() {
-        let bad_time = FaultTimeline::from_events(vec![FaultEvent {
-            at_s: -1.0,
-            instance: 0,
-            action: FaultAction::Fail,
-        }]);
-        assert!(bad_time.validate(1).is_err());
-        let bad_recal = FaultTimeline::from_events(vec![FaultEvent {
-            at_s: 0.0,
-            instance: 0,
-            action: FaultAction::Recalibrate { duration_s: 0.0 },
-        }]);
-        assert!(bad_recal.validate(1).is_err());
-        let endless_recal = FaultTimeline::from_events(vec![FaultEvent {
-            at_s: 1e308,
-            instance: 0,
-            action: FaultAction::Recalibrate { duration_s: 1e308 },
-        }]);
-        let err = endless_recal.validate(1).unwrap_err();
-        assert!(
-            err.contains("faults.events[0].action.recalibrate.duration_s"),
-            "{err}"
-        );
-        let bad_health = FaultTimeline::from_events(vec![FaultEvent {
-            at_s: 0.0,
-            instance: 0,
-            action: FaultAction::Degrade(HealthState {
-                laser_power_factor: 2.0,
-                ..HealthState::nominal()
-            }),
-        }]);
-        assert!(bad_health.validate(1).is_err());
+        let recal = |duration_s| FaultAction::Recalibrate { duration_s };
+        let degrade = |h| FaultAction::Degrade(h);
+        let nominal = HealthState::nominal();
+        // every rejection path, one by one, with the key it names
+        let cases = [
+            (f64::NAN, FaultAction::Fail, "at_s"),
+            (-0.001, FaultAction::Fail, "at_s"),
+            (-1.0, FaultAction::Fail, "at_s"),
+            (f64::INFINITY, FaultAction::Fail, "at_s"),
+            (0.0, recal(0.0), "action.recalibrate.duration_s"),
+            (0.0, recal(f64::NAN), "action.recalibrate.duration_s"),
+            (1e308, recal(1e308), "action.recalibrate.duration_s"),
+            (
+                0.0,
+                degrade(HealthState {
+                    laser_power_factor: 2.0,
+                    ..nominal
+                }),
+                "action.degrade",
+            ),
+            (
+                0.0,
+                degrade(HealthState {
+                    laser_power_factor: -0.5,
+                    ..nominal
+                }),
+                "action.degrade",
+            ),
+            (
+                0.0,
+                degrade(HealthState {
+                    ambient_delta_k: f64::NAN,
+                    ..nominal
+                }),
+                "action.degrade",
+            ),
+        ];
+        for (at_s, action, key) in cases {
+            // a valid event first, so the reason indexes the bad one
+            let tl = FaultTimeline {
+                events: vec![
+                    FaultEvent {
+                        at_s: 0.5,
+                        instance: 3,
+                        action: FaultAction::Fail,
+                    },
+                    FaultEvent {
+                        at_s,
+                        instance: 0,
+                        action,
+                    },
+                ],
+            };
+            let err = tl.validate(4).unwrap_err();
+            assert!(err.starts_with(&format!("faults.events[1].{key}")), "{err}");
+        }
     }
 
     #[test]
     fn try_new_rejects_each_malformed_field() {
-        // every rejection path, one by one
-        assert!(FaultEvent::try_new(f64::NAN, 0, FaultAction::Fail).is_err());
-        assert!(FaultEvent::try_new(-0.001, 0, FaultAction::Fail).is_err());
-        assert!(FaultEvent::try_new(f64::INFINITY, 0, FaultAction::Fail).is_err());
-        assert!(FaultEvent::try_new(0.0, 0, FaultAction::Recalibrate { duration_s: 0.0 }).is_err());
-        assert!(FaultEvent::try_new(
+        // one event at a time through the fleet-free checks, each
+        // malformed field on its own
+        let event = |at_s, action| FaultEvent {
+            at_s,
+            instance: 0,
+            action,
+        };
+        let degrade = |h| FaultAction::Degrade(h);
+        let nominal = HealthState::nominal();
+        assert!(event(f64::NAN, FaultAction::Fail).check().is_err());
+        assert!(event(-0.001, FaultAction::Fail).check().is_err());
+        assert!(event(f64::INFINITY, FaultAction::Fail).check().is_err());
+        assert!(event(0.0, FaultAction::Recalibrate { duration_s: 0.0 })
+            .check()
+            .is_err());
+        assert!(event(
             0.0,
-            0,
             FaultAction::Recalibrate {
                 duration_s: f64::NAN
             }
         )
+        .check()
         .is_err());
-        assert!(FaultEvent::try_new(
+        assert!(event(
             0.0,
-            0,
-            FaultAction::Degrade(HealthState {
+            degrade(HealthState {
                 laser_power_factor: -0.5,
-                ..HealthState::nominal()
+                ..nominal
             })
         )
+        .check()
         .is_err());
-        assert!(FaultEvent::try_new(
+        assert!(event(
             0.0,
-            0,
-            FaultAction::Degrade(HealthState {
+            degrade(HealthState {
                 ambient_delta_k: f64::NAN,
-                ..HealthState::nominal()
+                ..nominal
             })
         )
+        .check()
         .is_err());
         // and the happy path
-        let ok = FaultEvent::try_new(0.5, 3, FaultAction::Fail).unwrap();
-        assert_eq!(ok.at_s, 0.5);
-        assert_eq!(ok.instance, 3);
+        assert!(event(0.5, FaultAction::Fail).check().is_ok());
+        assert!(event(0.5, FaultAction::Recalibrate { duration_s: 0.01 })
+            .check()
+            .is_ok());
     }
 
     #[test]
@@ -631,18 +636,14 @@ mod tests {
                 action: FaultAction::Fail,
             },
         ];
-        let tl = FaultTimeline::try_from_events(events.clone(), 2).unwrap();
-        assert_eq!(tl.events()[0].at_s, 0.1, "events must come out sorted");
-        // out-of-range instance index
-        assert!(FaultTimeline::try_from_events(events.clone(), 1).is_err());
-        // malformed member event
-        let mut bad = events;
-        bad.push(FaultEvent {
-            at_s: f64::NAN,
-            instance: 0,
-            action: FaultAction::Fail,
-        });
-        assert!(FaultTimeline::try_from_events(bad, 2).is_err());
+        // checked in the caller's order: the reason names the caller's index
+        let err = validate_events(&events, 1).unwrap_err();
+        assert!(err.starts_with("faults.events[0].instance"), "{err}");
+        assert!(validate_events(&events, 2).is_ok());
+        let tl = FaultTimeline::from_events(events);
+        assert_eq!(tl.events()[0].at_s, 0.1);
+        assert_eq!(tl.events()[1].at_s, 0.2);
+        assert_eq!(tl.events()[0].instance, 0);
     }
 
     #[test]
@@ -668,6 +669,56 @@ mod tests {
                 assert_ne!(a, other, "{kind:?} ignores its seed");
             }
         }
+    }
+
+    /// FNV-1a over every event's time, instance and action payload bits.
+    fn digest(tl: &FaultTimeline) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for e in tl.events() {
+            mix(e.at_s.to_bits());
+            mix(e.instance as u64);
+            match e.action {
+                FaultAction::Degrade(s) => {
+                    mix(0);
+                    mix(s.ambient_delta_k.to_bits());
+                    mix(s.laser_power_factor.to_bits());
+                    mix(s.dead_input_channels as u64);
+                    mix(s.dead_output_channels as u64);
+                }
+                FaultAction::Fail => mix(1),
+                FaultAction::Recalibrate { duration_s } => {
+                    mix(2);
+                    mix(duration_s.to_bits());
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn chaos_timelines_are_pinned_bit_for_bit() {
+        // Every byte a chaos scenario feeds the engine: count and digest
+        // of each kind's timeline for an 8-instance default fleet.
+        let cfg = ChaosConfig {
+            seed: 7,
+            ..ChaosConfig::default()
+        };
+        let pinned: [(usize, u64); 4] = [
+            (128, 0x0f76_a57e_9c16_0cf8),
+            (62, 0xac04_d090_623b_0ade),
+            (5, 0x8e50_1fb0_15ea_4a5f),
+            (8, 0x0e5c_5ae8_77d3_d790),
+        ];
+        let got = ChaosKind::ALL.map(|kind| {
+            let tl = chaos_timeline(kind, &fleet(8), 0.05, &cfg);
+            (tl.len(), digest(&tl))
+        });
+        assert_eq!(got, pinned);
     }
 
     #[test]

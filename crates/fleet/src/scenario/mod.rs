@@ -83,7 +83,7 @@ use crate::control::policy::{ControlPolicy, Hold, PredictivePolicy, ReactivePoli
 use crate::control::ControlConfig;
 use crate::engine::{validate_common, FleetScenario};
 use crate::faults::{
-    chaos_timeline, ChaosConfig, ChaosKind, FaultAction, FaultEvent, FaultTimeline,
+    chaos_timeline, validate_events, ChaosConfig, ChaosKind, FaultAction, FaultEvent, FaultTimeline,
 };
 use crate::scheduler::Policy;
 use crate::workload::{ArrivalProcess, NetworkClass};
@@ -408,7 +408,7 @@ impl ScenarioSpec {
         }
         match &self.faults {
             FaultSpec::Events(events) => {
-                FaultTimeline::try_from_events(events.clone(), fleet).map_err(invalid)?;
+                validate_events(events, fleet).map_err(invalid)?;
                 // The file's per-instance order is the replay order for
                 // same-instant events; require it monotone so what you
                 // read is what runs. Keyed by instance, so the check
@@ -485,9 +485,7 @@ impl ScenarioSpec {
             .flat_map(|g| std::iter::repeat_n(g.to_config(), g.count))
             .collect();
         let faults = match &self.faults {
-            FaultSpec::Events(events) => {
-                FaultTimeline::try_from_events(events.clone(), instances.len()).map_err(invalid)?
-            }
+            FaultSpec::Events(events) => FaultTimeline::from_events(events.clone()),
             FaultSpec::Chaos {
                 kind,
                 recalibration_s,

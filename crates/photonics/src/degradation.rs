@@ -1,4 +1,4 @@
-//! Hardware degradation: fault models and deterministic timelines.
+//! Hardware degradation: device health and the serviceability envelope.
 //!
 //! PCNNA's datapath is physically fragile in ways an electronic
 //! accelerator is not: microring resonances ride on temperature
@@ -15,10 +15,10 @@
 //!   drift the weight tolerance allows (derivable from the real
 //!   bank physics via [`DegradationLimits::from_bank`]) and the laser
 //!   floor below which the link SNR is gone.
-//! * [`FaultProfile`] / [`DegradationTimeline`] — seedable generators
-//!   of a device's physical story over a horizon: heat waves, laser
-//!   aging, channel-loss bursts. Same seed ⇒ byte-identical timeline,
-//!   which is what makes fleet chaos scenarios reproducible in CI.
+//!
+//! The stories that move a device through these states over time (heat
+//! waves, laser aging, channel-loss bursts) are the fleet's seeded
+//! chaos timelines, `pcnna_fleet::faults::chaos_timeline`.
 //!
 //! [`thermal`]: crate::thermal
 
@@ -26,8 +26,6 @@ use crate::microring::RingParams;
 use crate::thermal::ThermalModel;
 use crate::weight_bank::MrrWeightBank;
 use crate::{PhotonicError, Result};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// An instantaneous health snapshot of one PCNNA device.
 ///
@@ -175,193 +173,10 @@ impl DegradationLimits {
     }
 }
 
-/// A generator shape for one device's physical degradation story.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultProfile {
-    /// An ambient excursion that ramps up, holds, and ramps back — a
-    /// datacenter cooling event compressed to the simulated horizon.
-    /// Onset jitters uniformly within `onset_jitter_s` of `onset_s`.
-    HeatWave {
-        /// Mean onset time, seconds.
-        onset_s: f64,
-        /// Uniform onset jitter half-width, seconds.
-        onset_jitter_s: f64,
-        /// Ramp-up (and ramp-down) duration, seconds.
-        ramp_s: f64,
-        /// Plateau duration at the peak, seconds.
-        hold_s: f64,
-        /// Peak ambient excursion, kelvin.
-        peak_delta_k: f64,
-        /// Sample points per ramp (the timeline is piecewise-constant).
-        steps: usize,
-    },
-    /// Exponential laser output decay: `factor(t) = exp(−t / tau_s)`,
-    /// with per-device rate jitter of ±`tau_jitter_frac`.
-    LaserAging {
-        /// Mean decay time constant, seconds (simulation-compressed).
-        tau_s: f64,
-        /// Relative jitter on the time constant, in `[0, 1)`.
-        tau_jitter_frac: f64,
-        /// Checkpoints over the horizon.
-        steps: usize,
-    },
-    /// A burst of converter-channel failures at a jittered instant.
-    ChannelLossBurst {
-        /// Mean burst time, seconds.
-        at_s: f64,
-        /// Uniform time jitter half-width, seconds.
-        jitter_s: f64,
-        /// Input-DAC channels lost in the burst.
-        input_channels: usize,
-        /// Output-ADC channels lost in the burst.
-        output_channels: usize,
-    },
-}
-
-/// One device's health over time: a chronological list of piecewise-
-/// constant [`HealthState`] snapshots, deterministically generated from
-/// a seed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradationTimeline {
-    events: Vec<(f64, HealthState)>,
-}
-
-impl DegradationTimeline {
-    /// Generates the composed timeline of `profiles` over `horizon_s`.
-    /// Deterministic: the same `(profiles, horizon_s, seed)` triple
-    /// always produces the same snapshots. Profiles compose — a heat
-    /// wave and a channel burst yield snapshots carrying both effects.
-    #[must_use]
-    pub fn generate(profiles: &[FaultProfile], horizon_s: f64, seed: u64) -> Self {
-        // Per-field change points; folded into running state below.
-        enum Change {
-            Ambient(f64),
-            Laser(f64),
-            DeadChannels { input: usize, output: usize },
-        }
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xDE6A_DE0D);
-        let mut changes: Vec<(f64, Change)> = Vec::new();
-        for profile in profiles {
-            match *profile {
-                FaultProfile::HeatWave {
-                    onset_s,
-                    onset_jitter_s,
-                    ramp_s,
-                    hold_s,
-                    peak_delta_k,
-                    steps,
-                } => {
-                    let jitter = if onset_jitter_s > 0.0 {
-                        rng.gen_range(-onset_jitter_s..onset_jitter_s)
-                    } else {
-                        0.0
-                    };
-                    let onset = (onset_s + jitter).max(0.0);
-                    let steps = steps.max(1);
-                    // up-ramp: steps points climbing to the peak
-                    for k in 1..=steps {
-                        let frac = k as f64 / steps as f64;
-                        changes.push((onset + frac * ramp_s, Change::Ambient(peak_delta_k * frac)));
-                    }
-                    // down-ramp after the hold
-                    let fall_start = onset + ramp_s + hold_s;
-                    for k in 1..=steps {
-                        let frac = k as f64 / steps as f64;
-                        changes.push((
-                            fall_start + frac * ramp_s,
-                            Change::Ambient(peak_delta_k * (1.0 - frac)),
-                        ));
-                    }
-                }
-                FaultProfile::LaserAging {
-                    tau_s,
-                    tau_jitter_frac,
-                    steps,
-                } => {
-                    let jitter = if tau_jitter_frac > 0.0 {
-                        rng.gen_range(-tau_jitter_frac..tau_jitter_frac)
-                    } else {
-                        0.0
-                    };
-                    let tau = (tau_s * (1.0 + jitter)).max(f64::MIN_POSITIVE);
-                    let steps = steps.max(1);
-                    for k in 1..=steps {
-                        let t = horizon_s * k as f64 / steps as f64;
-                        changes.push((t, Change::Laser((-t / tau).exp())));
-                    }
-                }
-                FaultProfile::ChannelLossBurst {
-                    at_s,
-                    jitter_s,
-                    input_channels,
-                    output_channels,
-                } => {
-                    let jitter = if jitter_s > 0.0 {
-                        rng.gen_range(-jitter_s..jitter_s)
-                    } else {
-                        0.0
-                    };
-                    changes.push((
-                        (at_s + jitter).max(0.0),
-                        Change::DeadChannels {
-                            input: input_channels,
-                            output: output_channels,
-                        },
-                    ));
-                }
-            }
-        }
-        changes.retain(|(t, _)| *t <= horizon_s);
-        // Stable sort keeps same-instant changes in profile order, so
-        // generation stays deterministic under composition.
-        changes.sort_by(|(a, _), (b, _)| a.total_cmp(b));
-
-        let mut state = HealthState::nominal();
-        let events = changes
-            .into_iter()
-            .map(|(t, change)| {
-                match change {
-                    Change::Ambient(k) => state.ambient_delta_k = k,
-                    Change::Laser(f) => state.laser_power_factor = f.clamp(0.0, 1.0),
-                    Change::DeadChannels { input, output } => {
-                        state.dead_input_channels += input;
-                        state.dead_output_channels += output;
-                    }
-                }
-                (t, state)
-            })
-            .collect();
-        DegradationTimeline { events }
-    }
-
-    /// The chronological `(time_s, state)` snapshots.
-    #[must_use]
-    pub fn events(&self) -> &[(f64, HealthState)] {
-        &self.events
-    }
-
-    /// Whether the timeline holds no snapshots at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wavelength::WdmGrid;
-
-    fn heat_wave() -> FaultProfile {
-        FaultProfile::HeatWave {
-            onset_s: 0.2,
-            onset_jitter_s: 0.05,
-            ramp_s: 0.1,
-            hold_s: 0.2,
-            peak_delta_k: 0.8,
-            steps: 4,
-        }
-    }
 
     #[test]
     fn health_validation_and_nominal() {
@@ -441,92 +256,5 @@ mod tests {
         // physically sane sub-handful of HWHMs
         let lw = loose.excursion_in_linewidths(&tm, &params);
         assert!(lw > 0.0 && lw < 10.0, "budget is {lw} linewidths");
-    }
-
-    #[test]
-    fn timeline_is_seed_deterministic() {
-        let profiles = [
-            heat_wave(),
-            FaultProfile::LaserAging {
-                tau_s: 5.0,
-                tau_jitter_frac: 0.2,
-                steps: 6,
-            },
-        ];
-        let a = DegradationTimeline::generate(&profiles, 1.0, 42);
-        let b = DegradationTimeline::generate(&profiles, 1.0, 42);
-        let c = DegradationTimeline::generate(&profiles, 1.0, 43);
-        assert_eq!(a, b, "same seed must reproduce the timeline");
-        assert_ne!(a, c, "different seeds should jitter differently");
-    }
-
-    #[test]
-    fn heat_wave_rises_holds_and_falls() {
-        let t = DegradationTimeline::generate(&[heat_wave()], 2.0, 7);
-        assert!(!t.is_empty());
-        let peak = t
-            .events()
-            .iter()
-            .map(|(_, s)| s.ambient_delta_k)
-            .fold(0.0, f64::max);
-        assert!((peak - 0.8).abs() < 1e-12, "peak {peak}");
-        // the final snapshot is back at (or near) zero excursion
-        let last = t.events().last().unwrap().1;
-        assert!(last.ambient_delta_k.abs() < 1e-12);
-        // times are non-decreasing
-        let times: Vec<f64> = t.events().iter().map(|(t, _)| *t).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn laser_aging_decays_monotonically() {
-        let t = DegradationTimeline::generate(
-            &[FaultProfile::LaserAging {
-                tau_s: 2.0,
-                tau_jitter_frac: 0.0,
-                steps: 8,
-            }],
-            1.0,
-            0,
-        );
-        let factors: Vec<f64> = t
-            .events()
-            .iter()
-            .map(|(_, s)| s.laser_power_factor)
-            .collect();
-        assert!(factors.windows(2).all(|w| w[1] < w[0]));
-        assert!(*factors.last().unwrap() > 0.0);
-    }
-
-    #[test]
-    fn channel_bursts_accumulate() {
-        let burst = |at_s| FaultProfile::ChannelLossBurst {
-            at_s,
-            jitter_s: 0.0,
-            input_channels: 2,
-            output_channels: 1,
-        };
-        let t = DegradationTimeline::generate(&[burst(0.1), burst(0.5)], 1.0, 3);
-        let snapshots: Vec<(f64, usize, usize)> = t
-            .events()
-            .iter()
-            .map(|(at, s)| (*at, s.dead_input_channels, s.dead_output_channels))
-            .collect();
-        assert_eq!(snapshots, [(0.1, 2, 1), (0.5, 4, 2)]);
-    }
-
-    #[test]
-    fn events_past_horizon_are_dropped() {
-        let t = DegradationTimeline::generate(
-            &[FaultProfile::ChannelLossBurst {
-                at_s: 5.0,
-                jitter_s: 0.0,
-                input_channels: 1,
-                output_channels: 0,
-            }],
-            1.0,
-            0,
-        );
-        assert!(t.is_empty());
     }
 }

@@ -17,9 +17,9 @@
 //! * [`laser`] — laser diode arrays with relative-intensity noise.
 //! * [`photodiode`] — responsivity, shot and thermal noise, balanced pairs.
 //! * [`thermal`] — heater crosstalk, ambient drift, closed-loop recovery.
-//! * [`degradation`] — hardware fault models (thermal drift over time,
-//!   laser aging, dead converter channels) as seedable, deterministic
-//!   [`DegradationTimeline`]s for resilience studies.
+//! * [`degradation`] — device health (drift since the last ring lock,
+//!   laser aging, dead converter channels) and the serviceability
+//!   envelope the fleet's chaos timelines are judged against.
 //! * [`waveguide`] — propagation/splitter losses and link power budgets.
 //! * [`link`] — the end-to-end broadcast-and-weight MAC datapath.
 //! * [`noise`] — SNR/ENOB aggregation helpers.
@@ -60,7 +60,7 @@ pub mod waveguide;
 pub mod wavelength;
 pub mod weight_bank;
 
-pub use degradation::{DegradationLimits, DegradationTimeline, FaultProfile, HealthState};
+pub use degradation::{DegradationLimits, HealthState};
 pub use link::{BroadcastWeightLink, LinkConfig};
 pub use microring::Microring;
 pub use wavelength::WdmGrid;

@@ -236,4 +236,29 @@ mod tests {
             "1% weight tolerance should be a sub-kelvin budget, got {tol_k} K"
         );
     }
+
+    #[test]
+    fn bisection_budget_tracks_the_worst_slope_bound() {
+        // Analytic bound: the ambient shift that moves a ring sitting at
+        // the Lorentzian's steepest point, |dw/dδ|max = gain·(3√3/8)/δ½,
+        // by `tolerance`. No calibrated ring drifts faster, so bisection
+        // never finds a smaller budget, and banks whose targets span the
+        // weight range hold a ring near that slope, so not much larger.
+        let tm = ThermalModel::default();
+        for n in [4, 8, 16] {
+            let (bank, _) = calibrated_bank(n);
+            let ring = bank.rings()[0].params();
+            let hwhm = 1550e-9 / (2.0 * ring.q_factor);
+            let gain = ring.drop_peak + 1.0 - ring.epsilon();
+            let slope_per_m = gain * (3.0 * 3.0f64.sqrt() / 8.0) / hwhm;
+            for tolerance in [0.005, 0.01, 0.02, 0.05] {
+                let analytic = tolerance / slope_per_m / tm.drift_m_per_k;
+                let bisection = tm.tolerable_excursion_k(&bank, tolerance);
+                assert!(
+                    analytic <= bisection && bisection <= 1.1 * analytic,
+                    "{n} rings at {tolerance}: bisection {bisection} K vs analytic {analytic} K"
+                );
+            }
+        }
+    }
 }

@@ -1,18 +1,15 @@
 //! Cross-crate integration tests for the reproduction-extension models:
-//! feasibility × tiling consistency, power × execution consistency, the
-//! calibration controller against the thermal measurements, and the
-//! multi-network sweep.
+//! feasibility × tiling consistency, power × execution consistency, and
+//! the multi-network sweep.
 
 use pcnna::cnn::geometry::ConvGeometry;
 use pcnna::cnn::zoo;
 use pcnna::core::config::PcnnaConfig;
-use pcnna::core::controller::{CalibrationController, ControlRequirements};
 use pcnna::core::execution::ExecutionModel;
 use pcnna::core::feasibility::{FeasibilityModel, SpectralBudget};
 use pcnna::core::power::{PowerAssumptions, PowerModel};
 use pcnna::core::tiling::{TileConstraints, TilingPlanner};
 use pcnna::core::Pcnna;
-use pcnna::photonics::thermal::ThermalModel;
 
 #[test]
 fn feasibility_and_tiling_agree_on_pass_counts() {
@@ -81,23 +78,6 @@ fn power_times_time_equals_energy_scale() {
         let expect = p.photonic.total_w() * p.exec_seconds;
         assert!(
             (p.energy.photonic_j - expect).abs() <= 1e-12 * expect.max(1.0),
-            "{name}"
-        );
-    }
-}
-
-#[test]
-fn controller_duty_is_negligible_at_benign_drift() {
-    let c = CalibrationController::new(PcnnaConfig::default(), ThermalModel::default()).unwrap();
-    for (name, g) in zoo::alexnet_conv_layers() {
-        let plan = c.plan(&g, &ControlRequirements::default()).unwrap();
-        assert!(
-            plan.duty_overhead < 0.1,
-            "{name}: duty {}",
-            plan.duty_overhead
-        );
-        assert!(
-            plan.recalibration_period > plan.recalibration_cost,
             "{name}"
         );
     }

@@ -13,7 +13,8 @@
 //!
 //! * **fleet** — one `FleetScenario::simulate` call (50k req/s Poisson,
 //!   mixed AlexNet+LeNet traffic, 4 instances, network affinity), scored
-//!   as simulated requests completed per wall-clock second.
+//!   as simulated requests completed per wall-clock second. On a
+//!   multi-core host `simulate()` draws its arrivals on a second thread.
 //! * **dse** — a single-threaded AlexNet grid sweep over the full
 //!   3 888-point `DesignSpace`, scored as candidate evaluations per second
 //!   (single-threaded so the number tracks the evaluator, not the box's
@@ -25,7 +26,8 @@
 //!
 //! * **mega_fleet** — a 1k-instance, 16-class fleet near saturation,
 //!   run twice: once on the whole-fleet **single-shard engine**
-//!   (`simulate()`: one global event loop over one 1k-instance cell)
+//!   (`simulate()`: one global event loop over one 1k-instance cell,
+//!   its arrivals drawn on a second thread on a multi-core host)
 //!   and once on the **sharded engine** at 8 shards × 8 threads
 //!   (16 cells of ~64 instances each). `speedup` is sharded over
 //!   single-shard; the harness also asserts the sharded report is
@@ -567,7 +569,9 @@ fn main() {
         // of 16 words and a fleet-deep heap) times thread parallelism;
         // the locality part is core-count independent, so it must
         // survive slower CI hardware. Per-event engine speedups lift
-        // both legs and can lower the ratio. The committed
+        // both legs and can lower the ratio, as does the arrival producer
+        // thread the single-shard leg gets on a multi-core host (the
+        // multi-worker sharded leg draws on its calling thread). The committed
         // BENCH_perf.json records the full-mode ≥3× figure.
         if !mega.bit_identical_s1 {
             eprintln!("REGRESSION: sharded mega_fleet report diverged from its shards=1 oracle");

@@ -56,6 +56,7 @@ use crate::engine::core::CellEngine;
 use crate::engine::shard::WindowHook;
 use crate::engine::{merge, FleetScenario, QuoteTable, ShardPlan};
 use crate::metrics::{FleetReport, LatencyHistogram};
+use crate::par::spare_thread;
 use crate::telemetry::{
     ControlTelemetry, FleetTrace, NullSink, TimeSeries, TraceConfig, TraceSink, TracingSink,
     WindowSample,
@@ -284,6 +285,11 @@ impl FleetScenario {
     /// Same scenario + seed + policy state ⇒ bit-identical report (the
     /// control loop adds no randomness).
     ///
+    /// The cells and the policy run on the calling thread; on a host
+    /// with two cores a second thread draws the arrival stream, the same
+    /// stream request for request (`engine::shard`, "One driver"). A
+    /// panic in the policy reaches the caller with that thread joined.
+    ///
     /// # Errors
     ///
     /// Returns scenario/config validation failures (a config with more
@@ -358,7 +364,8 @@ impl FleetScenario {
             powered_prev: 0.0,
         };
         let whole = ShardPlan::whole_fleet(self);
-        let (outcomes, sinks, hook) = self.drive(&quotes, &whole, 1, make_sink, hook)?;
+        let producer = spare_thread(usize::MAX, whole.n_cells());
+        let (outcomes, sinks, hook) = self.drive(&quotes, &whole, 1, producer, make_sink, hook)?;
         let report = merge::assemble(self, &outcomes);
         let (scale_ups, scale_downs) = (hook.actuator.scale_ups, hook.actuator.scale_downs);
         let powered_s = hook.actuator.close(report.makespan_s);
@@ -814,5 +821,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A policy that panics at its third window.
+    struct PanicsAtThirdWindow(usize);
+
+    impl ControlPolicy for PanicsAtThirdWindow {
+        fn name(&self) -> &str {
+            "panics"
+        }
+
+        fn plan(&mut self, obs: &observer::WindowObservation, view: &FleetView) -> ControlAction {
+            self.0 += 1;
+            assert!(self.0 < 3, "injected policy fault");
+            ControlAction::hold(obs, view)
+        }
+    }
+
+    #[test]
+    fn policy_panic_propagates_without_a_hang() {
+        // The closed loop draws its arrivals on a producer thread when
+        // the host has a second core. A policy panic on the consuming
+        // thread, with a long stream still being drawn, must reach the
+        // caller promptly, the producer joined, not hang at a hand-off.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let s = FleetScenario {
+                arrival: ArrivalProcess::Poisson {
+                    rate_rps: 1_000_000.0,
+                },
+                horizon_s: 1.0,
+                ..diurnal_scenario()
+            };
+            let run = std::panic::catch_unwind(|| {
+                s.simulate_controlled(&cfg(), &mut PanicsAtThirdWindow(0))
+                    .is_ok()
+            });
+            let _ = tx.send(run.map_err(|payload| payload.downcast_ref::<&str>().copied()));
+        });
+        let run = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the controlled run hung");
+        assert_eq!(run, Err(Some("injected policy fault")));
     }
 }

@@ -59,6 +59,7 @@ pub use wheel::{EventTime, TimingWheel};
 
 use crate::faults::FaultTimeline;
 use crate::metrics::FleetReport;
+use crate::par::spare_thread;
 use crate::scheduler::Policy;
 use crate::telemetry::NullSink;
 use crate::workload::{ArrivalProcess, NetworkClass};
@@ -304,7 +305,10 @@ impl FleetScenario {
     ///
     /// This is the whole-fleet reference engine: one cell owning every
     /// class and instance — global placement, global admission bound.
-    /// For within-run parallelism and large fleets see
+    /// The cell runs on the calling thread; on a host with two cores a
+    /// second thread draws the arrival stream, the same stream request
+    /// for request (`engine::shard`, "One driver"). For within-run
+    /// parallelism and large fleets see
     /// [`simulate_sharded`](Self::simulate_sharded).
     ///
     /// # Errors
@@ -314,7 +318,8 @@ impl FleetScenario {
         self.validate()?;
         let quotes = self.quote_table()?;
         let whole = ShardPlan::whole_fleet(self);
-        let (outcomes, _, _) = self.drive(&quotes, &whole, 1, |_| NullSink, NoHook)?;
+        let producer = spare_thread(usize::MAX, whole.n_cells());
+        let (outcomes, _, _) = self.drive(&quotes, &whole, 1, producer, |_| NullSink, NoHook)?;
         Ok(merge::assemble(self, &outcomes))
     }
 }

@@ -38,7 +38,18 @@
 //! fleet's fastest per-frame quote (at least 1/64 horizon). A window
 //! hook — the control loop — sees the cells at start and at every edge,
 //! once each has advanced through it, and rules on each arrival; a
-//! hooked run stays on the calling thread.
+//! hooked run's cells stay on the calling thread.
+//!
+//! A lone-cell run with a thread to spare (`simulate()` and the control
+//! loop may use the host's cores, the sharded entries their `threads`)
+//! draws its stream on a scoped producer thread: arrival times and
+//! classes, from the same sampler and RNG streams, in recycled blocks of
+//! 1 024 that the calling thread numbers and gives their deadlines. The
+//! requests are the same, request for request, so the producer never
+//! changes a result; it only takes the draws (a `log` and a class pick
+//! each) off the event loop's critical path. `threads = 1` and
+//! multi-cell runs draw on the calling thread (`par::spare_thread` says
+//! why).
 //!
 //! ## What sharding changes — honestly
 //!
@@ -56,7 +67,7 @@ use super::core::{CellEngine, CellOutcome};
 use super::merge;
 use super::{FleetScenario, QuoteTable};
 use crate::metrics::FleetReport;
-use crate::par::worker_count;
+use crate::par::{spare_thread, worker_count};
 use crate::telemetry::{FleetTrace, NullSink, TraceConfig, TraceSink, TracingSink};
 use crate::workload::{ArrivalSampler, ClassSampler, Request};
 use crate::{FleetError, Result};
@@ -255,28 +266,128 @@ fn apportion(total: usize, shares: &[f64]) -> Vec<usize> {
     counts
 }
 
-/// Replays the scenario's arrival stream — the exact sampler and RNG
-/// streams the whole-fleet engine consumes, so the stream (times,
-/// classes, ids, deadlines) is identical however many shards consume it.
-pub(crate) struct ArrivalGen {
+/// One arrival as drawn: its instant and class, before the stream
+/// numbers it and attaches its deadline.
+type Draw = (f64, usize);
+
+/// Where an arrival stream's draws come from: the calling thread
+/// ([`Draws`]) or a producer thread ([`Feed`]). A type parameter, so the
+/// calling thread's stream compiles to the plain draw.
+trait Source {
+    /// The next arrival, or `None` once one falls at or past the horizon.
+    fn draw(&mut self) -> Option<Draw>;
+}
+
+/// The scenario's arrival draws — the exact sampler and RNG streams the
+/// whole-fleet engine consumes — up to the horizon.
+struct Draws {
     sampler: ArrivalSampler,
     class_rng: StdRng,
     mix: ClassSampler,
-    slo: Vec<f64>,
     horizon_s: f64,
+}
+
+impl Draws {
+    fn new(scenario: &FleetScenario) -> Draws {
+        Draws {
+            sampler: ArrivalSampler::new(scenario.arrival, scenario.seed),
+            class_rng: StdRng::seed_from_u64(scenario.seed ^ 0xC1A5_55E5),
+            mix: ClassSampler::new(&scenario.classes),
+            horizon_s: scenario.horizon_s,
+        }
+    }
+}
+
+impl Source for Draws {
+    #[inline(always)]
+    fn draw(&mut self) -> Option<Draw> {
+        let t = self.sampler.next_arrival_s();
+        if !(t < self.horizon_s) {
+            return None;
+        }
+        Some((t, self.mix.sample(&mut self.class_rng)))
+    }
+}
+
+/// Draws per block a producer hands over (16 KiB of pairs).
+const BLOCK: usize = 1024;
+
+/// Filled blocks a producer may run ahead of its consumer. With the block
+/// being filled and the one being read, a producer owns `BLOCKS_AHEAD + 2`
+/// recycled blocks, 64 KiB.
+const BLOCKS_AHEAD: usize = 2;
+
+/// The consumer's side of a producer thread: the block being read and
+/// the channels that bring filled blocks and take spent ones back.
+struct Feed {
+    block: Vec<Draw>,
+    at: usize,
+    full: mpsc::Receiver<Vec<Draw>>,
+    spent: mpsc::SyncSender<Vec<Draw>>,
+}
+
+impl Source for Feed {
+    #[inline(always)]
+    fn draw(&mut self) -> Option<Draw> {
+        let draw = self.block.get(self.at).copied();
+        self.at += 1;
+        draw.or_else(|| self.refill())
+    }
+}
+
+impl Feed {
+    /// Hands the spent block back and reads the next filled one; `None`
+    /// once the producer has passed the horizon and hung up.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self) -> Option<Draw> {
+        // fails only once the producer has finished
+        let _ = self.spent.send(std::mem::take(&mut self.block));
+        // the producer sends no empty block
+        self.block = self.full.recv().ok()?;
+        self.at = 1;
+        self.block.first().copied()
+    }
+}
+
+/// The producer thread: fills each recycled block with the next draws and
+/// hands it on, until the horizon is passed or the consumer hangs up.
+fn produce(mut draws: Draws, spent: mpsc::Receiver<Vec<Draw>>, full: mpsc::SyncSender<Vec<Draw>>) {
+    while let Ok(mut block) = spent.recv() {
+        block.clear();
+        block.extend(std::iter::from_fn(|| draws.draw()).take(BLOCK));
+        // a short block ends at the horizon
+        let ended = block.len() < BLOCK;
+        if block.is_empty() || full.send(block).is_err() || ended {
+            return;
+        }
+    }
+}
+
+/// Replays the scenario's arrival stream — the whole-fleet engine's
+/// draws, numbered in order with their deadlines attached — so the
+/// stream (times, classes, ids, deadlines) is identical however many
+/// shards consume it and whichever thread draws it.
+struct ArrivalGen<A = Draws> {
+    source: A,
+    slo: Vec<f64>,
     next_id: u64,
     pending: Option<Request>,
     done: bool,
 }
 
 impl ArrivalGen {
-    pub(crate) fn new(scenario: &FleetScenario) -> ArrivalGen {
+    /// The stream drawn on the calling thread.
+    fn new(scenario: &FleetScenario) -> ArrivalGen {
+        ArrivalGen::with_source(scenario, Draws::new(scenario))
+    }
+}
+
+impl<A: Source> ArrivalGen<A> {
+    fn with_source(scenario: &FleetScenario, source: A) -> ArrivalGen<A> {
         ArrivalGen {
-            sampler: ArrivalSampler::new(scenario.arrival, scenario.seed),
-            class_rng: StdRng::seed_from_u64(scenario.seed ^ 0xC1A5_55E5),
-            mix: ClassSampler::new(&scenario.classes),
+            source,
             slo: scenario.classes.iter().map(|c| c.slo_s).collect(),
-            horizon_s: scenario.horizon_s,
             next_id: 0,
             pending: None,
             done: false,
@@ -284,9 +395,9 @@ impl ArrivalGen {
     }
 
     /// The next request strictly before `t_edge`, buffering the first at
-    /// or past it. Inlined, like `next`: as calls they cost the producer ~10%.
+    /// or past it. Inlined, like `next`: as calls they cost the window loop ~10%.
     #[inline(always)]
-    pub(crate) fn next_before(&mut self, t_edge: f64) -> Option<Request> {
+    fn next_before(&mut self, t_edge: f64) -> Option<Request> {
         let req = match self.pending.take() {
             Some(req) => req,
             None => self.next()?,
@@ -300,18 +411,16 @@ impl ArrivalGen {
     }
 
     /// The next request, if any arrives before the horizon. Fused: once
-    /// the horizon is passed the sampler is never consulted again.
+    /// the horizon is passed the source is never consulted again.
     #[inline(always)]
-    pub(crate) fn next(&mut self) -> Option<Request> {
+    fn next(&mut self) -> Option<Request> {
         if self.done {
             return None;
         }
-        let t = self.sampler.next_arrival_s();
-        if !(t < self.horizon_s) {
+        let Some((t, class)) = self.source.draw() else {
             self.done = true;
             return None;
-        }
-        let class = self.mix.sample(&mut self.class_rng);
+        };
         let req = Request {
             id: self.next_id,
             class,
@@ -322,9 +431,41 @@ impl ArrivalGen {
         Some(req)
     }
 
-    pub(crate) fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         self.done && self.pending.is_none()
     }
+}
+
+/// Runs `f` over the scenario's arrival stream as a scoped producer
+/// thread draws it into recycled blocks (allocated here, on the calling
+/// thread): the same stream as [`ArrivalGen::new`], request for request.
+/// If `f` panics, unwinding drops the stream, which hangs up on the
+/// producer: it stops at its next hand-off and is joined before the
+/// panic propagates.
+fn with_producer<R>(scenario: &FleetScenario, f: impl FnOnce(&mut ArrivalGen<Feed>) -> R) -> R {
+    let (full_tx, full) = mpsc::sync_channel(BLOCKS_AHEAD);
+    let (spent, spent_rx) = mpsc::sync_channel(BLOCKS_AHEAD + 2);
+    for _ in 0..=BLOCKS_AHEAD {
+        // the receiver is alive and the channel holds every block
+        let _ = spent.send(Vec::with_capacity(BLOCK));
+    }
+    let feed = Feed {
+        block: Vec::with_capacity(BLOCK),
+        at: 0,
+        full,
+        spent,
+    };
+    let draws = Draws::new(scenario);
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(move || produce(draws, spent_rx, full_tx));
+        let mut gen = ArrivalGen::with_source(scenario, feed);
+        let out = f(&mut gen);
+        drop(gen); // hang up on a producer that is still drawing
+        if let Err(payload) = handle.join() {
+            std::panic::resume_unwind(payload);
+        }
+        out
+    })
 }
 
 /// How many arrival batches the window loop may run ahead of the slowest
@@ -388,8 +529,10 @@ impl FleetScenario {
 
     /// Runs the sharded engine: the scenario's [`ShardPlan`] cells,
     /// executed by `min(shards, threads, cells, available cores)` worker
-    /// threads (1 ⇒ everything on the calling thread), merged in
-    /// canonical order.
+    /// threads, merged in canonical order. One worker runs the cells on
+    /// the calling thread; for a one-cell plan, if `threads ≥ 2` and the
+    /// host has two cores, a second thread draws the arrival stream
+    /// (module docs, "One driver"). `threads = 1` starts no thread.
     ///
     /// **Determinism contract:** same seed ⇒ bit-identical report for
     /// every `(shards, threads)` combination. The `shards = 1` run is
@@ -447,18 +590,23 @@ impl FleetScenario {
         let quotes = self.quote_table()?;
         let plan = ShardPlan::new(self, Some(&quotes));
         let workers = worker_count(shards.min(threads), plan.n_cells());
-        let (outcomes, sinks, _) = self.drive(&quotes, &plan, workers, make_sink, NoHook)?;
+        let producer = spare_thread(threads, plan.n_cells());
+        let (outcomes, sinks, _) =
+            self.drive(&quotes, &plan, workers, producer, make_sink, NoHook)?;
         Ok((outcomes, sinks))
     }
 
     /// The one arrival driver (module docs, "One driver"): runs the plan's
     /// cells, cell `i` with sink `make_sink(i)`, and returns their
-    /// outcomes and sinks in cell order, and the hook.
+    /// outcomes and sinks in cell order, and the hook. A one-worker run
+    /// draws its arrivals on a producer thread when `producer` is set
+    /// (the callers set it by `par::spare_thread`).
     pub(crate) fn drive<S: TraceSink + Send, H: WindowHook>(
         &self,
         quotes: &QuoteTable,
         plan: &ShardPlan,
         workers: usize,
+        producer: bool,
         mut make_sink: impl FnMut(usize) -> S,
         mut hook: H,
     ) -> Result<(Vec<CellOutcome>, Vec<S>, H)> {
@@ -468,8 +616,8 @@ impl FleetScenario {
             .enumerate()
             .map(|(i, spec)| CellEngine::with_sink(self, quotes, spec, make_sink(i)))
             .collect();
-        let mut gen = ArrivalGen::new(self);
         if !H::ACTIVE && workers > 1 {
+            let gen = ArrivalGen::new(self);
             let (outcomes, sinks) =
                 run_workers(gen, cells, plan, workers, window_len(self, quotes))?;
             return Ok((outcomes, sinks, hook));
@@ -478,7 +626,12 @@ impl FleetScenario {
         let chunk = if cells.len() == 1 { 0 } else { ARRIVAL_CHUNK };
         let bufs = cells.iter().map(|_| Vec::with_capacity(chunk)).collect();
         let mut local = Local { cells, bufs, hook };
-        window_loop(&mut gen, plan, local.hook.window_s(), &mut local);
+        let window_s = local.hook.window_s();
+        if producer {
+            with_producer(self, |gen| window_loop(gen, plan, window_s, &mut local));
+        } else {
+            window_loop(&mut ArrivalGen::new(self), plan, window_s, &mut local);
+        }
         let cells = local.cells.into_iter();
         let (outcomes, sinks) = cells.map(CellEngine::finish_with_sink).unzip();
         Ok((outcomes, sinks, local.hook))
@@ -537,7 +690,12 @@ trait Deliver {
 /// The one window loop: generates the stream window by window, hands
 /// each arrival on for the cell owning its class, and closes every
 /// window, the last one included.
-fn window_loop<D: Deliver>(gen: &mut ArrivalGen, plan: &ShardPlan, window_s: f64, out: &mut D) {
+fn window_loop<A: Source, D: Deliver>(
+    gen: &mut ArrivalGen<A>,
+    plan: &ShardPlan,
+    window_s: f64,
+    out: &mut D,
+) {
     let mut t_edge = window_s;
     loop {
         while let Some(req) = gen.next_before(t_edge) {
@@ -809,6 +967,96 @@ mod tests {
         }
     }
 
+    /// What a consumer sees of a stream stepped through windows of
+    /// `window_s`, as the window loop steps it: every request (its float
+    /// fields as bits), and at every edge whether the stream is exhausted.
+    #[derive(Debug, PartialEq)]
+    enum Step {
+        Req(u64, usize, u64, u64),
+        Edge(bool),
+    }
+
+    fn steps<A: Source>(gen: &mut ArrivalGen<A>, window_s: f64) -> Vec<Step> {
+        let mut out = Vec::new();
+        let mut t_edge = window_s;
+        loop {
+            while let Some(r) = gen.next_before(t_edge) {
+                let (t, deadline) = (r.arrival_s.to_bits(), r.deadline_s.to_bits());
+                out.push(Step::Req(r.id, r.class, t, deadline));
+            }
+            out.push(Step::Edge(gen.exhausted()));
+            if gen.exhausted() {
+                return out;
+            }
+            t_edge += window_s;
+        }
+    }
+
+    #[test]
+    fn producer_stream_matches_the_direct_stream() {
+        // The producer's stream oracle: request for request (ids, classes,
+        // arrival and deadline bits) and edge for edge (where `exhausted`
+        // turns true, so a hooked run's window count cannot move), the
+        // blocks a producer thread fills must replay the direct draws.
+        let processes = [
+            ArrivalProcess::Poisson { rate_rps: 50_000.0 },
+            ArrivalProcess::Mmpp {
+                low_rps: 10_000.0,
+                high_rps: 200_000.0,
+                dwell_low_s: 0.004,
+                dwell_high_s: 0.002,
+            },
+            ArrivalProcess::Diurnal {
+                base_rps: 5_000.0,
+                peak_rps: 120_000.0,
+                period_s: 0.03,
+            },
+        ];
+        for arrival in processes {
+            for n_classes in [1, 16] {
+                let long = FleetScenario {
+                    arrival,
+                    horizon_s: 0.06,
+                    ..scenario(n_classes, 8)
+                };
+                let times: Vec<f64> = {
+                    let mut gen = ArrivalGen::new(&long);
+                    std::iter::from_fn(|| gen.next())
+                        .map(|r| r.arrival_s)
+                        .collect()
+                };
+                assert!(times.len() > 2 * BLOCK + 1, "{} arrivals", times.len());
+                // an arrival at the horizon is not drawn: horizon t[k] ends
+                // the stream after exactly k requests
+                let horizons = [
+                    (times[1500], 1500),   // mid-block
+                    (times[BLOCK], BLOCK), // on a block boundary
+                    (times[2 * BLOCK], 2 * BLOCK),
+                    (times[0], 0), // before the first arrival
+                    (long.horizon_s, times.len()),
+                ];
+                for (horizon_s, expected) in horizons {
+                    let s = FleetScenario {
+                        horizon_s,
+                        ..long.clone()
+                    };
+                    // windows of a few arrivals put edges inside blocks
+                    // with a request pending; infinity is a hookless run
+                    for window_s in [3e-5, 7.3e-4, f64::INFINITY] {
+                        let direct = steps(&mut ArrivalGen::new(&s), window_s);
+                        let fed = with_producer(&s, |gen| steps(gen, window_s));
+                        let reqs = direct.iter().filter(|x| matches!(x, Step::Req(..)));
+                        assert_eq!(reqs.count(), expected);
+                        assert_eq!(
+                            fed, direct,
+                            "{arrival:?}, {n_classes} classes, horizon {horizon_s}, window {window_s}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// A sink that panics on the first request its cell is offered when
     /// that cell is `faulty`, and records nothing otherwise.
     struct PanickingSink {
@@ -846,7 +1094,7 @@ mod tests {
     ) -> Result<Vec<CellOutcome>> {
         let quotes = s.quote_table()?;
         let plan = ShardPlan::new(s, Some(&quotes));
-        let (outcomes, _, _) = s.drive(&quotes, &plan, workers, make_sink, NoHook)?;
+        let (outcomes, _, _) = s.drive(&quotes, &plan, workers, false, make_sink, NoHook)?;
         Ok(outcomes)
     }
 
@@ -863,6 +1111,46 @@ mod tests {
             }
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("a panicking cell must fail the run"),
+        }
+    }
+
+    /// Runs `f` on a thread of its own and returns its result, failing
+    /// the test if it takes longer than a minute: a hang, not a slow run.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the run hung")
+    }
+
+    #[test]
+    fn consumer_panic_propagates_and_joins_the_producer() {
+        // One worker with a spare thread (the traced `threads = 2` path):
+        // the consuming thread panics at its first request while the
+        // producer is still drawing a long stream. The panic must reach
+        // the caller, the scope having joined the producer, not hang on a
+        // producer blocked at a hand-off.
+        for (n_classes, workers_cells) in [(1, 1), (4, 4)] {
+            let panicked = within_a_minute(move || {
+                let s = FleetScenario {
+                    arrival: ArrivalProcess::Poisson {
+                        rate_rps: 1_000_000.0,
+                    },
+                    horizon_s: 1.0,
+                    ..scenario(n_classes, 8)
+                };
+                let quotes = s.quote_table().unwrap();
+                let plan = ShardPlan::new(&s, Some(&quotes));
+                assert_eq!(plan.n_cells(), workers_cells);
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let sink = |cell| PanickingSink { cell, faulty: 0 };
+                    s.drive(&quotes, &plan, 1, true, sink, NoHook).is_ok()
+                }))
+                .map_err(|payload| panic_message(&*payload))
+            });
+            assert_eq!(panicked, Err("injected fault in cell 0".to_string()));
         }
     }
 
@@ -907,6 +1195,7 @@ mod tests {
                 &quotes,
                 &plan,
                 1,
+                false,
                 |cell| TracingSink::new(cell, n_classes, &cfg),
                 Noop { edges: 0 },
             )

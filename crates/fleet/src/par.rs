@@ -1,14 +1,39 @@
 //! Thread-parallel map: the one parallel primitive the crates need, an
 //! ordered map over `std::thread::scope` (the workspace builds offline,
 //! without rayon; `par_map_slice` ≈ `par_iter().map().collect()`), and
-//! the worker-count bound every thread pool here shares.
+//! the thread-count bounds every thread pool here shares.
+
+/// The host's cores (1 when the count cannot be read), read once per
+/// process: a read takes tens of µs (it consults the cgroup CPU quota),
+/// and every run asks.
+fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
 
 /// How many worker threads to start for `items` items when `requested`
 /// were asked for: `min(requested, items, available cores)`, at least
 /// one, so no caller value asks for more threads than the host has cores.
 pub(crate) fn worker_count(requested: usize, items: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    requested.min(items).min(cores).max(1)
+    requested.min(items).min(host_cores()).max(1)
+}
+
+/// Whether a run of `cells` plan cells, allowed `threads` threads, has one
+/// to spare for drawing its arrival stream (`engine::shard`'s producer):
+/// only a lone cell does, and only when both `threads` and the host's
+/// cores reach two. `usize::MAX` threads means "the host's cores". A lone
+/// cell takes each arrival as it is drawn, so the draws overlap its
+/// work; several cells (on one worker or many) batch arrivals into
+/// per-cell chunks, which a producer cannot keep up with while they fill
+/// and sits idle beside while they drain.
+pub(crate) fn spare_thread(threads: usize, cells: usize) -> bool {
+    spare_thread_on(threads, cells, host_cores())
+}
+
+/// [`spare_thread`] on a host with `cores` cores.
+fn spare_thread_on(threads: usize, cells: usize, cores: usize) -> bool {
+    cells == 1 && threads.min(cores) >= 2
 }
 
 /// Ordered parallel map over a slice of `Copy` items: applies `f` to
@@ -72,11 +97,29 @@ mod tests {
     fn worker_count_is_bounded_by_items_and_cores() {
         // A 1 024-cell plan asked for 1 024 shards and threads gets one
         // worker per core, not 1 024 OS threads; nothing is spawned here.
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let cores = host_cores();
         let (shards, threads, cells) = (1024, 1024, 1024);
         assert_eq!(worker_count(shards.min(threads), cells), cores.min(1024));
         assert_eq!(worker_count(8, 3), 3.min(cores));
         assert_eq!(worker_count(0, 5), 1);
         assert_eq!(worker_count(4, 0), 1);
+    }
+
+    #[test]
+    fn spare_thread_needs_one_cell_two_threads_and_two_cores() {
+        // Decided without spawning: a strictly serial run, a one-core
+        // host and a multi-cell plan (on one worker or several) draw
+        // arrivals on the calling thread; a lone cell with a second
+        // thread and core does not.
+        assert!(!spare_thread_on(1, 1, 8), "threads = 1 stays serial");
+        assert!(!spare_thread_on(0, 1, 8));
+        assert!(!spare_thread_on(8, 2, 8), "two cells");
+        assert!(!spare_thread_on(8, 16, 8));
+        assert!(!spare_thread_on(usize::MAX, 1, 1), "one-core host");
+        assert!(spare_thread_on(2, 1, 2));
+        assert!(spare_thread_on(usize::MAX, 1, 2), "the host's cores");
+        assert_eq!(spare_thread(2, 1), host_cores() >= 2);
+        assert!(!spare_thread(1, 1), "threads = 1 stays serial");
+        assert!(!spare_thread(usize::MAX, 16), "more than one cell");
     }
 }

@@ -29,15 +29,18 @@
 //!   (`simulate()`: one global event loop over one 1k-instance cell,
 //!   its arrivals drawn on a second thread on a multi-core host)
 //!   and once on the **sharded engine** at 8 shards × 8 threads
-//!   (16 cells of ~64 instances each). `speedup` is sharded over
+//!   (16 cells of ~64 instances each, on at most the host's cores, the
+//!   calling thread drawing each window's arrivals and serving cells
+//!   beside the threads it spawns). `speedup` is sharded over
 //!   single-shard; the harness also asserts the sharded report is
 //!   **bit-identical** to its own shards = 1 oracle and records the
 //!   verdict in `bit_identical_s1`. The sharded leg takes twice the
 //!   best-of draws of the other legs, so its planet-scale floor gate
 //!   sees a deep pool. A 10k-instance × ~1M-request datacenter leg is timed once
 //!   (sharded) and recorded as `ten_k_wall_s`, and a **100k-instance
-//!   planet-scale leg** exercises the streaming arrival path (arrivals
-//!   are never materialized), recording wall time, its own peak RSS,
+//!   planet-scale leg** exercises the streaming arrival path (the
+//!   driver holds two windows of 8 192 arrivals, never the horizon's
+//!   stream), recording wall time, its own peak RSS,
 //!   and its shards = 1 bit-identity verdict. Flags `--mega-shards N` /
 //!   `--mega-threads N` override the matrix leg CI fans out over.
 
@@ -194,7 +197,7 @@ fn measure_mega(quick: bool, shards: usize, threads: usize) -> MegaMeasurement {
     let ten_k_report = ten_k.simulate_sharded(shards, threads).expect("valid");
     let ten_k_wall_s = t0.elapsed().as_secs_f64();
     // The planet-scale leg: 100k instances, arrivals streamed from the
-    // generator in chunks (never materialized), so the leg's memory is
+    // generator in windows (never materialized), so the leg's memory is
     // instance state — not the horizon's request count. Peak RSS is
     // reset (where the kernel allows) and re-read around the leg.
     let hundred_k = mega_scenario(100_000, 10_000_000.0, 0.1);
@@ -570,8 +573,10 @@ fn main() {
         // the locality part is core-count independent, so it must
         // survive slower CI hardware. Per-event engine speedups lift
         // both legs and can lower the ratio, as does the arrival producer
-        // thread the single-shard leg gets on a multi-core host (the
-        // multi-worker sharded leg draws on its calling thread). The committed
+        // thread the single-shard leg gets on a multi-core host. The
+        // multi-worker sharded leg draws each window on its calling
+        // thread, which then serves cells beside the threads it spawned,
+        // so its thread speedup is in the ratio too. The committed
         // BENCH_perf.json records the full-mode ≥3× figure.
         if !mega.bit_identical_s1 {
             eprintln!("REGRESSION: sharded mega_fleet report diverged from its shards=1 oracle");

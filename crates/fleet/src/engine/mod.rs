@@ -21,8 +21,8 @@
 //!   partitions classes and instances into up to
 //!   [`ShardPlan::MAX_CELLS`] (1024) independent cells, and the one
 //!   arrival driver every run uses routes the exact whole-fleet stream
-//!   to them in conservative time windows, on the calling thread or
-//!   over bounded channels, with the control loop as an optional
+//!   to them in windows, on the calling thread or on threads that
+//!   claim cells window by window, with the control loop as an optional
 //!   window hook. Same seed ⇒ bit-identical report at every shard and
 //!   thread count.
 //! * `merge` *(private module)* — folds per-cell outcomes into one

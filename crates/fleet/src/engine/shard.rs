@@ -33,12 +33,26 @@
 //! 1993), and hands each arrival, in order, to the cell owning its
 //! class. No event crosses cells (failover and affinity routing stay
 //! inside one), so the window length never changes a result. One worker
-//! feeds the cells on the calling thread; more take them round-robin,
-//! fed window by window over bounded channels, the window being the
-//! fleet's fastest per-frame quote (at least 1/64 horizon). A window
-//! hook — the control loop — sees the cells at start and at every edge,
-//! once each has advanced through it, and rules on each arrival; a
-//! hooked run's cells stay on the calling thread.
+//! feeds the cells on the calling thread. A window hook — the control
+//! loop — sees the cells at start and at every edge, once each has
+//! advanced through it, and rules on each arrival; a hooked run's cells
+//! stay on the calling thread.
+//!
+//! A hookless run of `w ≥ 2` workers runs on `w` threads, the calling
+//! thread one of them, and its windows close every 8 192 arrivals. The
+//! calling thread fills the next window's per-cell buffers while the
+//! other threads serve the open window's cells; then it serves cells
+//! too, and it opens the next window (one uncontended lock per cell to
+//! swap the buffers in) only once every cell has served this one, so each
+//! cell takes its arrivals in stream order. Cells are claimed from the
+//! two ends of one range, the spawned threads upward from cell 0 and
+//! the calling thread downward from the top, so each thread keeps mostly
+//! the same cells window after window, and no thread idles while a cell
+//! is left (the two-ended deque of Blumofe and Leiserson's work
+//! stealing, JACM 46(5), 1999). A waiting thread spins briefly, then
+//! blocks. A cell that panics, on any thread, stops every thread at its
+//! next claim or wait, and the run returns
+//! [`FleetError::WorkerPanicked`].
 //!
 //! A lone-cell run with a thread to spare (`simulate()` and the control
 //! loop may use the host's cores, the sharded entries their `threads`)
@@ -75,8 +89,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 
 /// One cell of the partition: the classes it owns, its contiguous
 /// instance slice, and its slice of the admission bound.
@@ -102,8 +118,8 @@ impl ShardPlan {
     /// Upper bound on the number of cells a plan creates. The
     /// actual count is `min(classes, instances, MAX_CELLS)` — a cell
     /// must own at least one class and one instance to be a simulation
-    /// at all. The count is blind to the worker count: workers are
-    /// dealt cells round-robin, however many there are.
+    /// at all. The count is blind to the worker count: threads claim
+    /// cells window by window, however many there are.
     pub const MAX_CELLS: usize = 1024;
 
     /// Builds the plan for `scenario`, using `quotes` (when available)
@@ -468,29 +484,19 @@ fn with_producer<R>(scenario: &FleetScenario, f: impl FnOnce(&mut ArrivalGen<Fee
     })
 }
 
-/// How many arrival batches the window loop may run ahead of the slowest
-/// worker (the bounded-channel depth): the conservative lookahead
-/// barrier. A batch is at most [`ARRIVAL_CHUNK`] requests, so this also
-/// bounds buffered-arrival memory per worker.
-const BATCHES_IN_FLIGHT: usize = 4;
-
-/// Mid-window flush threshold: a cell's arrival buffer is delivered as
-/// soon as it holds this many requests, so buffered arrivals stay
-/// bounded however long (in requests) a window is.
+/// Mid-window flush threshold of a one-worker multi-cell run: a cell's
+/// arrival buffer is fed as soon as it holds this many requests, so
+/// buffered arrivals stay bounded however long (in requests) a window is.
 const ARRIVAL_CHUNK: usize = 65536;
 
-/// Cap on the *expected* request count of one generation window. With
-/// the chunk flush bounding per-cell buffers this mainly bounds the
-/// per-window bookkeeping sweep; together they keep a billion-request
-/// horizon at a few MB of driver state.
-const MAX_WINDOW_EXPECTED: f64 = 262_144.0;
+/// Arrivals per window of a multi-worker run. The calling thread fills
+/// the next window while the other threads serve the open one, so the
+/// driver holds two windows of requests (2 × 256 KiB) at any length of
+/// run.
+const WINDOW_ARRIVALS: usize = 8192;
 
-/// Coarse floor on the window count per run (windows are a pacing and
-/// memory knob, not a correctness one — see the module docs).
-const MIN_WINDOWS: f64 = 64.0;
-
-/// A batch shipped to a worker: `(cell index, its arrivals in order)`s.
-type WindowBatch = Vec<(usize, Vec<Request>)>;
+/// Checks a waiting thread spins through before it blocks.
+const SPINS: u32 = 256;
 
 /// The driver's window hook (module docs, "One driver"), a type
 /// parameter so a [`NoHook`] run compiles to the plain arrival feed.
@@ -529,10 +535,13 @@ impl FleetScenario {
 
     /// Runs the sharded engine: the scenario's [`ShardPlan`] cells,
     /// executed by `min(shards, threads, cells, available cores)` worker
-    /// threads, merged in canonical order. One worker runs the cells on
-    /// the calling thread; for a one-cell plan, if `threads ≥ 2` and the
-    /// host has two cores, a second thread draws the arrival stream
-    /// (module docs, "One driver"). `threads = 1` starts no thread.
+    /// threads, the calling thread one of them, merged in canonical
+    /// order. Several workers claim cells window by window while the
+    /// calling thread draws the next window and serves cells too; one
+    /// worker runs the cells on the calling thread, and for a one-cell
+    /// plan, if `threads ≥ 2` and the host has two cores, a second thread
+    /// draws the arrival stream (module docs, "One driver").
+    /// `threads = 1` starts no thread.
     ///
     /// **Determinism contract:** same seed ⇒ bit-identical report for
     /// every `(shards, threads)` combination. The `shards = 1` run is
@@ -598,28 +607,23 @@ impl FleetScenario {
 
     /// The one arrival driver (module docs, "One driver"): runs the plan's
     /// cells, cell `i` with sink `make_sink(i)`, and returns their
-    /// outcomes and sinks in cell order, and the hook. A one-worker run
-    /// draws its arrivals on a producer thread when `producer` is set
-    /// (the callers set it by `par::spare_thread`).
+    /// outcomes and sinks in cell order, and the hook. A hookless run of
+    /// several workers spawns all but one of them; a one-worker run draws
+    /// its arrivals on a producer thread when `producer` is set (the
+    /// callers set it by `par::spare_thread`).
     pub(crate) fn drive<S: TraceSink + Send, H: WindowHook>(
         &self,
         quotes: &QuoteTable,
         plan: &ShardPlan,
         workers: usize,
         producer: bool,
-        mut make_sink: impl FnMut(usize) -> S,
+        make_sink: impl FnMut(usize) -> S,
         mut hook: H,
     ) -> Result<(Vec<CellOutcome>, Vec<S>, H)> {
-        let mut cells: Vec<CellEngine<'_, S>> = plan
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| CellEngine::with_sink(self, quotes, spec, make_sink(i)))
-            .collect();
+        let mut cells = self.cells(quotes, plan, make_sink);
         if !H::ACTIVE && workers > 1 {
             let gen = ArrivalGen::new(self);
-            let (outcomes, sinks) =
-                run_workers(gen, cells, plan, workers, window_len(self, quotes))?;
+            let (outcomes, sinks) = run_workers(gen, cells, plan, workers, WINDOW_ARRIVALS)?;
             return Ok((outcomes, sinks, hook));
         }
         hook.start(&mut cells);
@@ -636,28 +640,18 @@ impl FleetScenario {
         let (outcomes, sinks) = cells.map(CellEngine::finish_with_sink).unzip();
         Ok((outcomes, sinks, local.hook))
     }
-}
 
-/// The generation window of a threaded run: the fleet's fastest
-/// per-frame quote is the lookahead floor (nothing observable happens on
-/// a finer scale), with a coarse floor of 1/[`MIN_WINDOWS`] horizon so
-/// short runs still pipeline across workers.
-fn window_len(scenario: &FleetScenario, quotes: &QuoteTable) -> f64 {
-    let lookahead = quotes.min_per_frame_s();
-    let floor = scenario.horizon_s / MIN_WINDOWS;
-    let window = if lookahead.is_finite() && lookahead > floor {
-        lookahead
-    } else {
-        floor
-    };
-    // Cap the window's expected request count so the per-window sweep
-    // stays bounded at planetary arrival rates (the window is pacing,
-    // not correctness — shrinking it never changes the report).
-    let mean = scenario.arrival.mean_rate_rps();
-    if mean.is_finite() && mean * window > MAX_WINDOW_EXPECTED {
-        MAX_WINDOW_EXPECTED / mean
-    } else {
-        window
+    /// The plan's cells, cell `i` recording into `make_sink(i)`.
+    fn cells<S: TraceSink>(
+        &self,
+        quotes: &QuoteTable,
+        plan: &ShardPlan,
+        mut make_sink: impl FnMut(usize) -> S,
+    ) -> Vec<CellEngine<'_, S>> {
+        let specs = plan.cells.iter().enumerate();
+        specs
+            .map(|(i, spec)| CellEngine::with_sink(self, quotes, spec, make_sink(i)))
+            .collect()
     }
 }
 
@@ -679,31 +673,22 @@ fn feed<S: TraceSink, H: WindowHook>(
     }
 }
 
-/// Where the window loop hands each arrival (with its cell) and each
-/// window edge: to cells on the calling thread ([`Local`]) or over
-/// channels to workers ([`Channels`]). `false` stops the stream.
-trait Deliver {
-    fn arrival(&mut self, cell: usize, req: Request) -> bool;
-    fn edge(&mut self, t_s: f64) -> bool;
-}
-
-/// The one window loop: generates the stream window by window, hands
-/// each arrival on for the cell owning its class, and closes every
-/// window, the last one included.
-fn window_loop<A: Source, D: Deliver>(
+/// The one window loop of a run on the calling thread: generates the
+/// stream window by window, hands each arrival to the cell owning its
+/// class, and closes every window, the last one included.
+fn window_loop<A: Source, S: TraceSink, H: WindowHook>(
     gen: &mut ArrivalGen<A>,
     plan: &ShardPlan,
     window_s: f64,
-    out: &mut D,
+    local: &mut Local<'_, S, H>,
 ) {
     let mut t_edge = window_s;
     loop {
         while let Some(req) = gen.next_before(t_edge) {
-            if !out.arrival(plan.class_to_cell[req.class], req) {
-                return;
-            }
+            local.arrival(plan.class_to_cell[req.class], req);
         }
-        if !out.edge(t_edge) || gen.exhausted() {
+        local.edge(t_edge);
+        if gen.exhausted() {
             return;
         }
         t_edge += window_s;
@@ -719,24 +704,23 @@ struct Local<'a, S: TraceSink, H> {
     hook: H,
 }
 
-impl<S: TraceSink, H: WindowHook> Deliver for Local<'_, S, H> {
+impl<S: TraceSink, H: WindowHook> Local<'_, S, H> {
     #[inline(always)]
-    fn arrival(&mut self, cell: usize, req: Request) -> bool {
+    fn arrival(&mut self, cell: usize, req: Request) {
         if let [only] = self.cells.as_mut_slice() {
             feed(only, [req], &mut self.hook);
-            return true;
+            return;
         }
         let buf = &mut self.bufs[cell];
         buf.push(req);
         if buf.len() >= ARRIVAL_CHUNK {
             feed(&mut self.cells[cell], buf.drain(..), &mut self.hook);
         }
-        true
     }
 
     /// Flushes every buffer (a hookless run's one edge ends the stream);
     /// with a hook, advances every cell to the edge and hands them over.
-    fn edge(&mut self, t_s: f64) -> bool {
+    fn edge(&mut self, t_s: f64) {
         for (cell, buf) in self.cells.iter_mut().zip(&mut self.bufs) {
             feed(cell, buf.drain(..), &mut self.hook);
             if H::ACTIVE {
@@ -746,114 +730,248 @@ impl<S: TraceSink, H: WindowHook> Deliver for Local<'_, S, H> {
         if H::ACTIVE {
             self.hook.edge(&mut self.cells, t_s);
         }
-        true
     }
 }
 
-/// The bounded channels to the workers (cell `c` on worker `c % workers`)
-/// and the open window's buffers. A failed send means a worker panicked.
-struct Channels {
-    senders: Vec<mpsc::SyncSender<WindowBatch>>,
-    bufs: Vec<Vec<Request>>,
+/// A cell of a multi-worker run, behind its own lock: the engine, the
+/// open window's arrivals, and whether that window is the last (after it
+/// the cell finishes, handing back its outcome and sink).
+struct Slot<'a, S: TraceSink> {
+    cell: Option<CellEngine<'a, S>>,
+    reqs: Vec<Request>,
+    last: bool,
+    out: Option<(CellOutcome, S)>,
 }
 
-impl Deliver for Channels {
-    #[inline(always)]
-    fn arrival(&mut self, cell: usize, req: Request) -> bool {
-        let buf = &mut self.bufs[cell];
-        buf.push(req);
-        if buf.len() < ARRIVAL_CHUNK {
-            return true;
+impl<S: TraceSink> Slot<'_, S> {
+    fn serve(&mut self) {
+        if let Some(cell) = &mut self.cell {
+            feed(cell, self.reqs.drain(..), &mut NoHook);
         }
-        // mid-window flush, in order down the cell's one channel
-        let reqs = std::mem::replace(buf, Vec::with_capacity(ARRIVAL_CHUNK));
-        let tx = &self.senders[cell % self.senders.len()];
-        tx.send(vec![(cell, reqs)]).is_ok()
+        if self.last {
+            self.out = self.cell.take().map(CellEngine::finish_with_sink);
+        }
     }
+}
 
-    fn edge(&mut self, _: f64) -> bool {
-        let workers = self.senders.len();
-        let mut batches: Vec<WindowBatch> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, buf) in self.bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                let hint = buf.len().min(ARRIVAL_CHUNK);
-                batches[i % workers].push((i, std::mem::replace(buf, Vec::with_capacity(hint))));
+/// What the threads of a multi-worker run share ([`run_workers`]).
+struct Shared<'a, S: TraceSink> {
+    slots: Vec<Mutex<Slot<'a, S>>>,
+    /// The open window's unclaimed cells `lo..hi`, as `lo | hi << 32`.
+    claim: AtomicU64,
+    /// Cells served in the open window.
+    served: AtomicUsize,
+    /// Set when the run ends or a cell panics: every wait returns.
+    stop: AtomicBool,
+    /// The first panic's cell and message.
+    panicked: Mutex<Option<(usize, String)>>,
+    /// The calling thread, woken when a window is served or a cell panics.
+    caller: Thread,
+}
+
+impl<S: TraceSink> Shared<'_, S> {
+    /// Claims the open window's lowest unclaimed cell (`up`) or its
+    /// highest; `None` once every cell is claimed or the run stopped.
+    fn claim(&self, up: bool) -> Option<usize> {
+        let mut word = self.claim.load(Ordering::Acquire);
+        loop {
+            let (lo, hi) = (word & u64::from(u32::MAX), word >> 32);
+            if lo >= hi || self.stop.load(Ordering::Relaxed) {
+                return None;
+            }
+            let (next, cell) = if up {
+                (word + 1, lo)
+            } else {
+                (lo | (hi - 1) << 32, hi - 1)
+            };
+            match self
+                .claim
+                .compare_exchange_weak(word, next, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return Some(cell as usize),
+                Err(seen) => word = seen,
             }
         }
-        let mut sends = self.senders.iter().zip(batches);
-        sends.all(|(tx, batch)| batch.is_empty() || tx.send(batch).is_ok())
+    }
+
+    /// Whether the open window has a cell left to claim.
+    fn open(&self) -> bool {
+        let word = self.claim.load(Ordering::Acquire);
+        word & u64::from(u32::MAX) < word >> 32
+    }
+
+    /// Serves every cell of the open window this thread can claim. A
+    /// panic in one is caught, recorded (the first wins) and stops the run.
+    fn serve_claims(&self, up: bool) {
+        while let Some(i) = self.claim(up) {
+            let mut slot = lock(&self.slots[i]);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| slot.serve())) {
+                lock(&self.panicked).get_or_insert((i, panic_message(&*payload)));
+                self.stop.store(true, Ordering::Release);
+                self.caller.unpark();
+            }
+            drop(slot);
+            if self.served.fetch_add(1, Ordering::AcqRel) + 1 == self.slots.len() {
+                self.caller.unpark();
+            }
+        }
+    }
+
+    /// Hands the calling thread's filled buffers to the cells (taking
+    /// their drained ones back) and opens the window they hold.
+    fn publish(&self, bufs: &mut [Vec<Request>], last: bool) {
+        for (slot, buf) in self.slots.iter().zip(bufs) {
+            let mut slot = lock(slot);
+            std::mem::swap(&mut slot.reqs, buf);
+            slot.last = last;
+        }
+        self.served.store(0, Ordering::Relaxed);
+        // lo = 0, hi = cells. A claim's Acquire pairs with this Release,
+        // so the claimer sees the swapped buffers and the reset count.
+        self.claim
+            .store((self.slots.len() as u64) << 32, Ordering::Release);
     }
 }
 
-/// The threaded path: the calling thread runs the window loop into
-/// [`Channels`]; each worker feeds its cells their batches in order and
-/// drains them when the stream closes. A worker that panics stops the
-/// stream, and the run returns [`FleetError::WorkerPanicked`] naming the
-/// cell it was running and the panic's message.
-fn run_workers<'a, S: TraceSink + Send>(
+/// Locks `m`. No lock is held across a panic (each cell's feed is caught
+/// inside its lock), so a poisoned lock's data is still whole.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Spins [`SPINS`] checks, then blocks, until `ready` holds (`true`) or
+/// the run stops (`false`). Every thread that can make `ready` hold, or
+/// stop the run, unparks the waiter after.
+fn wait(stop: &AtomicBool, ready: impl Fn() -> bool) -> bool {
+    let mut spins = 0;
+    loop {
+        if stop.load(Ordering::Acquire) {
+            return false;
+        }
+        if ready() {
+            return true;
+        }
+        if spins < SPINS {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::park();
+        }
+    }
+}
+
+/// A spawned thread of a multi-worker run: serves cells upward from the
+/// bottom of every window it finds open, until the run stops.
+fn help<S: TraceSink>(shared: &Shared<'_, S>) {
+    while wait(&shared.stop, || shared.open()) {
+        shared.serve_claims(true);
+    }
+}
+
+/// Stops a multi-worker run when dropped, at its end or as a panic
+/// unwinds the calling thread, and wakes the spawned threads to see it.
+struct Stop<'s, 'a, S: TraceSink> {
+    shared: &'s Shared<'a, S>,
+    helpers: Vec<Thread>,
+}
+
+impl<S: TraceSink> Drop for Stop<'_, '_, S> {
+    fn drop(&mut self) {
+        self.shared.stop.store(true, Ordering::Release);
+        self.helpers.iter().for_each(Thread::unpark);
+    }
+}
+
+/// Fills `bufs`, one per cell, with the stream's next `window` arrivals;
+/// `false` once the stream has ended.
+fn fill(gen: &mut ArrivalGen, plan: &ShardPlan, bufs: &mut [Vec<Request>], window: usize) -> bool {
+    for _ in 0..window {
+        let Some(req) = gen.next() else {
+            return false;
+        };
+        bufs[plan.class_to_cell[req.class]].push(req);
+    }
+    true
+}
+
+/// The multi-worker path (module docs, "One driver"): `workers` threads,
+/// the calling thread one of them, serve the cells window by window. The
+/// calling thread fills the next window of `window` arrivals, then claims
+/// the open window's cells from the top while the spawned threads claim
+/// them from the bottom, and opens the next window once every cell has
+/// served this one. A cell that panics stops the run, and the run returns
+/// [`FleetError::WorkerPanicked`] naming the cell and the panic's message.
+fn run_workers<S: TraceSink + Send>(
     mut gen: ArrivalGen,
-    cells: Vec<CellEngine<'a, S>>,
+    cells: Vec<CellEngine<'_, S>>,
     plan: &ShardPlan,
     workers: usize,
-    window_s: f64,
+    window: usize,
 ) -> Result<(Vec<CellOutcome>, Vec<S>)> {
-    let n_cells = cells.len();
-    let mut worker_cells: Vec<Vec<(usize, CellEngine<'a, S>)>> =
-        (0..workers).map(|_| Vec::new()).collect();
-    for (i, cell) in cells.into_iter().enumerate() {
-        worker_cells[i % workers].push((i, cell));
-    }
-    // The cell each worker is running, read only after its join (which
-    // orders the worker's last store before the load: Relaxed suffices).
-    let running: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
-
-    let mut finished = Vec::with_capacity(workers);
-    let mut panicked: Option<(usize, String)> = None;
+    let n = cells.len();
+    let slot = |cell| Slot {
+        cell: Some(cell),
+        reqs: Vec::new(),
+        last: false,
+        out: None,
+    };
+    let shared = Shared {
+        slots: cells
+            .into_iter()
+            .map(|cell| Mutex::new(slot(cell)))
+            .collect(),
+        claim: AtomicU64::new(0),
+        served: AtomicUsize::new(0),
+        stop: AtomicBool::new(false),
+        panicked: Mutex::new(None),
+        caller: std::thread::current(),
+    };
+    let mut bufs: Vec<Vec<Request>> = (0..n).map(|_| Vec::new()).collect();
     std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for (mut owned, running) in worker_cells.into_iter().zip(&running) {
-            let (tx, rx) = mpsc::sync_channel(BATCHES_IN_FLIGHT);
-            senders.push(tx);
-            handles.push(scope.spawn(move || {
-                for batch in rx {
-                    for (cell_idx, reqs) in batch {
-                        running.store(cell_idx, Ordering::Relaxed);
-                        // dealt round-robin: cell c is this worker's c / workers-th
-                        feed(&mut owned[cell_idx / workers].1, reqs, &mut NoHook);
-                    }
-                }
-                owned
-                    .into_iter()
-                    .map(|(i, cell)| {
-                        running.store(i, Ordering::Relaxed);
-                        cell.finish_with_sink()
-                    })
-                    .collect::<Vec<_>>()
-            }));
+        let shared = &shared;
+        // built before the first spawn, so a failed spawn still stops
+        // the threads already started
+        let mut stop = Stop {
+            shared,
+            helpers: Vec::with_capacity(workers - 1),
+        };
+        for _ in 1..workers {
+            let helper = scope.spawn(move || help(shared));
+            stop.helpers.push(helper.thread().clone());
         }
-        let bufs = (0..n_cells).map(|_| Vec::new()).collect();
-        let mut channels = Channels { senders, bufs };
-        window_loop(&mut gen, plan, window_s, &mut channels);
-        drop(channels); // close the channels: workers drain and finish
-        for (handle, running) in handles.into_iter().zip(&running) {
-            match handle.join() {
-                Ok(outcomes) => finished.push(Vec::into_iter(outcomes)),
-                Err(payload) if panicked.is_none() => {
-                    panicked = Some((running.load(Ordering::Relaxed), panic_message(&*payload)));
-                }
-                Err(_) => {}
+        let mut more = fill(&mut gen, plan, &mut bufs, window);
+        loop {
+            let last = !more;
+            shared.publish(&mut bufs, last);
+            stop.helpers.iter().for_each(Thread::unpark);
+            if more {
+                more = fill(&mut gen, plan, &mut bufs, window);
+            }
+            shared.serve_claims(false);
+            // Served, not just claimed: a thread may hold a claim it has
+            // not locked yet, and that cell must not see the next window
+            // before this one.
+            if !wait(&shared.stop, || shared.served.load(Ordering::Acquire) == n) || last {
+                break;
             }
         }
     });
-    if let Some((cell, message)) = panicked {
+    let Shared {
+        slots, panicked, ..
+    } = shared;
+    if let Some((cell, message)) = panicked
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
         return Err(FleetError::WorkerPanicked { cell, message });
     }
-    // No worker panicked, so worker w returned cells w, w + workers, …
-    // in order: dealing them back out restores the cell order.
-    Ok((0..n_cells)
-        .filter_map(|i| finished[i % workers].next())
-        .unzip())
+    let slots = slots.into_iter().map(|slot| {
+        let slot = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+        // No cell panicked, so every cell finished with the last window.
+        #[allow(clippy::expect_used)]
+        slot.out.expect("a cell left unfinished")
+    });
+    Ok(slots.unzip())
 }
 
 /// The text a panic was raised with (`panic!` payloads are a `&str` or
@@ -1085,33 +1203,45 @@ mod tests {
         fn count(&mut self, _op: ProfileOp, _n: u64) {}
     }
 
-    /// Drives `s`'s shard plan on exactly `workers` workers: the public
-    /// entries bound the count by the host's cores, these tests must not.
+    /// Drives `s`'s shard plan on exactly `workers` workers, `window`
+    /// arrivals to a window: the public entries bound the count by the
+    /// host's cores, these tests must not.
     fn drive_on<S: TraceSink + Send>(
         s: &FleetScenario,
         workers: usize,
+        window: usize,
         make_sink: impl FnMut(usize) -> S,
     ) -> Result<Vec<CellOutcome>> {
         let quotes = s.quote_table()?;
         let plan = ShardPlan::new(s, Some(&quotes));
-        let (outcomes, _, _) = s.drive(&quotes, &plan, workers, false, make_sink, NoHook)?;
+        let cells = s.cells(&quotes, &plan, make_sink);
+        let (outcomes, _) = run_workers(ArrivalGen::new(s), cells, &plan, workers, window)?;
         Ok(outcomes)
     }
 
     #[test]
     fn worker_panic_is_reported_with_its_cell_and_message() {
-        let s = scenario(4, 8);
-        assert_eq!(s.shard_plan().n_cells(), 4);
-        let faulty = 2;
-        let result = drive_on(&s, 2, |cell| PanickingSink { cell, faulty });
-        match result {
-            Err(FleetError::WorkerPanicked { cell, message }) => {
-                assert_eq!(cell, faulty);
-                assert_eq!(message, "injected fault in cell 2");
+        // Each cell panics in turn. Which thread claims it varies from
+        // window to window, so the panic lands on the calling thread in
+        // some runs and on a spawned one in others; every run must fail
+        // with the cell and its message, and none may hang.
+        within_a_minute(|| {
+            for (n_classes, n_cells) in [(4, 4), (16, 16)] {
+                let s = scenario(n_classes, 32);
+                assert_eq!(s.shard_plan().n_cells(), n_cells);
+                for faulty in 0..n_cells {
+                    for (workers, window) in [(2, 7), (3, 7), (2, WINDOW_ARRIVALS), (3, 64)] {
+                        let result =
+                            drive_on(&s, workers, window, |cell| PanickingSink { cell, faulty });
+                        let Err(FleetError::WorkerPanicked { cell, message }) = result else {
+                            panic!("cell {faulty}, {workers} workers: the run must fail");
+                        };
+                        assert_eq!(cell, faulty);
+                        assert_eq!(message, format!("injected fault in cell {faulty}"));
+                    }
+                }
             }
-            Err(e) => panic!("wrong error: {e}"),
-            Ok(_) => panic!("a panicking cell must fail the run"),
-        }
+        });
     }
 
     /// Runs `f` on a thread of its own and returns its result, failing
@@ -1212,16 +1342,47 @@ mod tests {
     }
 
     #[test]
-    fn uneven_round_robin_dealing_reproduces_the_serial_report() {
-        // Eight cells over worker counts that do not divide them: every
-        // dealing of `cell % workers` must merge to the shards = 1 report.
+    fn uneven_two_ended_claims_reproduce_the_serial_report() {
+        // Eight cells over worker counts that do not divide them: however
+        // the two ends of each window's claim range meet, the outcomes
+        // must merge to the shards = 1 report.
         let s = scenario(8, 24);
         assert_eq!(s.shard_plan().n_cells(), 8);
         let oracle = s.simulate_sharded(1, 1).unwrap();
         assert!(oracle.completed > 0);
         for workers in [3, 5, 7] {
-            let outcomes = drive_on(&s, workers, |_| NullSink).unwrap();
+            let outcomes = drive_on(&s, workers, WINDOW_ARRIVALS, |_| NullSink).unwrap();
             assert_eq!(oracle, merge::assemble(&s, &outcomes), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn every_window_and_worker_count_reproduces_the_serial_report() {
+        // Windows of one arrival (a barrier per request), of a prime
+        // count, and of the driver's own length, at worker counts above
+        // the host's cores: every chaos kind and a 16-class plan must
+        // merge to the (1, 1) report bit for bit.
+        use crate::faults::{chaos_timeline, ChaosConfig, ChaosKind};
+        let base = scenario(4, 8);
+        let chaos = ChaosKind::ALL.map(|kind| FleetScenario {
+            faults: chaos_timeline(
+                kind,
+                &base.instances,
+                base.horizon_s,
+                &ChaosConfig::default(),
+            ),
+            ..base.clone()
+        });
+        for s in chaos.iter().chain([&scenario(16, 32)]) {
+            let oracle = s.simulate_sharded(1, 1).unwrap();
+            assert!(oracle.completed > 0);
+            for window in [1, 7, WINDOW_ARRIVALS] {
+                for workers in [2, 3, 5] {
+                    let outcomes = drive_on(s, workers, window, |_| NullSink).unwrap();
+                    let report = merge::assemble(s, &outcomes);
+                    assert_eq!(oracle, report, "window {window}, {workers} workers");
+                }
+            }
         }
     }
 }

@@ -131,7 +131,8 @@ pub enum FleetError {
         /// Index of the class it cannot serve, in `FleetScenario::classes`.
         class: usize,
     },
-    /// A worker thread of a sharded run panicked while it ran a cell.
+    /// A thread of a sharded run, the calling thread included, panicked
+    /// while it ran a cell.
     WorkerPanicked {
         /// Index of the shard cell the worker was running, in the
         /// scenario's [`ShardPlan`].

@@ -12,11 +12,17 @@ fn host_cores() -> usize {
         .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
-/// How many worker threads to start for `items` items when `requested`
-/// were asked for: `min(requested, items, available cores)`, at least
+/// How many threads work on `items` items when `requested` were asked
+/// for, the calling thread included when it works too (a sharded run
+/// spawns one fewer): `min(requested, items, available cores)`, at least
 /// one, so no caller value asks for more threads than the host has cores.
 pub(crate) fn worker_count(requested: usize, items: usize) -> usize {
-    requested.min(items).min(host_cores()).max(1)
+    worker_count_on(requested, items, host_cores())
+}
+
+/// [`worker_count`] on a host with `cores` cores.
+fn worker_count_on(requested: usize, items: usize, cores: usize) -> usize {
+    requested.min(items).min(cores).max(1)
 }
 
 /// Whether a run of `cells` plan cells, allowed `threads` threads, has one
@@ -103,6 +109,23 @@ mod tests {
         assert_eq!(worker_count(8, 3), 3.min(cores));
         assert_eq!(worker_count(0, 5), 1);
         assert_eq!(worker_count(4, 0), 1);
+    }
+
+    #[test]
+    fn sharded_runs_spawn_all_but_the_calling_thread() {
+        // Decided without spawning: a 16-cell run works on
+        // `worker_count` threads, the calling thread one of them, so it
+        // spawns one fewer: none at threads = 1 or on a one-core host,
+        // and cores − 1 when asked for every core.
+        let spawned = |threads, cores| worker_count_on(threads, 16, cores) - 1;
+        assert_eq!(spawned(1, 8), 0, "threads = 1 stays serial");
+        assert_eq!(spawned(0, 8), 0);
+        assert_eq!(spawned(usize::MAX, 1), 0, "one-core host");
+        assert_eq!(spawned(usize::MAX, 2), 1, "the host's cores");
+        assert_eq!(spawned(usize::MAX, 8), 7);
+        assert_eq!(spawned(2, 8), 1);
+        assert_eq!(spawned(usize::MAX, 64), 15, "no more threads than cells");
+        assert_eq!(worker_count(usize::MAX, 16) - 1, host_cores().min(16) - 1);
     }
 
     #[test]

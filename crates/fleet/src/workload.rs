@@ -169,6 +169,7 @@ impl ClassSampler {
     /// sampler returns 0 (no valid index exists — don't sample an
     /// empty mix you admitted past [`try_new`](Self::try_new)), and a
     /// zero/negative total degenerates to a constant pick.
+    #[inline(always)]
     pub fn sample(&self, rng: &mut StdRng) -> usize {
         let x = rng.gen_range(0.0..self.total.max(f64::MIN_POSITIVE));
         self.cumulative
@@ -394,6 +395,9 @@ impl ArrivalSampler {
 
     /// The next arrival time, seconds (monotone increasing; always
     /// `f64::INFINITY` for a sampler built over an invalid process).
+    /// Inlined: as a call, a Poisson draw costs about three times its
+    /// inlined cost.
+    #[inline(always)]
     pub fn next_arrival_s(&mut self) -> f64 {
         if !self.valid {
             return f64::INFINITY;
@@ -405,6 +409,13 @@ impl ArrivalSampler {
             self.t += exp_sample(&mut self.rng, rate_rps);
             return self.t;
         }
+        self.next_thinned_s()
+    }
+
+    /// The thinning loop of the modulated processes, kept out of line so
+    /// the Poisson draw inlines small.
+    #[inline(never)]
+    fn next_thinned_s(&mut self) -> f64 {
         let peak = self.process.peak_rate_rps();
         loop {
             self.t += exp_sample(&mut self.rng, peak);
@@ -417,6 +428,7 @@ impl ArrivalSampler {
 }
 
 /// Exponential sample with the given rate.
+#[inline(always)]
 fn exp_sample(rng: &mut StdRng, rate: f64) -> f64 {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     -u.ln() / rate
@@ -586,6 +598,56 @@ mod tests {
         assert!(ClassSampler::try_new(&[NetworkClass::lenet5(0.01, f64::NAN)]).is_err());
         // and a valid mix passes
         assert!(ClassSampler::try_new(&[NetworkClass::lenet5(0.01, 1.0)]).is_ok());
+    }
+
+    /// FNV-1a over the first 100 000 `(arrival_s bits, class)` pairs of a
+    /// stream drawn as the engine draws it: the arrival, then its class.
+    fn stream_digest(process: ArrivalProcess, n_classes: usize) -> u64 {
+        let classes: Vec<NetworkClass> = (0..n_classes)
+            .map(|i| NetworkClass::lenet5(0.01, 1.0 + i as f64))
+            .collect();
+        let mix = ClassSampler::new(&classes);
+        let mut sampler = ArrivalSampler::new(process, 7);
+        let mut class_rng = StdRng::seed_from_u64(7 ^ 0xC1A5_55E5);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for _ in 0..100_000 {
+            fold(sampler.next_arrival_s().to_bits());
+            fold(mix.sample(&mut class_rng) as u64);
+        }
+        h
+    }
+
+    #[test]
+    fn arrival_streams_are_pinned_bit_for_bit() {
+        // Every draw the engine replays, Poisson fast path and thinning
+        // loop alike: a change of inlining or code layout must not move a
+        // bit of any process's stream.
+        let processes = [
+            ArrivalProcess::Poisson { rate_rps: 50_000.0 },
+            ArrivalProcess::Mmpp {
+                low_rps: 10_000.0,
+                high_rps: 200_000.0,
+                dwell_low_s: 0.004,
+                dwell_high_s: 0.002,
+            },
+            ArrivalProcess::Diurnal {
+                base_rps: 5_000.0,
+                peak_rps: 120_000.0,
+                period_s: 0.03,
+            },
+        ];
+        let pinned: [[u64; 2]; 3] = [
+            [0xdfe6_fdf7_2d8a_25d6, 0xd435_8773_a2d0_4d20],
+            [0x5feb_3ec7_9509_f836, 0x1bab_1f22_152a_95cc],
+            [0x1f94_c194_624d_facf, 0x170f_d95c_272e_af09],
+        ];
+        let got = processes.map(|p| [1, 16].map(|n| stream_digest(p, n)));
+        assert_eq!(got, pinned, "{got:#018x?}");
     }
 
     #[test]
